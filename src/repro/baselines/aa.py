@@ -31,7 +31,7 @@ from repro.baselines.common import (
 from repro.energy.charging import ChargerSpec
 from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN
-from repro.tours.tsp import nearest_neighbor_tour
+from repro.tours.tsp import build_tsp_order
 
 
 def kmeans_partition(
@@ -123,10 +123,6 @@ def aa_schedule(
         dist = DistanceCache(positions, depot)
         charge_times = charge_times_for_requests(network, requests, spec)
 
-    def sentinel_dist(a, b):
-        # nearest_neighbor_tour runs in "DEPOT"-sentinel label space.
-        return dist(None if a == "DEPOT" else a, None if b == "DEPOT" else b)
-
     itineraries: List = [[] for _ in range(num_chargers)]
     if requests:
         coords = np.array(
@@ -139,12 +135,9 @@ def aa_schedule(
                 continue
             # Serve the cluster in nearest-neighbour order from the
             # depot (the vehicle has to start there anyway).
-            order = nearest_neighbor_tour(
-                group + ["DEPOT"],
-                {**{sid: positions[sid] for sid in group}, "DEPOT": depot},
-                "DEPOT",
-                sentinel_dist,
-            )[1:]
+            order = build_tsp_order(
+                group, positions, depot, method="nearest_neighbor", dist=dist
+            )
             itineraries[k] = build_itinerary(
                 order, positions, depot, spec, charge_times, dist=dist
             )

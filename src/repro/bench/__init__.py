@@ -15,20 +15,11 @@
 * :mod:`repro.bench.loadgen` — open-loop load generator for the
   planning daemon (latency percentiles and rejection ratio under
   overload).
-* :mod:`repro.bench.asymptotics` — the array tour engine asymptotics
-  campaign (2k/5k/10k sensors): vectorised kernels vs the legacy
-  scalar paths, parity-checked before timing.
 * :mod:`repro.bench.online` — the online-replanning campaign: delta
   invalidation (``PlanningContext.invalidate``) vs a cold context
   rebuild, parity-checked every round.
 """
 
-from repro.bench.asymptotics import (
-    ParityError,
-    format_asymptotics,
-    run_asymptotics,
-    synthetic_instance,
-)
 from repro.bench.experiments import (
     fig3_network_size,
     fig4_data_rate,
@@ -70,13 +61,11 @@ __all__ = [
     "FaultCampaignRow",
     "LoadResult",
     "PaperParams",
-    "ParityError",
     "SweepPoint",
     "bench_record",
     "fig3_network_size",
     "fig4_data_rate",
     "fig5_num_chargers",
-    "format_asymptotics",
     "format_online",
     "format_series_table",
     "loadgen_record",
@@ -85,12 +74,10 @@ __all__ = [
     "measure_capacity_jps",
     "median_of",
     "percentile",
-    "run_asymptotics",
     "run_fault_campaign",
     "run_load",
     "run_online_bench",
     "state_speedup",
-    "synthetic_instance",
     "run_sweep",
     "series_to_rows",
     "summarize_samples",

@@ -181,13 +181,11 @@ def cmd_bench(args) -> int:
     """Regenerate one paper figure, or run a micro campaign."""
     if args.online:
         return _cmd_bench_online(args)
-    if args.asymptotics or args.quick:
-        return _cmd_bench_asymptotics(args)
+    if args.quick:
+        print("bench: --quick only applies to --online")
+        return 2
     if args.figure is None:
-        print(
-            "bench: a figure is required unless --asymptotics, "
-            "--online or --quick is given"
-        )
+        print("bench: a figure is required unless --online is given")
         return 2
     driver, x_label, title = _FIGURES[args.figure]
     result = driver(
@@ -222,35 +220,6 @@ def cmd_bench(args) -> int:
             result, "dead_min",
             f"{title} — dead duration", "min",
         ))
-    return 0
-
-
-def _cmd_bench_asymptotics(args) -> int:
-    """Run the array-engine asymptotics campaign (DESIGN §16)."""
-    from repro.bench.asymptotics import (
-        DEFAULT_SIZES,
-        format_asymptotics,
-        run_asymptotics,
-    )
-    from repro.bench.record import write_bench_record
-
-    if args.quick:
-        sizes = args.sizes if args.sizes else [500]
-        repeats = 1
-    else:
-        sizes = args.sizes if args.sizes else list(DEFAULT_SIZES)
-        repeats = args.repeats
-    record = run_asymptotics(
-        sizes=sizes,
-        repeats=repeats,
-        seed=args.seed,
-        progress=lambda line: print(f"  .. {line}"),
-    )
-    print()
-    print(format_asymptotics(record))
-    if args.json:
-        write_bench_record(record, args.json)
-        print(f"\nwrote {args.json}")
     return 0
 
 
@@ -786,6 +755,10 @@ def cmd_eval(args) -> int:
             rate = stats["win_rate_vs_appro"]
             if rate is not None:
                 derived[f"win_rate_vs_appro[{name}]"] = rate
+            for outcome in ("wins", "ties", "losses"):
+                derived[f"{outcome}_vs_appro[{name}]"] = stats[
+                    f"{outcome}_vs_appro"
+                ]
             derived[f"mean_planned_delay_s[{name}]"] = stats[
                 "mean_planned_delay_s"
             ]

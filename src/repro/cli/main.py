@@ -96,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="regenerate a paper figure (tables + ASCII plots) or run "
-        "the asymptotics / online-replanning campaigns",
+        "the online-replanning campaign",
     )
     bench.add_argument(
         "figure", nargs="?", choices=["fig3", "fig4", "fig5"],
         help="which evaluation figure to regenerate (omit with "
-        "--asymptotics / --online / --quick)",
+        "--online)",
     )
     bench.add_argument("--instances", type=int, default=2)
     bench.add_argument("--days", type=float, default=40.0)
@@ -113,32 +113,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation worker processes (default: 1, in-process)",
     )
     bench.add_argument(
-        "--asymptotics", action="store_true",
-        help="time the array tour kernels against the legacy scalar "
-        "paths on large synthetic instances (parity-checked)",
-    )
-    bench.add_argument(
         "--online", action="store_true",
         help="time delta invalidation (PlanningContext.invalidate) "
         "against a cold context rebuild under seeded mid-round "
         "residual perturbations (parity-checked every round)",
     )
     bench.add_argument(
-        "--sizes", type=int, nargs="+", metavar="N", default=None,
-        help="asymptotics instance sizes (default: 2000 5000 10000)",
-    )
-    bench.add_argument(
         "--repeats", type=int, default=3,
-        help="asymptotics timing samples per metric",
+        help="--online: timed rounds",
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--json", metavar="PATH", default=None,
-        help="write the asymptotics record as repro-bench/1 JSON",
+        help="--online: write the record as repro-bench/1 JSON",
     )
     bench.add_argument(
         "--quick", action="store_true",
-        help="single-repeat 500-node asymptotics parity smoke (CI)",
+        help="with --online: a small two-round parity smoke (CI)",
     )
     bench.set_defaults(func=commands.cmd_bench)
 

@@ -37,6 +37,7 @@ from repro.core.appro import appro_schedule
 from repro.core.schedule import ChargingSchedule
 from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
+from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN
 from repro.tours.improve import or_opt, two_opt
 from repro.tours.splitting import split_tour_min_max
@@ -91,6 +92,15 @@ def _reverse_mutation(
     return out
 
 
+def _distance_cache(schedule: ChargingSchedule) -> DistanceCache:
+    """The schedule's distance lookup, which the tour kernels need to
+    be a :class:`DistanceCache` (Appro seeds always carry one)."""
+    dist = schedule.distance
+    if not isinstance(dist, DistanceCache):
+        raise TypeError("the seed schedule's distance is not a DistanceCache")
+    return dist
+
+
 def _materialize(
     seed_schedule: ChargingSchedule,
     perm: Sequence[int],
@@ -115,7 +125,7 @@ def _materialize(
         dup.depot,
         dup.speed(),
         service=lambda v: dup.duration[v],
-        dist=dup.distance,
+        dist=_distance_cache(dup),
     )
     for k, segment in enumerate(segments):
         anchor: Optional[int] = None
@@ -217,7 +227,7 @@ def metaheuristic_schedule(
     positions = seed_schedule.positions
     depot = seed_schedule.depot
     speed = seed_schedule.speed()
-    dist = seed_schedule.distance
+    dist = _distance_cache(seed_schedule)
     duration = seed_schedule.duration
 
     def fitness(perm: Sequence[int]) -> float:

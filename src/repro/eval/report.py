@@ -1,10 +1,10 @@
 """The ``repro-eval/1`` report envelope.
 
 The report is one JSON document: the matrix header, the ordered cell
-records, and a per-planner summary with the win rate against
-``Appro``.  Quick-mode reports strip every wall-clock field, so the
-serialized bytes are a pure function of (matrix, code) — the parity
-tests compare them across worker counts and ``PYTHONHASHSEED``.
+records, and a per-planner summary with strict wins, ties and losses
+against ``Appro``.  Quick-mode reports strip every wall-clock field,
+so the serialized bytes are a pure function of (matrix, code) — the
+parity tests compare them across worker counts and ``PYTHONHASHSEED``.
 Full-mode reports keep per-cell timings under a separate ``timings``
 key, deliberately outside the parity surface.
 """
@@ -19,12 +19,17 @@ from repro.io import dump_jsonl_line
 
 EVAL_FORMAT = "repro-eval/1"
 
-#: A planner "matches" Appro within this relative slack.
-_WIN_REL_TOL = 1e-9
+#: A planner ties Appro within this relative slack.
+_TIE_REL_TOL = 1e-9
 
 
-def _wins(delay_s: float, appro_delay_s: float) -> bool:
-    return delay_s <= appro_delay_s * (1.0 + _WIN_REL_TOL)
+def _versus(delay_s: float, appro_delay_s: float) -> str:
+    """``"wins"``, ``"ties"`` or ``"losses"`` against Appro's delay."""
+    if delay_s < appro_delay_s * (1.0 - _TIE_REL_TOL):
+        return "wins"
+    if delay_s > appro_delay_s * (1.0 + _TIE_REL_TOL):
+        return "losses"
+    return "ties"
 
 
 def build_report(
@@ -45,7 +50,8 @@ def build_report(
         for rec in records
     ]
 
-    # Win rate vs Appro, per group (same instance, K and fault draws).
+    # Wins/ties/losses vs Appro, per group (same instance, K and fault
+    # draws).
     appro_delay: Dict[str, float] = {}
     for rec in records:
         if rec["planner"] == "Appro":
@@ -57,17 +63,19 @@ def build_report(
         if not mine:
             continue
         scored = [rec for rec in mine if rec["group"] in appro_delay]
-        wins = sum(
-            1
-            for rec in scored
-            if _wins(rec["planned_delay_s"], appro_delay[rec["group"]])
-        )
+        tally = {"wins": 0, "ties": 0, "losses": 0}
+        for rec in scored:
+            tally[
+                _versus(rec["planned_delay_s"], appro_delay[rec["group"]])
+            ] += 1
         planners[name] = {
             "cells": len(mine),
             "scored_vs_appro": len(scored),
-            "wins_vs_appro": wins,
+            "wins_vs_appro": tally["wins"],
+            "ties_vs_appro": tally["ties"],
+            "losses_vs_appro": tally["losses"],
             "win_rate_vs_appro": (
-                wins / len(scored) if scored else None
+                tally["wins"] / len(scored) if scored else None
             ),
             "mean_planned_delay_s": (
                 sum(rec["planned_delay_s"] for rec in mine) / len(mine)

@@ -1,9 +1,9 @@
 """ASCII / markdown rendering of an eval report.
 
-Two tables: a per-planner summary (win rate vs Appro, mean delays,
-miss ratio, repairs) and the per-cell detail (longest delay, miss
-ratio, repairs, wall time — ``-`` when the report carries no
-timings).  ``fmt="markdown"`` emits pipe tables; ``"ascii"`` pads with
+Two tables: a per-planner summary (strict wins/ties/losses vs Appro,
+mean delays, miss ratio, repairs) and the per-cell detail (longest
+delay, miss ratio, repairs, wall time — ``-`` when the report carries
+no timings).  ``fmt="markdown"`` emits pipe tables; ``"ascii"`` pads with
 spaces under a dashed rule.
 """
 
@@ -40,10 +40,6 @@ def _render(rows: List[List[str]], header: Sequence[str], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _pct(value: Any) -> str:
-    return "-" if value is None else f"{100.0 * value:.0f}%"
-
-
 def render_summary_table(
     report: Dict[str, Any], fmt: str = "ascii"
 ) -> str:
@@ -51,7 +47,7 @@ def render_summary_table(
     header = (
         "planner",
         "cells",
-        "win-vs-Appro",
+        "W/T/L vs Appro",
         "mean delay (s)",
         "mean realized (s)",
         "miss ratio",
@@ -63,7 +59,8 @@ def render_summary_table(
             [
                 name,
                 str(stats["cells"]),
-                _pct(stats["win_rate_vs_appro"]),
+                f"{stats['wins_vs_appro']}/{stats['ties_vs_appro']}"
+                f"/{stats['losses_vs_appro']}",
                 f"{stats['mean_planned_delay_s']:.1f}",
                 f"{stats['mean_realized_delay_s']:.1f}",
                 f"{stats['mean_deadline_miss_ratio']:.3f}",

@@ -40,16 +40,8 @@ from repro.graphs.auxiliary import build_auxiliary_graph
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.unit_disk import build_charging_graph
 from repro.network.topology import WRSN
-from repro.tours.arrays import (
-    NodeIndexCodec,
-    canonical_labels,
-    dense_backend,
-)
-from repro.tours.kminmax import (
-    _CHRISTOFIDES_MAX_NODES,
-    _IMPROVE_MAX_NODES,
-    solve_k_minmax_tours,
-)
+from repro.tours.arrays import NodeIndexCodec, canonical_labels
+from repro.tours.kminmax import backbone_policy, solve_k_minmax_tours
 
 #: Per-network shared distance caches. Positions are static for the
 #: lifetime of a WRSN, so every context on the same network — across
@@ -423,21 +415,16 @@ snapshot_context` can ship it to worker processes.
         The kernels memoize the matrix on the (process-local) distance
         cache either way; routing the build through the context memo
         here is what lets snapshots carry it across the pickle
-        boundary. Gated on the same thresholds the solver applies, so
-        no matrix is built that the solve would not build itself.
+        boundary. Gated on the solver's own
+        :func:`~repro.tours.kminmax.backbone_policy`, so no matrix is
+        built that the solve would not build itself.
         """
-        n = len(nodes)
-        method = tsp_method
-        if method == "christofides" and n > _CHRISTOFIDES_MAX_NODES:
-            method = "greedy_edge"
-        uses_matrix = method in ("nearest_neighbor", "greedy_edge") or (
-            improve and 3 <= n <= _IMPROVE_MAX_NODES
-        )
-        if not uses_matrix:
+        if len(nodes) < 2:
+            return
+        method, run_improve = backbone_policy(len(nodes), tsp_method, improve)
+        if method not in ("nearest_neighbor", "greedy_edge") and not run_improve:
             return
         key = canonical_labels(nodes)
-        if dense_backend(self.distance, list(key)) is None:
-            return
         self.node_codec(key)
         self.dense_matrix_for(key)
 

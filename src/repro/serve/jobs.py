@@ -26,6 +26,7 @@ between runs and stay out of the key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -220,10 +221,16 @@ class JobStreamReader:
     def job_from_record(self, record: Dict, lineno: int) -> PlanJob:
         """Materialize one record; ``lineno`` is 1-based for messages.
 
+        ``requests`` must be a non-empty list of integers and
+        ``num_chargers`` (default 2) an integer ≥ 1; JSON booleans,
+        floats and strings are rejected, never coerced.
+
         Raises:
             ValueError: on a wrong format tag, a dangling
                 ``network_ref``, a record with no network at all, an
-                empty request set, or malformed field values.
+                empty or mistyped request set, a bad ``num_chargers``,
+                an unreadable ``network_path``, or malformed network
+                fields.
         """
         if not isinstance(record, dict):
             raise ValueError(
@@ -235,20 +242,54 @@ class JobStreamReader:
                 f"job line {lineno}: not a {JOB_FORMAT} record: "
                 f"format={record.get('format')!r}"
             )
+        try:
+            network = self._network_of(record, lineno)
+        except (AttributeError, IndexError, OverflowError, OSError) as exc:
+            raise ValueError(
+                f"job line {lineno}: unusable network: {exc!r}"
+            ) from exc
+        requests = record.get("requests")
+        if not requests:
+            raise ValueError(
+                f"job line {lineno}: needs a non-empty 'requests' list"
+            )
+        if not isinstance(requests, list) or not all(
+            _is_int(r) for r in requests
+        ):
+            raise ValueError(
+                f"job line {lineno}: 'requests' must be a list of "
+                f"integer sensor ids, got {_excerpt(requests)}"
+            )
+        num_chargers = record.get("num_chargers", 2)
+        if not _is_int(num_chargers) or num_chargers < 1:
+            raise ValueError(
+                f"job line {lineno}: 'num_chargers' must be an integer "
+                f">= 1, got {_excerpt(num_chargers)}"
+            )
+        return PlanJob(
+            network=network,
+            request_ids=tuple(requests),
+            num_chargers=num_chargers,
+            planner=str(record.get("planner", "Appro")),
+            job_id=str(record.get("id") or f"job-{lineno - 1}"),
+        )
+
+    def _network_of(self, record: Dict, lineno: int) -> WRSN:
         if "network" in record:
             network = wrsn_from_dict(record["network"])
             label = record.get("network_id")
             if label is not None:
                 self._by_label[str(label)] = network
-        elif "network_ref" in record:
+            return network
+        if "network_ref" in record:
             label = str(record["network_ref"])
             if label not in self._by_label:
                 raise ValueError(
                     f"job line {lineno}: network_ref {label!r} does not "
                     f"match any earlier network_id"
                 )
-            network = self._by_label[label]
-        elif "network_path" in record:
+            return self._by_label[label]
+        if "network_path" in record:
             raw_path = str(record["network_path"])
             resolved = (
                 str(Path(self.base_dir) / raw_path)
@@ -258,24 +299,45 @@ class JobStreamReader:
             )
             if resolved not in self._by_path:
                 self._by_path[resolved] = load_wrsn(resolved)
-            network = self._by_path[resolved]
-        else:
-            raise ValueError(
-                f"job line {lineno}: needs one of 'network', "
-                f"'network_ref' or 'network_path'"
-            )
-        requests = record.get("requests")
-        if not requests:
-            raise ValueError(
-                f"job line {lineno}: needs a non-empty 'requests' list"
-            )
-        return PlanJob(
-            network=network,
-            request_ids=tuple(int(r) for r in requests),
-            num_chargers=int(record.get("num_chargers", 2)),
-            planner=str(record.get("planner", "Appro")),
-            job_id=str(record.get("id") or f"job-{lineno - 1}"),
+            return self._by_path[resolved]
+        raise ValueError(
+            f"job line {lineno}: needs one of 'network', "
+            f"'network_ref' or 'network_path'"
         )
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _excerpt(value: object, limit: int = 60) -> str:
+    """``repr`` of a field value, clipped for error messages."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def deadline_from_record(record: Dict, lineno: int) -> Optional[float]:
+    """The optional ``deadline_s`` of a daemon job record, in seconds.
+
+    Raises:
+        ValueError: unless the field is absent, ``null`` or a finite
+            positive JSON number (booleans and strings are rejected).
+    """
+    deadline = record.get("deadline_s")
+    if deadline is None:
+        return None
+    if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+        try:
+            value = float(deadline)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value) and value > 0:
+            return value
+    raise ValueError(
+        f"job line {lineno}: 'deadline_s' must be a finite positive "
+        f"number, got {_excerpt(deadline)}"
+    )
 
 
 def jobs_from_records(
@@ -361,7 +423,7 @@ def jobs_from_lines(
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             errors.append(
                 JobLineError(lineno, f"malformed JSON: {exc}")
             )
@@ -404,6 +466,7 @@ __all__ = [
     "JobResult",
     "JobStreamReader",
     "PlanJob",
+    "deadline_from_record",
     "job_to_dict",
     "jobs_from_lines",
     "jobs_from_records",

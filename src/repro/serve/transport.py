@@ -37,7 +37,11 @@ from typing import IO, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.io import dump_jsonl_line
 from repro.serve.daemon import JobTicket, PlanningDaemon
-from repro.serve.jobs import JobLineError, JobStreamReader
+from repro.serve.jobs import (
+    JobLineError,
+    JobStreamReader,
+    deadline_from_record,
+)
 
 #: Accepted control operations.
 OPS = ("status",)
@@ -86,7 +90,7 @@ class DaemonSession:
     ) -> Union[Dict, JobTicket]:
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             return JobLineError(
                 lineno, f"malformed JSON: {exc}"
             ).to_result_dict()
@@ -94,13 +98,10 @@ class DaemonSession:
             return self._control(record, lineno)
         try:
             job = self.reader.job_from_record(record, lineno)
+            deadline_s = deadline_from_record(record, lineno)
         except (ValueError, TypeError, KeyError) as exc:
             return JobLineError(lineno, str(exc)).to_result_dict()
-        deadline_s = record.get("deadline_s")
-        return self.daemon.submit(
-            job,
-            deadline_s=float(deadline_s) if deadline_s is not None else None,
-        )
+        return self.daemon.submit(job, deadline_s=deadline_s)
 
     def _control(self, record: Dict, lineno: int) -> Dict:
         op = record.get("op")

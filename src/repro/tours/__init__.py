@@ -3,16 +3,17 @@
 * :mod:`repro.tours.tour` — the :class:`Tour` value type (an ordered
   visit sequence rooted at the depot) and its delay arithmetic.
 * :mod:`repro.tours.tsp` — TSP tour constructions (nearest-neighbour,
-  greedy-edge, double-MST, Christofides).
+  greedy-edge, double-MST, Christofides) behind ``build_tsp_order``.
 * :mod:`repro.tours.improve` — 2-opt / Or-opt local search.
 * :mod:`repro.tours.splitting` — rooted min-max splitting of one tour
   into ``K`` segments with node service weights (Frederickson-style).
 * :mod:`repro.tours.kminmax` — the ``K``-optimal closed tour solver
   (Definition 2) used as Algorithm 1's subroutine; our implementation
   of the Liang et al. constant-factor approximation.
-* :mod:`repro.tours.arrays` — the array tour engine (DESIGN §16):
-  index-space tours over dense distance matrices with vectorised,
-  byte-parity 2-opt / Or-opt / splitting kernels.
+* :mod:`repro.tours.arrays` — the tour engine (DESIGN §16):
+  index-space tours over dense distance matrices and the vectorised
+  construction / 2-opt / Or-opt / splitting kernels every function
+  above runs on.
 """
 
 from repro.tours.arrays import (
@@ -20,9 +21,6 @@ from repro.tours.arrays import (
     ArrayTour,
     NodeIndexCodec,
     TourPlan,
-    arrays_enabled,
-    dense_backend,
-    use_arrays,
 )
 from repro.tours.energy_budget import (
     MCVEnergyModel,
@@ -44,8 +42,6 @@ from repro.tours.tsp import (
     build_tsp_order,
     christofides_tour,
     double_mst_tour,
-    greedy_edge_tour,
-    nearest_neighbor_tour,
 )
 
 __all__ = [
@@ -56,19 +52,14 @@ __all__ = [
     "NodeIndexCodec",
     "Tour",
     "TourPlan",
-    "arrays_enabled",
     "build_tsp_order",
-    "dense_backend",
-    "use_arrays",
     "christofides_tour",
     "double_mst_tour",
     "exact_k_minmax",
-    "greedy_edge_tour",
     "greedy_split_with_bound",
     "held_karp_tsp",
     "minimum_chargers_energy_constrained",
     "minimum_chargers_for_bound",
-    "nearest_neighbor_tour",
     "or_opt",
     "solve_k_minmax_energy_constrained",
     "solve_k_minmax_tours",

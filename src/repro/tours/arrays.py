@@ -1,13 +1,11 @@
 """Structured-array tour engine: index-space codecs + vectorised kernels.
 
-The label-based tour code (``tours/{tsp,improve,splitting,energy_budget}``)
-walks Python lists of ``Hashable`` labels and calls a memoized
-:class:`~repro.geometry.distcache.DistanceCache` once per pair. That is
-the right shape at paper scale (~hundreds of sojourn stops) but it is
-the wall at 10k+ nodes: 2-opt alone evaluates ``O(n^2)`` moves per
-round through Python-level arithmetic.
-
-This module supplies the array-native representation and the kernels:
+This module is the only implementation of the tour steps Algorithm 1's
+``K``-min-max subroutine runs: nearest-neighbour and greedy-edge
+construction, 2-opt, Or-opt, the greedy split, the min-max split and
+the energy-constrained dual split. The label-based front doors in
+``tours/{tsp,improve,splitting,energy_budget}`` encode their inputs,
+call a kernel here and decode the result.
 
 * :class:`NodeIndexCodec` — a dense ``label <-> int32 index`` space over
   one tour's node set; the depot is always the *last* index
@@ -20,13 +18,14 @@ This module supplies the array-native representation and the kernels:
   for O(1) delay/length reads and for diagnostics).
 * kernels — :func:`two_opt_indices`, :func:`or_opt_indices`,
   :func:`greedy_split_cuts`, :func:`split_min_max_ranges`,
-  :func:`split_dual_ranges`: numpy re-expressions of the legacy loops.
+  :func:`split_dual_ranges`, :func:`nearest_neighbor_indices`,
+  :func:`greedy_edge_indices`.
 
 Byte-parity contract
 --------------------
-Every float the kernels emit is **byte-identical** to the legacy label
-path (the acceptance bar PR 3/5/6 set for ``dist=`` threading and
-``within_bulk``). Two rules make that possible:
+Every float the kernels emit is **byte-identical** to the scalar label
+loops they replaced; those loops are kept verbatim as the test oracle
+in ``tests/_legacy_tours.py``. Two rules make that possible:
 
 1. **Distances come from ``euclidean`` (``math.hypot``), never from a
    numpy reimplementation.** CPython's ``math.hypot`` is its own
@@ -35,7 +34,7 @@ path (the acceptance bar PR 3/5/6 set for ``dist=`` threading and
    measured, not hypothetical. ``DistanceCache.dense_matrix`` therefore
    fills the matrix with ``euclidean`` values; numpy only *gathers* and
    *combines* them.
-2. **Numpy combines floats in the legacy evaluation order.** Elementwise
+2. **Numpy combines floats in the scalar evaluation order.** Elementwise
    ``+ - * /`` on float64 match scalar IEEE ops exactly, and
    ``np.cumsum`` accumulates sequentially — so running sums mirror
    ``acc += step`` loops bytewise. ``np.sum`` (pairwise) would not;
@@ -44,24 +43,17 @@ path (the acceptance bar PR 3/5/6 set for ``dist=`` threading and
    feasibility recomputes a fresh cumsum per segment, which keeps the
    whole pass O(n) amortised without breaking parity.
 
-The engine is on by default and used whenever the caller's ``dist`` is
-a :class:`DistanceCache` with a depot (and, for matrix-backed kernels,
-the node count is at most :data:`DENSE_MAX_NODES`); anything else —
-closure distance functions, depot-less caches, oversized instances —
-falls back to the legacy label path. :func:`use_arrays` switches the
-engine off for a scope, which is how the parity tests keep the legacy
-code as the oracle.
+Every kernel needs a depot-carrying :class:`DistanceCache`; a depot-less
+cache or duplicate labels raise ``ValueError``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,37 +64,9 @@ import numpy as np
 
 from repro.geometry.distcache import DistanceCache
 
-#: Largest node count for which a dense ``(n+1)^2`` float64 matrix is
-#: built (~134 MB at the cap). Above it the matrix-backed kernels
-#: (2-opt / Or-opt / TSP constructions) fall back to the label path;
-#: the split kernels need only O(n) leg arrays and have no cap.
-DENSE_MAX_NODES = 4096
-
-#: Binary-search stopping rule — mirrors ``tours.splitting``; duplicated
-#: (not imported) to keep the import DAG acyclic: splitting imports this
-#: module for its fast path.
+#: Binary-search stopping rule of the min-max and dual splits.
 _BINARY_SEARCH_REL_TOL = 1e-9
 _BINARY_SEARCH_MAX_ITER = 100
-
-_arrays_enabled = True
-
-
-def arrays_enabled() -> bool:
-    """Whether the array engine is currently routing eligible calls."""
-    return _arrays_enabled
-
-
-@contextmanager
-def use_arrays(enabled: bool) -> Iterator[None]:
-    """Scope the array engine on or off (tests use ``use_arrays(False)``
-    to run the legacy label path as a parity oracle)."""
-    global _arrays_enabled
-    previous = _arrays_enabled
-    _arrays_enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _arrays_enabled = previous
 
 
 def canonical_labels(labels: Sequence[Hashable]) -> Tuple[Hashable, ...]:
@@ -198,28 +162,6 @@ class ArrayDistance:
             perm = np.append(perm, len(canon))  # depot stays last
             matrix = matrix[np.ix_(perm, perm)]
         return cls(codec, matrix)
-
-
-def dense_backend(
-    dist: object,
-    labels: Sequence[Hashable],
-) -> Optional[ArrayDistance]:
-    """Resolve a matrix-backed engine for ``labels``, or ``None``.
-
-    ``None`` (→ legacy label path) when the engine is disabled, when
-    ``dist`` is not a depot-carrying :class:`DistanceCache`, or when the
-    instance exceeds :data:`DENSE_MAX_NODES`.
-    """
-    if not _arrays_enabled:
-        return None
-    if not isinstance(dist, DistanceCache) or not dist.has_depot:
-        return None
-    if not 2 <= len(labels) <= DENSE_MAX_NODES:
-        return None
-    try:
-        return ArrayDistance.from_cache(dist, labels)
-    except ValueError:
-        return None  # duplicate labels: let the legacy path handle it
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +273,8 @@ def two_opt_indices(
     max_rounds: int = 30,
     min_gain: float = 1e-9,
 ) -> np.ndarray:
-    """First-improvement 2-opt over index space; parity with
-    :func:`repro.tours.improve.two_opt`.
+    """First-improvement 2-opt over index space; parity with the scalar
+    oracle ``legacy_two_opt``.
 
     For each pivot ``i`` the whole row of candidate reversals
     ``order[i..j]`` is scored in one vector expression
@@ -378,8 +320,8 @@ def or_opt_indices(
     max_rounds: int = 10,
     min_gain: float = 1e-9,
 ) -> np.ndarray:
-    """Or-opt segment relocation; parity with
-    :func:`repro.tours.improve.or_opt`.
+    """Or-opt segment relocation; parity with the scalar oracle
+    ``legacy_or_opt``.
 
     The legacy insertion scan keeps the *first* position attaining the
     running strict minimum below ``-min_gain``; ``np.argmin`` returns
@@ -434,7 +376,7 @@ def or_opt_indices(
 
 
 # ---------------------------------------------------------------------------
-# Split kernels (leg-array backed — no dense matrix, no size cap)
+# Split kernels (leg-array backed — no dense matrix)
 # ---------------------------------------------------------------------------
 
 
@@ -446,8 +388,7 @@ class TourLegs:
     the previous node (``chain_m[0]`` unused), ``closing_m[k]`` the
     node->depot leg, all in metres; ``service_s[k]`` the node's service
     seconds. Built once per split call and reused across every binary-
-    search iteration — the legacy path re-walks the distance cache per
-    iteration, which is where the split speedup comes from.
+    search iteration.
     """
 
     start_m: np.ndarray
@@ -460,22 +401,20 @@ class TourLegs:
 
 
 def tour_legs(
-    dist: object,
+    dist: DistanceCache,
     order: Sequence[Hashable],
     service: Callable[[Hashable], float],
-) -> Optional[TourLegs]:
-    """Build :class:`TourLegs` for ``order``, or ``None`` for fallback.
+) -> TourLegs:
+    """Build :class:`TourLegs` for ``order``.
 
-    Requires the array engine on and a depot-carrying
-    :class:`DistanceCache`; distances come from scalar cache lookups, so
-    every entry is byte-identical to what the legacy loops would see.
-    ``service`` must be pure — it is evaluated once per node here, while
-    the legacy path re-evaluates it every binary-search iteration.
+    Distances come from scalar lookups on the depot-carrying ``dist``,
+    so every entry is the cached ``euclidean`` float. ``service`` must
+    be pure — it is evaluated once per node here.
+
+    Raises:
+        ValueError: when ``order`` is non-empty and ``dist`` has no
+            depot.
     """
-    if not _arrays_enabled:
-        return None
-    if not isinstance(dist, DistanceCache) or not dist.has_depot:
-        return None
     n = len(order)
     start = np.fromiter(
         (dist(None, node) for node in order), dtype=np.float64, count=n
@@ -500,8 +439,8 @@ def greedy_split_cuts(
     speed_mps: float,
     max_segments: Optional[int] = None,
 ) -> Optional[List[int]]:
-    """Greedy segment cut positions under ``bound``; parity with
-    :func:`repro.tours.splitting.greedy_split_with_bound`.
+    """Greedy segment cut positions under ``bound``; parity with the
+    scalar oracle ``legacy_greedy_split_with_bound``.
 
     Returns the sorted positions where a new segment starts (``0`` is
     implicit), or ``None`` when a single node is infeasible — and, as a
@@ -509,7 +448,7 @@ def greedy_split_cuts(
     be needed (the caller's verdict is ``None`` either way).
 
     Each segment's running cost is a fresh ``np.cumsum`` over its own
-    steps — sequential accumulation, byte-matching the legacy
+    steps — sequential accumulation, byte-matching the scalar
     ``open_cost += step`` loop (a prefix-sum *difference* would not be).
     """
     n = len(legs)
@@ -579,7 +518,7 @@ def split_min_max_ranges(
     speed_mps: float,
 ) -> Tuple[List[Tuple[int, int]], float]:
     """Binary-searched min-max split as position ranges; parity with
-    :func:`repro.tours.splitting.split_tour_min_max`."""
+    the scalar oracle ``legacy_split_tour_min_max``."""
     n = len(legs)
     if not n:
         return [], 0.0
@@ -619,10 +558,10 @@ def split_dual_ranges(
     battery_j: float,
 ) -> Tuple[Optional[List[Tuple[int, int]]], float]:
     """Energy-and-delay constrained split as position ranges; parity
-    with :func:`repro.tours.energy_budget.split_tour_energy_constrained`.
+    with the scalar oracle ``legacy_split_tour_energy_constrained``.
 
     ``drain_w`` is the charger's drawn power ``charge_rate_w /
-    transfer_efficiency`` (pre-divided once — the legacy expression
+    transfer_efficiency`` (pre-divided once — the scalar expression
     groups as ``(rate / eff) * seconds``, so the product is identical).
     """
     n = len(legs)
@@ -645,7 +584,7 @@ def split_dual_ranges(
             svc_seg = svc[s:]
             # Sequential accumulations, shifted to "before this node";
             # the candidate expressions below then regroup exactly as
-            # the legacy scalar code does.
+            # the scalar oracle does.
             step_t = leg_t + svc_seg
             acc = np.cumsum(step_t)
             open_cost = np.empty_like(acc)
@@ -710,10 +649,10 @@ def split_dual_ranges(
 def nearest_neighbor_indices(
     dense: ArrayDistance,
 ) -> np.ndarray:
-    """Depot-rooted nearest-neighbour order; parity with
-    :func:`repro.tours.tsp.nearest_neighbor_tour` started at the depot.
+    """Depot-rooted nearest-neighbour order; parity with the scalar
+    oracle ``nearest_neighbor_tour`` started at the depot.
 
-    The legacy tie-break is ``(distance, str(label))``; distance ties
+    The scalar tie-break is ``(distance, str(label))``; distance ties
     are resolved here by a precomputed string rank over the codec's
     labels, which picks the identical node.
     """
@@ -741,10 +680,10 @@ def nearest_neighbor_indices(
 
 def greedy_edge_indices(dense: ArrayDistance) -> np.ndarray:
     """Greedy-edge cycle rotated to start just after the depot; parity
-    with :func:`repro.tours.tsp.greedy_edge_tour` over
+    with the scalar oracle ``greedy_edge_tour`` over
     ``node_list + [DEPOT]``.
 
-    The legacy edge sort key is ``(distance, i, j)`` over positional
+    The scalar edge sort key is ``(distance, i, j)`` over positional
     indices with the depot last — exactly this codec's index space, so
     ``np.lexsort`` with keys ``(j, i, distance)`` reproduces the edge
     order; degree/union-find filtering then walks it identically.
@@ -803,13 +742,10 @@ def greedy_edge_indices(dense: ArrayDistance) -> np.ndarray:
 __all__ = [
     "ArrayDistance",
     "ArrayTour",
-    "DENSE_MAX_NODES",
     "NodeIndexCodec",
     "TourLegs",
     "TourPlan",
-    "arrays_enabled",
     "canonical_labels",
-    "dense_backend",
     "greedy_edge_indices",
     "greedy_split_cuts",
     "nearest_neighbor_indices",
@@ -819,5 +755,4 @@ __all__ = [
     "split_min_max_ranges",
     "tour_legs",
     "two_opt_indices",
-    "use_arrays",
 ]

@@ -28,9 +28,8 @@ from typing import Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
 from repro.tours.arrays import split_dual_ranges, tour_legs
+from repro.tours.kminmax import backbone_order
 from repro.tours.splitting import segment_cost
-from repro.tours.tsp import build_tsp_order
-from repro.tours.improve import or_opt, two_opt
 
 #: Pairwise distance lookup over node labels; ``None`` means the depot.
 DistanceFn = Callable[[Hashable, Hashable], float]
@@ -109,68 +108,6 @@ def tour_energy(
     return model.travel_energy(travel) + model.charging_energy(charging)
 
 
-def _greedy_split_dual(
-    order: Sequence[Hashable],
-    delay_bound_s: float,
-    positions: Mapping[Hashable, PointLike],
-    depot: PointLike,
-    speed_mps: float,
-    service: Callable[[Hashable], float],
-    model: MCVEnergyModel,
-    dist: Optional[DistanceFn] = None,
-) -> Optional[List[List[Hashable]]]:
-    """Greedy packing under both the delay bound and the battery.
-
-    Returns ``None`` when some single node violates either constraint
-    on its own.
-    """
-    if dist is None:
-        dist = DistanceCache(positions, depot)
-    segments: List[List[Hashable]] = []
-    current: List[Hashable] = []
-    open_cost = 0.0       # delay without the return leg
-    open_travel = 0.0     # metres without the return leg
-    open_charge = 0.0     # charging seconds
-    last: Optional[Hashable] = None
-
-    def fits(cost, travel_m, charge_s) -> bool:
-        energy = model.travel_energy(travel_m) + model.charging_energy(
-            charge_s
-        )
-        return cost <= delay_bound_s and energy <= model.battery_j
-
-    for node in order:
-        leg = dist(last, node)
-        svc = service(node)
-        closing = dist(node, None)
-        candidate_cost = open_cost + leg / speed_mps + svc + closing / speed_mps
-        candidate_travel = open_travel + leg + closing
-        candidate_charge = open_charge + svc
-        if current and not fits(
-            candidate_cost, candidate_travel, candidate_charge
-        ):
-            segments.append(current)
-            current = []
-            open_cost = open_travel = open_charge = 0.0
-            last = None
-            leg = dist(None, node)
-            candidate_cost = leg / speed_mps + svc + closing / speed_mps
-            candidate_travel = leg + closing
-            candidate_charge = svc
-        if not current and not fits(
-            candidate_cost, candidate_travel, candidate_charge
-        ):
-            return None
-        current.append(node)
-        open_cost += leg / speed_mps + svc
-        open_travel += leg
-        open_charge += svc
-        last = node
-    if current:
-        segments.append(current)
-    return segments
-
-
 def split_tour_energy_constrained(
     order: Sequence[Hashable],
     num_tours: int,
@@ -179,7 +116,7 @@ def split_tour_energy_constrained(
     speed_mps: float,
     service: Callable[[Hashable], float],
     model: MCVEnergyModel,
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> Tuple[Optional[List[List[Hashable]]], float]:
     """Best energy-feasible consecutive split into ≤ ``num_tours``.
 
@@ -199,62 +136,19 @@ def split_tour_energy_constrained(
         return [[] for _ in range(num_tours)], 0.0
     if dist is None:
         dist = DistanceCache(positions, depot)
-    legs = tour_legs(dist, order, service)
-    if legs is not None:
-        # The legacy drain expression groups as (rate / eff) * seconds;
-        # pre-dividing once keeps the product byte-identical.
-        ranges, achieved = split_dual_ranges(
-            legs,
-            num_tours,
-            speed_mps,
-            model.travel_j_per_m,
-            model.charge_rate_w / model.transfer_efficiency,
-            model.battery_j,
-        )
-        if ranges is None:
-            return None, achieved
-        padded = [order[s:e] for s, e in ranges]
-        padded.extend([] for _ in range(num_tours - len(padded)))
-        return padded, achieved
-
-    low = max(
-        segment_cost([node], positions, depot, speed_mps, service, dist)
-        for node in order
+    # The scalar drain expression groups as (rate / eff) * seconds;
+    # pre-dividing once keeps the product byte-identical.
+    ranges, achieved = split_dual_ranges(
+        tour_legs(dist, order, service),
+        num_tours,
+        speed_mps,
+        model.travel_j_per_m,
+        model.charge_rate_w / model.transfer_efficiency,
+        model.battery_j,
     )
-    high = segment_cost(order, positions, depot, speed_mps, service, dist)
-
-    def feasible(bound: float) -> Optional[List[List[Hashable]]]:
-        slack = bound * (1.0 + 1e-12) + 1e-9
-        segs = _greedy_split_dual(
-            order, slack, positions, depot, speed_mps, service, model, dist
-        )
-        if segs is None or len(segs) > num_tours:
-            return None
-        return segs
-
-    best = feasible(high)
-    if best is None:
-        return None, math.inf
-    low_split = feasible(low)
-    if low_split is not None:
-        best = low_split
-    else:
-        for _ in range(100):
-            if high - low <= 1e-9 * max(high, 1.0):
-                break
-            mid = (low + high) / 2.0
-            segs = feasible(mid)
-            if segs is None:
-                low = mid
-            else:
-                high = mid
-                best = segs
-    achieved = max(
-        segment_cost(seg, positions, depot, speed_mps, service, dist)
-        for seg in best
-        if seg
-    )
-    padded = [list(seg) for seg in best]
+    if ranges is None:
+        return None, achieved
+    padded = [order[s:e] for s, e in ranges]
     padded.extend([] for _ in range(num_tours - len(padded)))
     return padded, achieved
 
@@ -268,7 +162,7 @@ def solve_k_minmax_energy_constrained(
     service: Callable[[Hashable], float],
     model: MCVEnergyModel,
     tsp_method: str = "christofides",
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> Tuple[Optional[List[List[Hashable]]], float]:
     """Energy-feasible min-max K tours (backbone + constrained split)."""
     node_list = list(nodes)
@@ -276,13 +170,9 @@ def solve_k_minmax_energy_constrained(
         return [[] for _ in range(num_tours)], 0.0
     if dist is None:
         dist = DistanceCache(positions, depot)
-    method = tsp_method
-    if method == "christofides" and len(node_list) > 250:
-        method = "greedy_edge"
-    order = build_tsp_order(node_list, positions, depot, method=method, dist=dist)
-    if 3 <= len(order) <= 600:
-        order = two_opt(order, positions, depot, dist=dist)
-        order = or_opt(order, positions, depot, dist=dist)
+    order = backbone_order(
+        node_list, positions, depot, tsp_method, True, dist
+    )
     return split_tour_energy_constrained(
         order, num_tours, positions, depot, speed_mps, service, model, dist
     )
@@ -297,7 +187,7 @@ def minimum_chargers_energy_constrained(
     model: MCVEnergyModel,
     delay_bound_s: float = math.inf,
     max_chargers: int = 128,
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> Tuple[Optional[int], Optional[List[List[Hashable]]]]:
     """Fewest vehicles whose tours all fit the battery (and bound).
 

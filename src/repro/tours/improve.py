@@ -3,7 +3,10 @@
 2-opt and Or-opt over a depot-rooted cycle. Both operate on the visit
 *order* (the depot stays fixed at the boundary) and only shorten travel
 — node service times are order-invariant sums, so shorter travel is
-strictly better for every delay objective in this library.
+strictly better for every delay objective in this library. The moves
+themselves are the index-space kernels
+:func:`repro.tours.arrays.two_opt_indices` and
+:func:`repro.tours.arrays.or_opt_indices`.
 """
 
 from __future__ import annotations
@@ -12,18 +15,10 @@ from typing import Callable, Hashable, List, Mapping, Optional, Sequence
 
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
-from repro.tours.arrays import dense_backend, or_opt_indices, two_opt_indices
+from repro.tours.arrays import ArrayDistance, or_opt_indices, two_opt_indices
 
 #: Pairwise distance lookup over node labels; ``None`` means the depot.
 DistanceFn = Callable[[Hashable, Hashable], float]
-
-
-def _dist_fn(
-    positions: Mapping[Hashable, PointLike],
-    depot: PointLike,
-    dist: Optional[DistanceFn] = None,
-) -> DistanceFn:
-    return dist if dist is not None else DistanceCache(positions, depot)
 
 
 def _cycle_length(order: Sequence[Hashable], dist) -> float:
@@ -42,45 +37,31 @@ def two_opt(
     depot: PointLike,
     max_rounds: int = 30,
     min_gain: float = 1e-9,
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> List[Hashable]:
     """First-improvement 2-opt on a depot-rooted cycle.
 
     Repeatedly reverses segments ``order[i..j]`` while that shortens
-    travel, up to ``max_rounds`` full passes.
+    travel, up to ``max_rounds`` full passes. ``dist`` is a
+    depot-carrying cache, built from ``positions`` and ``depot`` when
+    omitted.
 
     Returns a new order; the input is not mutated.
     """
     current = list(order)
-    n = len(current)
-    if n < 3:
+    if len(current) < 3:
         return current
-    dist = _dist_fn(positions, depot, dist)
-    backend = dense_backend(dist, current)
-    if backend is not None:
-        improved = two_opt_indices(
-            backend.matrix,
-            backend.codec.depot_index,
-            backend.codec.encode(current),
-            max_rounds=max_rounds,
-            min_gain=min_gain,
-        )
-        return backend.codec.decode(improved)
-    # Treat the cycle as depot(None), v0, ..., v_{n-1}, depot(None).
-    for _ in range(max_rounds):
-        improved = False
-        for i in range(n - 1):
-            before_i = current[i - 1] if i > 0 else None
-            for j in range(i + 1, n):
-                after_j = current[j + 1] if j + 1 < n else None
-                removed = dist(before_i, current[i]) + dist(current[j], after_j)
-                added = dist(before_i, current[j]) + dist(current[i], after_j)
-                if removed - added > min_gain:
-                    current[i : j + 1] = reversed(current[i : j + 1])
-                    improved = True
-        if not improved:
-            break
-    return current
+    if dist is None:
+        dist = DistanceCache(positions, depot)
+    dense = ArrayDistance.from_cache(dist, current)
+    improved = two_opt_indices(
+        dense.matrix,
+        dense.codec.depot_index,
+        dense.codec.encode(current),
+        max_rounds=max_rounds,
+        min_gain=min_gain,
+    )
+    return dense.codec.decode(improved)
 
 
 def or_opt(
@@ -90,67 +71,30 @@ def or_opt(
     segment_lengths: Sequence[int] = (1, 2, 3),
     max_rounds: int = 10,
     min_gain: float = 1e-9,
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> List[Hashable]:
     """Or-opt: relocate short segments to better positions in the cycle.
 
     Complements 2-opt (which cannot move a node without reversing).
-    Returns a new order; the input is not mutated.
+    ``dist`` is a depot-carrying cache, built from ``positions`` and
+    ``depot`` when omitted. Returns a new order; the input is not
+    mutated.
     """
     current = list(order)
-    dist = _dist_fn(positions, depot, dist)
-    if len(current) > 1:
-        backend = dense_backend(dist, current)
-        if backend is not None:
-            moved = or_opt_indices(
-                backend.matrix,
-                backend.codec.depot_index,
-                backend.codec.encode(current),
-                segment_lengths=segment_lengths,
-                max_rounds=max_rounds,
-                min_gain=min_gain,
-            )
-            return backend.codec.decode(moved)
-    for _ in range(max_rounds):
-        improved = False
-        for seg_len in segment_lengths:
-            n = len(current)
-            if n <= seg_len:
-                continue
-            i = 0
-            while i + seg_len <= len(current):
-                segment = current[i : i + seg_len]
-                rest = current[:i] + current[i + seg_len :]
-                before = current[i - 1] if i > 0 else None
-                after = current[i + seg_len] if i + seg_len < len(current) else None
-                removal_gain = (
-                    dist(before, segment[0])
-                    + dist(segment[-1], after)
-                    - dist(before, after)
-                )
-                # Try reinsertion between every pair in the remainder.
-                best_delta = -min_gain
-                best_pos = None
-                for pos in range(len(rest) + 1):
-                    pb = rest[pos - 1] if pos > 0 else None
-                    pa = rest[pos] if pos < len(rest) else None
-                    insertion_cost = (
-                        dist(pb, segment[0])
-                        + dist(segment[-1], pa)
-                        - dist(pb, pa)
-                    )
-                    delta = insertion_cost - removal_gain
-                    if delta < best_delta:
-                        best_delta = delta
-                        best_pos = pos
-                if best_pos is not None:
-                    current = rest[:best_pos] + segment + rest[best_pos:]
-                    improved = True
-                else:
-                    i += 1
-        if not improved:
-            break
-    return current
+    if len(current) < 2:
+        return current
+    if dist is None:
+        dist = DistanceCache(positions, depot)
+    dense = ArrayDistance.from_cache(dist, current)
+    moved = or_opt_indices(
+        dense.matrix,
+        dense.codec.depot_index,
+        dense.codec.encode(current),
+        segment_lengths=segment_lengths,
+        max_rounds=max_rounds,
+        min_gain=min_gain,
+    )
+    return dense.codec.decode(moved)
 
 
 def cycle_travel_length(
@@ -160,4 +104,6 @@ def cycle_travel_length(
     dist: Optional[DistanceFn] = None,
 ) -> float:
     """Travel length of the depot-rooted cycle through ``order``."""
-    return _cycle_length(order, _dist_fn(positions, depot, dist))
+    return _cycle_length(
+        order, dist if dist is not None else DistanceCache(positions, depot)
+    )

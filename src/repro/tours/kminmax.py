@@ -30,15 +30,46 @@ from repro.tours.improve import or_opt, two_opt
 from repro.tours.splitting import split_tour_min_max
 from repro.tours.tsp import build_tsp_order
 
-#: Pairwise distance lookup over node labels; ``None`` means the depot.
-DistanceFn = Callable[[Hashable, Hashable], float]
-
 #: Above this instance size, Christofides (cubic matching) falls back
 #: to the greedy-edge construction, and local search is skipped above
 #: twice this size; keeps a single scheduling call sub-second even for
 #: saturated simulation rounds with ~1000 requests.
 _CHRISTOFIDES_MAX_NODES = 250
 _IMPROVE_MAX_NODES = 600
+
+
+def backbone_policy(
+    num_nodes: int, tsp_method: str, improve: bool
+) -> Tuple[str, bool]:
+    """The backbone construction and local-search gate for a solve.
+
+    Returns ``(method, run_improve)``: the TSP construction actually
+    used for ``num_nodes`` nodes (Christofides degrades to greedy-edge
+    above :data:`_CHRISTOFIDES_MAX_NODES`) and whether 2-opt + Or-opt
+    run on it.
+    """
+    method = tsp_method
+    if method == "christofides" and num_nodes > _CHRISTOFIDES_MAX_NODES:
+        method = "greedy_edge"
+    return method, improve and 3 <= num_nodes <= _IMPROVE_MAX_NODES
+
+
+def backbone_order(
+    nodes: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    tsp_method: str,
+    improve: bool,
+    dist: DistanceCache,
+) -> List[Hashable]:
+    """One closed tour through ``nodes`` under :func:`backbone_policy`:
+    the TSP construction, then 2-opt and Or-opt when the gate allows."""
+    method, run_improve = backbone_policy(len(nodes), tsp_method, improve)
+    order = build_tsp_order(nodes, positions, depot, method=method, dist=dist)
+    if run_improve:
+        order = two_opt(order, positions, depot, dist=dist)
+        order = or_opt(order, positions, depot, dist=dist)
+    return order
 
 
 def solve_k_minmax_tours(
@@ -50,7 +81,7 @@ def solve_k_minmax_tours(
     service: Callable[[Hashable], float],
     tsp_method: str = "christofides",
     improve: bool = True,
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> Tuple[List[List[Hashable]], float]:
     """Approximate the ``K``-optimal closed tour problem.
 
@@ -64,8 +95,8 @@ def solve_k_minmax_tours(
         tsp_method: construction for the backbone tour (see
             :func:`repro.tours.tsp.build_tsp_order`).
         improve: run 2-opt + Or-opt on the backbone before splitting.
-        dist: optional shared distance lookup (``None`` label = depot);
-            one cache is created per call when omitted.
+        dist: optional shared depot-carrying distance cache (``None``
+            label = depot); one cache is created per call when omitted.
 
     Returns:
         ``(tours, longest_delay)`` — exactly ``num_tours`` visit lists
@@ -78,13 +109,9 @@ def solve_k_minmax_tours(
         return [[] for _ in range(num_tours)], 0.0
     if dist is None:
         dist = DistanceCache(positions, depot)
-    method = tsp_method
-    if method == "christofides" and len(node_list) > _CHRISTOFIDES_MAX_NODES:
-        method = "greedy_edge"
-    order = build_tsp_order(node_list, positions, depot, method=method, dist=dist)
-    if improve and 3 <= len(order) <= _IMPROVE_MAX_NODES:
-        order = two_opt(order, positions, depot, dist=dist)
-        order = or_opt(order, positions, depot, dist=dist)
+    order = backbone_order(
+        node_list, positions, depot, tsp_method, improve, dist
+    )
     return split_tour_min_max(
         order, num_tours, positions, depot, speed_mps, service, dist
     )

@@ -24,7 +24,7 @@ from typing import Callable, Hashable, List, Mapping, Optional, Sequence
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
 from repro.tours.kminmax import solve_k_minmax_tours
-from repro.tours.splitting import DistanceFn, segment_cost
+from repro.tours.splitting import segment_cost
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def minimum_chargers_for_bound(
     service: Callable[[Hashable], float],
     max_chargers: int = 64,
     tsp_method: str = "christofides",
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> MinChargersResult:
     """Fewest chargers whose min-max tours fit within ``delay_bound_s``.
 
@@ -71,9 +71,10 @@ def minimum_chargers_for_bound(
             meet the budget (e.g. one node's round trip alone exceeds
             it), the result is infeasible.
         tsp_method: backbone construction.
-        dist: optional shared distance lookup (``None`` label = depot);
-            one cache is created for the whole search when omitted —
-            previously every probe of the ``K`` search rebuilt its own.
+        dist: optional shared depot-carrying distance cache (``None``
+            label = depot); one cache is created for the whole search
+            when omitted — previously every probe of the ``K`` search
+            rebuilt its own.
 
     Returns:
         A :class:`MinChargersResult`.

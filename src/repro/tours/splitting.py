@@ -17,7 +17,9 @@ consecutive split is found exactly by binary search over the bound
 adding the next node would push the current segment (plus its return
 leg) beyond ``B``. Greedy packing is optimal for consecutive splits, so
 the binary search converges to the best achievable max-cost for the
-given order.
+given order. The binary search and the greedy packer are the
+leg-array kernels :func:`repro.tours.arrays.split_min_max_ranges` and
+:func:`repro.tours.arrays.greedy_split_cuts`.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from repro.tours.arrays import (
     split_min_max_ranges,
     tour_legs,
 )
-
-#: Relative tolerance at which the binary search over ``B`` stops.
-_BINARY_SEARCH_REL_TOL = 1e-9
-_BINARY_SEARCH_MAX_ITER = 100
 
 #: Pairwise distance lookup over node labels; ``None`` means the depot.
 DistanceFn = Callable[[Hashable, Hashable], float]
@@ -67,7 +65,7 @@ def greedy_split_with_bound(
     depot: PointLike,
     speed_mps: float,
     service: Callable[[Hashable], float],
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> Optional[List[List[Hashable]]]:
     """Greedily cut ``order`` into segments of cost ≤ ``bound``.
 
@@ -77,42 +75,16 @@ def greedy_split_with_bound(
     """
     if dist is None:
         dist = DistanceCache(positions, depot)
-    legs = tour_legs(dist, order, service)
-    if legs is not None:
-        cuts = greedy_split_cuts(legs, bound, speed_mps)
-        if cuts is None:
-            return None
-        order = list(order)
-        bounds = [0, *cuts, len(order)]
-        return [
-            order[bounds[k] : bounds[k + 1]]
-            for k in range(len(bounds) - 1)
-            if bounds[k] < bounds[k + 1]
-        ]
-    segments: List[List[Hashable]] = []
-    current: List[Hashable] = []
-    # Cost of the current segment *without* the return-to-depot leg.
-    open_cost = 0.0
-    last: Optional[Hashable] = None
-
-    for node in order:
-        step = dist(last, node) / speed_mps + service(node)
-        closing = dist(node, None) / speed_mps
-        if current and open_cost + step + closing > bound:
-            # Close the current segment before this node.
-            segments.append(current)
-            current = []
-            last = None
-            open_cost = 0.0
-            step = dist(None, node) / speed_mps + service(node)
-        if not current and step + closing > bound:
-            return None  # single node infeasible under this bound
-        current.append(node)
-        open_cost += step
-        last = node
-    if current:
-        segments.append(current)
-    return segments
+    cuts = greedy_split_cuts(tour_legs(dist, order, service), bound, speed_mps)
+    if cuts is None:
+        return None
+    order = list(order)
+    bounds = [0, *cuts, len(order)]
+    return [
+        order[bounds[k] : bounds[k + 1]]
+        for k in range(len(bounds) - 1)
+        if bounds[k] < bounds[k + 1]
+    ]
 
 
 def split_tour_min_max(
@@ -122,13 +94,13 @@ def split_tour_min_max(
     depot: PointLike,
     speed_mps: float,
     service: Callable[[Hashable], float],
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> Tuple[List[List[Hashable]], float]:
     """Best consecutive split of ``order`` into ≤ ``num_tours`` segments.
 
     Binary-searches the max-cost bound ``B``; for each candidate the
-    greedy packer (:func:`greedy_split_with_bound`) checks whether
-    ``order`` fits into at most ``num_tours`` segments of cost ≤ ``B``.
+    greedy packer checks whether ``order`` fits into at most
+    ``num_tours`` segments of cost ≤ ``B``.
 
     Returns:
         ``(segments, achieved_bound)`` where ``segments`` has exactly
@@ -145,56 +117,9 @@ def split_tour_min_max(
         return [[] for _ in range(num_tours)], 0.0
     if dist is None:
         dist = DistanceCache(positions, depot)
-    legs = tour_legs(dist, order, service)
-    if legs is not None:
-        ranges, achieved = split_min_max_ranges(legs, num_tours, speed_mps)
-        padded = [order[s:e] for s, e in ranges]
-        padded.extend([] for _ in range(num_tours - len(padded)))
-        return padded, achieved
-
-    def max_cost(segments: Sequence[Sequence[Hashable]]) -> float:
-        return max(
-            segment_cost(seg, positions, depot, speed_mps, service, dist)
-            for seg in segments
-            if seg
-        )
-
-    # Lower bound: the costliest single-node round trip. Upper bound:
-    # the whole order as one segment.
-    low = max(
-        segment_cost([node], positions, depot, speed_mps, service, dist)
-        for node in order
+    ranges, achieved = split_min_max_ranges(
+        tour_legs(dist, order, service), num_tours, speed_mps
     )
-    high = segment_cost(order, positions, depot, speed_mps, service, dist)
-
-    def feasible(bound: float) -> Optional[List[List[Hashable]]]:
-        # Inflate the bound by a hair: the packer accumulates travel
-        # legs in a different order than segment_cost, so exact
-        # equality is not float-safe.
-        slack = bound * (1.0 + 1e-12) + 1e-9
-        segs = greedy_split_with_bound(
-            order, slack, positions, depot, speed_mps, service, dist
-        )
-        if segs is None or len(segs) > num_tours:
-            return None
-        return segs
-
-    best = feasible(high)
-    assert best is not None, "the full tour must fit in one segment"
-    low_split = feasible(low)
-    if low_split is not None:
-        best = low_split
-    else:
-        for _ in range(_BINARY_SEARCH_MAX_ITER):
-            if high - low <= _BINARY_SEARCH_REL_TOL * max(high, 1.0):
-                break
-            mid = (low + high) / 2.0
-            segs = feasible(mid)
-            if segs is None:
-                low = mid
-            else:
-                high = mid
-                best = segs
-    padded = [list(seg) for seg in best]
+    padded = [order[s:e] for s, e in ranges]
     padded.extend([] for _ in range(num_tours - len(padded)))
-    return padded, max_cost(best)
+    return padded, achieved

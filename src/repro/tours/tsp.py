@@ -1,20 +1,22 @@
 """TSP tour constructions over sojourn locations.
 
 The ``K``-optimal closed tour subroutine first builds a single closed
-tour through all locations, then splits it. Four constructions are
-provided; all return a *visit order* — a list of node ids beginning at
-the depot sentinel's successor (the depot itself is handled by the
-caller via :data:`DEPOT`):
+tour through all locations, then splits it. :func:`build_tsp_order` is
+the front door to four constructions; each yields a *visit order* — the
+real nodes, starting with the first one after leaving the depot:
 
-* :func:`nearest_neighbor_tour` — O(n²), good average quality;
-* :func:`greedy_edge_tour` — O(n² log n) greedy edge matching;
-* :func:`double_mst_tour` — the classic 2-approximation (MST preorder);
-* :func:`christofides_tour` — the 1.5-approximation via networkx's
-  implementation (min-weight matching on odd-degree MST nodes).
+* ``"nearest_neighbor"`` — O(n²), good average quality
+  (:func:`repro.tours.arrays.nearest_neighbor_indices`);
+* ``"greedy_edge"`` — O(n² log n) greedy edge matching
+  (:func:`repro.tours.arrays.greedy_edge_indices`);
+* ``"double_mst"`` — the classic 2-approximation (MST preorder,
+  :func:`double_mst_tour`);
+* ``"christofides"`` — the 1.5-approximation via networkx's
+  implementation (min-weight matching on odd-degree MST nodes,
+  :func:`christofides_tour`).
 
-:func:`build_tsp_order` is the front door: it injects the depot, runs
-the chosen construction and rotates the cycle so the order starts just
-after the depot.
+The two graph-based constructions run in a label space where the depot
+is the sentinel :data:`DEPOT`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import networkx as nx
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
 from repro.tours.arrays import (
-    dense_backend,
+    ArrayDistance,
     greedy_edge_indices,
     nearest_neighbor_indices,
 )
@@ -55,99 +57,6 @@ def _translate_depot(dist: DistanceFn) -> DistanceFn:
         return dist(None if a == DEPOT else a, None if b == DEPOT else b)
 
     return inner
-
-
-def nearest_neighbor_tour(
-    nodes: Sequence[Hashable],
-    positions: Mapping[Hashable, PointLike],
-    start: Hashable,
-    dist: Optional[DistanceFn] = None,
-) -> List[Hashable]:
-    """Nearest-neighbour construction starting from ``start``.
-
-    Returns the full cycle order beginning with ``start``.
-    """
-    dist = _distance_lookup(positions, dist)
-    remaining = set(nodes)
-    remaining.discard(start)
-    order = [start]
-    current = start
-    while remaining:
-        nxt = min(remaining, key=lambda n: (dist(current, n), str(n)))
-        order.append(nxt)
-        remaining.remove(nxt)
-        current = nxt
-    return order
-
-
-def greedy_edge_tour(
-    nodes: Sequence[Hashable],
-    positions: Mapping[Hashable, PointLike],
-    start: Hashable,
-    dist: Optional[DistanceFn] = None,
-) -> List[Hashable]:
-    """Greedy-edge construction: repeatedly add the globally shortest
-    edge that keeps degrees ≤ 2 and forms no premature subcycle.
-
-    Returns the cycle order rotated to begin with ``start``.
-    """
-    all_nodes = list(dict.fromkeys(list(nodes) + [start]))
-    if len(all_nodes) == 1:
-        return [start]
-    if len(all_nodes) == 2:
-        return [start, next(n for n in all_nodes if n != start)]
-    dist = _distance_lookup(positions, dist)
-    edges = sorted(
-        (
-            (dist(a, b), i, j)
-            for i, a in enumerate(all_nodes)
-            for j, b in enumerate(all_nodes)
-            if i < j
-        ),
-    )
-    degree = [0] * len(all_nodes)
-    # Union-find over node indices to reject premature cycles.
-    parent = list(range(len(all_nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj: Dict[int, List[int]] = {i: [] for i in range(len(all_nodes))}
-    added = 0
-    for _, i, j in edges:
-        if added == len(all_nodes) - 1:
-            break
-        if degree[i] >= 2 or degree[j] >= 2:
-            continue
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        degree[i] += 1
-        degree[j] += 1
-        adj[i].append(j)
-        adj[j].append(i)
-        added += 1
-    # Close the Hamiltonian path: exactly two endpoints have degree 1.
-    endpoints = [i for i in range(len(all_nodes)) if degree[i] == 1]
-    assert len(endpoints) == 2, "greedy edge construction left a broken path"
-    adj[endpoints[0]].append(endpoints[1])
-    adj[endpoints[1]].append(endpoints[0])
-    # Walk the cycle.
-    start_idx = all_nodes.index(start)
-    order_idx = [start_idx]
-    prev = None
-    current = start_idx
-    while True:
-        nxt = next(n for n in adj[current] if n != prev)
-        if nxt == start_idx:
-            break
-        order_idx.append(nxt)
-        prev, current = current, nxt
-    return [all_nodes[i] for i in order_idx]
 
 
 def _complete_graph(
@@ -230,19 +139,20 @@ def build_tsp_order(
     positions: Mapping[Hashable, PointLike],
     depot: PointLike,
     method: str = "christofides",
-    dist: Optional[DistanceFn] = None,
+    dist: Optional[DistanceCache] = None,
 ) -> List[Hashable]:
     """Build a closed tour through ``nodes`` rooted at the depot.
 
-    The depot joins the instance as the sentinel :data:`DEPOT`; the
-    returned order lists only the real nodes, in visit order starting
-    with the first node after leaving the depot.
+    The returned order lists only the real nodes, in visit order
+    starting with the first node after leaving the depot.
 
-    ``dist`` uses the schedule-layer convention (``None`` = depot); it
-    is translated to the :data:`DEPOT` sentinel internally.
+    ``dist`` is a depot-carrying cache (``None`` label = depot), built
+    from ``positions`` and ``depot`` when omitted; the graph-based
+    constructions see it translated to the :data:`DEPOT` sentinel.
 
     Raises:
-        ValueError: on an unknown method.
+        ValueError: on an unknown method, a depot-less ``dist`` or
+            duplicate nodes.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -253,27 +163,23 @@ def build_tsp_order(
         return []
     if len(node_list) == 1:
         return node_list
+    if dist is None:
+        dist = DistanceCache(positions, depot)
+    if method in ("nearest_neighbor", "greedy_edge"):
+        # The codec indexes the nodes in positional order, depot last;
+        # greedy-edge breaks distance ties by that (i, j) order.
+        dense = ArrayDistance.from_cache(dist, node_list)
+        kernel = {
+            "nearest_neighbor": nearest_neighbor_indices,
+            "greedy_edge": greedy_edge_indices,
+        }[method]
+        return dense.codec.decode(kernel(dense))
     pos: Dict[Hashable, PointLike] = {n: positions[n] for n in node_list}
     pos[DEPOT] = depot
-    if method in ("nearest_neighbor", "greedy_edge"):
-        # Array fast path: the codec's index space (real nodes in
-        # positional order, depot last) coincides with the legacy
-        # ``node_list + [DEPOT]`` enumeration, so edge tie-breaks and
-        # nearest-neighbour scans resolve to the identical tour.
-        backend = dense_backend(dist, node_list)
-        if backend is not None:
-            kernel = {
-                "nearest_neighbor": nearest_neighbor_indices,
-                "greedy_edge": greedy_edge_indices,
-            }[method]
-            return backend.codec.decode(kernel(backend))
-    inner = None if dist is None else _translate_depot(dist)
     builder = {
-        "nearest_neighbor": nearest_neighbor_tour,
-        "greedy_edge": greedy_edge_tour,
         "double_mst": double_mst_tour,
         "christofides": christofides_tour,
     }[method]
-    cycle = builder(node_list + [DEPOT], pos, DEPOT, inner)
+    cycle = builder(node_list + [DEPOT], pos, DEPOT, _translate_depot(dist))
     assert cycle[0] == DEPOT
     return cycle[1:]

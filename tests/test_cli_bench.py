@@ -64,3 +64,8 @@ class TestCmdBench:
         out = capsys.readouterr().out
         # Appro 1.0 vs AA 3.0 -> 67% shorter at the first point.
         assert "67%" in out
+
+    def test_quick_without_online_is_a_usage_error(self, capsys):
+        code = main(["bench", "--quick"])
+        assert code == 2
+        assert "--quick only applies to --online" in capsys.readouterr().out

@@ -122,6 +122,25 @@ class TestServeStream:
         assert row["status"] == "ok"
 
 
+    @pytest.mark.parametrize(
+        "deadline", ["soon", True, 0, -1.5, float("inf"), float("nan"), [1]]
+    )
+    def test_bad_deadline_is_a_structured_rejection(self, net, deadline):
+        record = job_to_dict(
+            PlanJob(net, tuple(net.all_sensor_ids()[:4]), 1, "Appro", "x")
+        )
+        record["deadline_s"] = deadline
+        with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
+            session = DaemonSession(daemon)
+            outs = list(session.handle_line(json.dumps(record), 3))
+            outs += list(session.drain())
+            assert daemon.status()["counters"]["submitted"] == 0
+        (row,) = [json.loads(x) for x in outs]
+        assert row["status"] == "error"
+        assert row["id"] == "line-3"
+        assert "'deadline_s' must be a finite positive number" in row["error"]
+
+
 class TestSocketServer:
     def test_round_trip_and_status(self, net, tmp_path):
         path = str(tmp_path / "daemon.sock")

@@ -134,6 +134,54 @@ class TestLoaderErrors:
             jobs_from_records([record])
 
 
+class TestFieldTypes:
+    """Wrong-typed fields are rejected, never coerced."""
+
+    def _record(self, net, **fields):
+        record = job_to_dict(_job(net))
+        record.update(fields)
+        return json.dumps(record)
+
+    @pytest.mark.parametrize(
+        "requests", ["12", [1.9, 2.2], [True, 2], [1, "2"], {"1": 2}]
+    )
+    def test_requests_must_be_a_list_of_ints(self, net, requests):
+        jobs, errors = jobs_from_lines([self._record(net, requests=requests)])
+        assert jobs == []
+        (error,) = errors
+        assert error.lineno == 1
+        assert "'requests' must be a list of integer" in error.error
+
+    @pytest.mark.parametrize("num_chargers", [2.7, True, "2", 0, -1, None])
+    def test_num_chargers_must_be_a_positive_int(self, net, num_chargers):
+        jobs, errors = jobs_from_lines(
+            [self._record(net, num_chargers=num_chargers)]
+        )
+        assert jobs == []
+        (error,) = errors
+        assert error.lineno == 1
+        assert "'num_chargers' must be an integer >= 1" in error.error
+
+    def test_valid_types_pass_unchanged(self, net):
+        jobs, errors = jobs_from_lines(
+            [self._record(net, requests=[3, 1], num_chargers=3)]
+        )
+        assert errors == []
+        ((_, job),) = jobs
+        assert job.request_ids == (3, 1)
+        assert job.num_chargers == 3
+
+    def test_unreadable_network_path_is_a_line_error(self, tmp_path):
+        record = {
+            "format": JOB_FORMAT,
+            "network_path": str(tmp_path / "missing.json"),
+            "requests": [1],
+        }
+        jobs, errors = jobs_from_lines([json.dumps(record)])
+        assert jobs == []
+        assert "unusable network" in errors[0].error
+
+
 class TestLenientLoading:
     def _mixed_lines(self, net):
         # Line 1: good, labels its network.  Line 2: broken JSON.

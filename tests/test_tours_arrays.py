@@ -1,15 +1,23 @@
 """Parity and unit tests for the array tour engine (DESIGN §16).
 
-The engine's contract is *byte parity*: with a dense backend available,
-every rewired tours function must return exactly what the legacy scalar
-path returns — same orders, same split segments, same achieved-delay
-floats. The legacy paths stay in the codebase as the oracle (reached
-via ``use_arrays(False)``), mirroring how ``tests/_legacy_conflicts.py``
-pins the conflict engine.
+The engine's contract is *byte parity*: every tours function must
+return exactly what the retired scalar loops returned — same orders,
+same split segments, same achieved-delay floats. Those loops live on
+only as the oracle in ``tests/_legacy_tours.py``, mirroring how
+``tests/_legacy_conflicts.py`` pins the conflict engine. The
+all-planner check compares against ``tests/data/planner_golden.jsonl``,
+recorded while both engines were still in the program and agreed.
+
+Regenerate the golden file (only for a deliberate, reviewed change of
+planner output) with::
+
+    PYTHONPATH=src python -m tests.test_tours_arrays
 """
 
-import math
+import json
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +26,10 @@ from repro.geometry.distcache import DistanceCache
 from repro.network.topology import random_wrsn
 from repro.pipeline.planner import planner_names, run_planner
 from repro.tours.arrays import (
-    DENSE_MAX_NODES,
     ArrayDistance,
     ArrayTour,
     NodeIndexCodec,
     canonical_labels,
-    dense_backend,
-    use_arrays,
 )
 from repro.tours.energy_budget import (
     MCVEnergyModel,
@@ -34,8 +39,18 @@ from repro.tours.improve import or_opt, two_opt
 from repro.tours.kminmax import solve_k_minmax_tours
 from repro.tours.splitting import greedy_split_with_bound, split_tour_min_max
 from repro.tours.tsp import build_tsp_order
+from tests._legacy_tours import (
+    legacy_build_tsp_order,
+    legacy_greedy_split_with_bound,
+    legacy_or_opt,
+    legacy_solve_k_minmax_tours,
+    legacy_split_tour_energy_constrained,
+    legacy_split_tour_min_max,
+    legacy_two_opt,
+)
 
 PARITY_SEEDS = 100
+GOLDEN = Path(__file__).parent / "data" / "planner_golden.jsonl"
 
 
 def random_instance(seed, max_nodes=40, min_nodes=2):
@@ -108,22 +123,24 @@ class TestDenseMatrix:
 
 
 class TestDenseBackend:
-    def test_gating(self):
+    def test_rejects_depotless_cache_and_duplicate_labels(self):
         _, order, positions, depot, _, dist = random_instance(5)
-        assert dense_backend(dist, order) is not None
-        # Disabled engine, plain-callable dist, depot-less cache,
-        # oversized label set, duplicate labels: all legacy.
-        with use_arrays(False):
-            assert dense_backend(dist, order) is None
-        assert dense_backend(lambda a, b: 0.0, order) is None
-        assert dense_backend(DistanceCache(positions), order) is None
-        assert dense_backend(dist, range(DENSE_MAX_NODES + 1)) is None
-        assert dense_backend(dist, [order[0], order[0]]) is None
+        with pytest.raises(ValueError):
+            ArrayDistance.from_cache(DistanceCache(positions), order)
+        with pytest.raises(ValueError):
+            ArrayDistance.from_cache(dist, [order[0], order[0]])
+        with pytest.raises(ValueError):
+            two_opt(order + order[:1], positions, depot, dist=dist)
+        with pytest.raises(ValueError):
+            split_tour_min_max(
+                order, 2, positions, depot, 1.0, lambda v: 1.0,
+                dist=DistanceCache(positions),
+            )
 
     def test_permuted_orders_share_one_matrix(self):
         _, order, _, _, _, dist = random_instance(6)
-        a = dense_backend(dist, order)
-        b = dense_backend(dist, sorted(order))
+        a = ArrayDistance.from_cache(dist, order)
+        b = ArrayDistance.from_cache(dist, sorted(order))
         for x in order:
             for y in order:
                 ia, ja = a.codec.encode([x])[0], a.codec.encode([y])[0]
@@ -162,9 +179,8 @@ class TestKernelParity:
     @pytest.mark.parametrize("seed", range(PARITY_SEEDS))
     def test_two_opt_and_or_opt(self, seed):
         _, order, positions, depot, _, dist = random_instance(seed)
-        with use_arrays(False):
-            legacy = two_opt(order, positions, depot, dist=dist)
-            legacy = or_opt(legacy, positions, depot, dist=dist)
+        legacy = legacy_two_opt(order, positions, depot, dist=dist)
+        legacy = legacy_or_opt(legacy, positions, depot, dist=dist)
         fast = two_opt(order, positions, depot, dist=dist)
         fast = or_opt(fast, positions, depot, dist=dist)
         assert fast == legacy
@@ -177,10 +193,9 @@ class TestKernelParity:
         k = rng.randint(1, 4)
         speed = rng.uniform(0.5, 3.0)
         service = service_map.__getitem__
-        with use_arrays(False):
-            legacy = split_tour_min_max(
-                order, k, positions, depot, speed, service, dist=dist
-            )
+        legacy = legacy_split_tour_min_max(
+            order, k, positions, depot, speed, service, dist=dist
+        )
         fast = split_tour_min_max(
             order, k, positions, depot, speed, service, dist=dist
         )
@@ -196,10 +211,9 @@ class TestKernelParity:
         # A bound between the single-node floor and the full-tour cost
         # exercises both feasible and infeasible outcomes.
         bound = rng.uniform(50.0, 2000.0)
-        with use_arrays(False):
-            legacy = greedy_split_with_bound(
-                order, bound, positions, depot, speed, service, dist=dist
-            )
+        legacy = legacy_greedy_split_with_bound(
+            order, bound, positions, depot, speed, service, dist=dist
+        )
         fast = greedy_split_with_bound(
             order, bound, positions, depot, speed, service, dist=dist
         )
@@ -218,11 +232,9 @@ class TestKernelParity:
             travel_j_per_m=rng.uniform(1.0, 20.0),
             transfer_efficiency=rng.uniform(0.3, 1.0),
         )
-        with use_arrays(False):
-            legacy = split_tour_energy_constrained(
-                order, k, positions, depot, speed, service, model,
-                dist=dist,
-            )
+        legacy = legacy_split_tour_energy_constrained(
+            order, k, positions, depot, speed, service, model, dist=dist
+        )
         fast = split_tour_energy_constrained(
             order, k, positions, depot, speed, service, model, dist=dist
         )
@@ -234,10 +246,9 @@ class TestKernelParity:
             seed, max_nodes=30
         )
         for method in ("nearest_neighbor", "greedy_edge"):
-            with use_arrays(False):
-                legacy = build_tsp_order(
-                    order, positions, depot, method=method, dist=dist
-                )
+            legacy = legacy_build_tsp_order(
+                order, positions, depot, method=method, dist=dist
+            )
             fast = build_tsp_order(
                 order, positions, depot, method=method, dist=dist
             )
@@ -252,11 +263,10 @@ class TestKernelParity:
         speed = rng.uniform(0.5, 3.0)
         service = service_map.__getitem__
         for method in ("nearest_neighbor", "greedy_edge", "christofides"):
-            with use_arrays(False):
-                legacy = solve_k_minmax_tours(
-                    order, positions, depot, k, speed, service,
-                    tsp_method=method, dist=dist,
-                )
+            legacy = legacy_solve_k_minmax_tours(
+                order, positions, depot, k, speed, service,
+                tsp_method=method, dist=dist,
+            )
             fast = solve_k_minmax_tours(
                 order, positions, depot, k, speed, service,
                 tsp_method=method, dist=dist,
@@ -264,44 +274,47 @@ class TestKernelParity:
             assert fast == legacy, method
 
 
-class TestPlannerParity:
-    """All registered planners over the 100-seed corpus.
+def planner_case(seed):
+    """Every planner's objective and tour delays (as ``float.hex``) on
+    the seed's network; ``K`` rotates through {1, 2, 3}. One line of
+    the golden file."""
+    k = seed % 3 + 1
+    network = random_wrsn(18, seed=seed, initial_fraction=0.15)
+    requests = network.all_sensor_ids()[: 12 + seed % 5]
+    planners = {}
+    for name in planner_names():
+        plan = run_planner(name, network, requests, k)
+        planners[name] = {
+            "longest_delay": plan.longest_delay().hex(),
+            "tour_delays": [d.hex() for d in plan.tour_delays()],
+        }
+    return {
+        "seed": seed, "k": k, "requests": len(requests), "planners": planners
+    }
 
-    Each seed draws a fresh network; ``K`` rotates through {1, 2, 3}
-    so the corpus covers every fleet size with every planner. The
-    objective and the per-tour delays must be byte-identical between
-    the array engine and the legacy scalar paths.
-    """
+
+class TestPlannerParity:
+    """All registered planners over the 100-seed corpus, against the
+    golden file: the objective and the per-tour delays must be
+    byte-identical to what both tour engines produced before the
+    scalar one was retired."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN, encoding="utf-8") as src:
+            return [json.loads(line) for line in src]
 
     @pytest.mark.parametrize("seed", range(PARITY_SEEDS))
-    def test_all_planners(self, seed):
-        k = seed % 3 + 1
-        network = random_wrsn(18, seed=seed, initial_fraction=0.15)
-        requests = network.all_sensor_ids()[: 12 + seed % 5]
-        for name in planner_names():
-            with use_arrays(False):
-                legacy = run_planner(name, network, requests, k)
-            fast = run_planner(name, network, requests, k)
-            assert fast.longest_delay() == legacy.longest_delay(), name
-            assert fast.tour_delays() == legacy.tour_delays(), name
+    def test_all_planners(self, seed, golden):
+        assert planner_case(seed) == golden[seed]
 
 
-class TestUseArraysToggle:
-    def test_nested_and_restoring(self):
-        from repro.tours.arrays import arrays_enabled
+def write_golden(path=GOLDEN):
+    """Record :func:`planner_case` for every seed into ``path``."""
+    with open(path, "w", encoding="utf-8") as out:
+        for seed in range(PARITY_SEEDS):
+            out.write(json.dumps(planner_case(seed), sort_keys=True) + "\n")
 
-        assert arrays_enabled()
-        with use_arrays(False):
-            assert not arrays_enabled()
-            with use_arrays(True):
-                assert arrays_enabled()
-            assert not arrays_enabled()
-        assert arrays_enabled()
 
-    def test_restores_on_exception(self):
-        from repro.tours.arrays import arrays_enabled
-
-        with pytest.raises(RuntimeError):
-            with use_arrays(False):
-                raise RuntimeError("boom")
-        assert arrays_enabled()
+if __name__ == "__main__":
+    write_golden(*sys.argv[1:])

@@ -10,9 +10,8 @@ from repro.tours.tsp import (
     build_tsp_order,
     christofides_tour,
     double_mst_tour,
-    greedy_edge_tour,
-    nearest_neighbor_tour,
 )
+from tests._legacy_tours import greedy_edge_tour, nearest_neighbor_tour
 
 METHODS = ["nearest_neighbor", "greedy_edge", "double_mst", "christofides"]
 
