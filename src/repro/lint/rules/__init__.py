@@ -16,7 +16,8 @@ Importing this package registers every rule with
 * ``wall-clock`` (R9) — no clock or environment reads in the
   deterministic layers (geometry..pipeline).
 * ``pool-payload`` (R10) — callables submitted to
-  ``serve.pool.run_tasks`` are module-level importable.
+  ``serve.pool.run_tasks`` or ``serve.pool.SupervisedPool`` are
+  module-level importable.
 * ``cache-mutation`` (R11) — ``PlanningContext`` memo fields are
   written only inside ``repro.pipeline``.
 

@@ -1,8 +1,8 @@
 """Rule R10 ``pool-payload`` — only module-level callables into the pool.
 
-:func:`repro.serve.pool.run_tasks` and the persistent
-:class:`repro.serve.health.SupervisedPool` pickle the task function
-into worker processes. Lambdas, closures and bound methods are either
+:func:`repro.serve.pool.run_tasks` and the
+:class:`repro.serve.pool.SupervisedPool` it runs on pickle the task
+function into worker processes. Lambdas, closures and bound methods are either
 unpicklable outright (spawn start methods) or — worse, under fork —
 *silently* picklable today and broken the day the start method or the
 enclosing scope changes. The pool docstrings state the contract
@@ -42,7 +42,7 @@ from repro.lint.visitor import RuleVisitor
 #: The pool entry point's name; bare calls and ``mod.run_tasks`` both count.
 POOL_ENTRY = "run_tasks"
 
-#: The persistent pool's constructor; same ``fn``-first contract.
+#: The pool engine's constructor; same ``fn``-first contract.
 POOL_CLASS = "SupervisedPool"
 
 
@@ -171,7 +171,7 @@ class PoolPayloadRule(ProjectRule):
     id = "pool-payload"
     description = (
         "callables submitted to serve.pool.run_tasks or "
-        "serve.health.SupervisedPool must be module-level "
+        "serve.pool.SupervisedPool must be module-level "
         "(no lambdas/closures/bound methods)"
     )
 

@@ -48,7 +48,6 @@ from repro.serve.health import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
-    SupervisedPool,
 )
 from repro.serve.jobs import (
     JobLineError,
@@ -69,6 +68,7 @@ from repro.serve.pool import (
     STATUS_POOL_BROKEN,
     STATUS_TIMEOUT,
     PoolConfig,
+    SupervisedPool,
     TaskOutcome,
     TaskTimeout,
     call_with_timeout,

@@ -24,8 +24,12 @@ machine-readable reason — that it will never run. Silent queue growth
   (before any observation the estimate is zero and everything is
   admitted).
 * ``payload-too-large`` — the request set exceeds the configured
-  cap. Oversized problems belong in the batch service, not in the
-  interactive queue.
+  cap (oversized problems belong in the batch service, not in the
+  interactive queue), or the job asks for more chargers than its
+  network has sensors. Every planner's cost grows linearly with ``K``,
+  so a decodable ``num_chargers`` of 10^9 would otherwise occupy a
+  worker for good; past the sensor count extra chargers can only idle,
+  so :func:`fleet_rejection` refuses only what is certain to be waste.
 * ``shutting-down`` — the daemon is draining; no new work.
 
 Rejections surface as ``repro-result/1`` records with
@@ -100,6 +104,24 @@ class Rejection:
         }
 
 
+def fleet_rejection(job: PlanJob) -> Optional[Rejection]:
+    """``payload-too-large`` when ``job`` asks for more chargers than
+    its network has sensors; ``None`` otherwise.
+
+    Shared by the daemon's :class:`AdmissionPolicy` and the batch
+    :class:`~repro.serve.service.PlanningService`, which fails such a
+    job in the parent without a pool submission.
+    """
+    sensors = len(job.network)
+    if job.num_chargers <= sensors:
+        return None
+    return Rejection(
+        REJECT_PAYLOAD,
+        f"num_chargers {job.num_chargers} exceeds the network's "
+        f"{sensors} sensors",
+    )
+
+
 class AdmissionPolicy:
     """Admit-or-reject decisions for the daemon's front door.
 
@@ -159,6 +181,9 @@ class AdmissionPolicy:
                 f"request set has {len(job.request_ids)} sensors, cap "
                 f"is {self.max_requests}",
             )
+        rejection = fleet_rejection(job)
+        if rejection is not None:
+            return rejection
         if queue_depth >= self.max_queue:
             return Rejection(
                 REJECT_QUEUE_FULL,
@@ -194,4 +219,5 @@ __all__ = [
     "Rejection",
     "STATUS_REJECTED",
     "ServiceTimeEstimator",
+    "fleet_rejection",
 ]

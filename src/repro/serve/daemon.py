@@ -17,7 +17,7 @@ pieces this package already trusts:
   drifted residuals onto the pinned network and calls
   :meth:`~repro.pipeline.PlanningContext.invalidate` per changed
   sensor instead of rebuilding. The
-  :class:`~repro.serve.health.SupervisedPool` keeps worker processes
+  :class:`~repro.serve.pool.SupervisedPool` keeps worker processes
   (and therefore those caches) alive across requests; with
   ``workers=1`` the cache lives in the daemon process itself.
 * **Admission control** (:mod:`repro.serve.admission`) — a bounded
@@ -69,9 +69,9 @@ from repro.serve.admission import (
     Rejection,
     ServiceTimeEstimator,
 )
-from repro.serve.health import CircuitBreaker, SupervisedPool
+from repro.serve.health import CircuitBreaker
 from repro.serve.jobs import JobResult, PlanJob
-from repro.serve.pool import STATUS_ERROR, TaskOutcome
+from repro.serve.pool import STATUS_ERROR, SupervisedPool, TaskOutcome
 from repro.serve.service import result_from_outcome
 from repro.serve.workers import execute_plan_job
 

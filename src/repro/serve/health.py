@@ -1,29 +1,16 @@
-"""Worker health supervision for the planning daemon.
+"""Circuit breaker over the planning daemon's worker pool.
 
-Two cooperating pieces keep a long-lived daemon alive through worker
-carnage that would be fatal to a naive always-on pool:
-
-* :class:`SupervisedPool` — a *persistent* ``ProcessPoolExecutor``
-  wrapper. Unlike :func:`repro.serve.pool.run_tasks` (which builds and
-  tears down an executor per batch), the supervised pool keeps its
-  workers — and therefore their warm
-  :data:`repro.serve.workers._GROUP_CACHE` context groups — alive
-  across requests. Per-task timeouts reuse the exact worker-side
-  watchdog semantics of the batch pool (``_pool_entry`` /
-  :func:`~repro.serve.pool.call_with_timeout`), so a stuck task can
-  never wedge the daemon. A dead worker (``BrokenProcessPool``) fails
-  only the tasks in flight; the executor is rebuilt once per breakage,
-  coordinated by a generation counter so concurrent runner threads
-  hitting the same corpse rebuild once, not once each.
-
-* :class:`CircuitBreaker` — the classic closed / open / half-open
-  state machine over those breakages. Repeated rebuilds trip the
-  breaker; while open, the daemon stops feeding the pool (routing
-  admitted jobs to a degraded in-process path instead) for a cooldown
-  that backs off exponentially — ``cooldown_s · 2^(trips-1)``, capped
-  — then lets exactly one probe through half-open. A success closes
-  the breaker and resets the backoff; a failure re-opens it with the
-  next longer cooldown.
+The daemon's :class:`~repro.serve.pool.SupervisedPool` rebuilds its
+executor after every worker death, but a payload that kills its worker
+every time would make it rebuild forever. :class:`CircuitBreaker` —
+the classic closed / open / half-open state machine over those
+breakages — is what stops that crash loop. Repeated breakages trip the
+breaker; while open, the daemon stops feeding the pool (routing
+admitted jobs to a degraded in-process path instead) for a cooldown
+that backs off exponentially — ``cooldown_s · 2^(trips-1)``, capped —
+then lets exactly one probe through half-open. A success closes the
+breaker and resets the backoff; a failure re-opens it with the next
+longer cooldown.
 
 The breaker takes an injectable monotonic ``clock`` so its timing
 behaviour is testable without sleeping.
@@ -33,16 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Optional
-
-from repro.serve.pool import (
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_POOL_BROKEN,
-    TaskOutcome,
-    _pool_entry,
-)
+from typing import Any, Callable, Dict
 
 #: Breaker states.
 BREAKER_CLOSED = "closed"
@@ -170,154 +148,9 @@ class CircuitBreaker:
             }
 
 
-class SupervisedPool:
-    """A persistent, self-healing worker pool for one task function.
-
-    Args:
-        fn: a picklable **module-level** callable of one payload
-            argument (the same contract as
-            :func:`repro.serve.pool.run_tasks`, enforced by lint rule
-            R10).
-        workers: worker process count. ``1`` executes in the calling
-            thread with no executor at all — the warm context cache
-            then lives in the daemon process itself.
-        mp_context: multiprocessing start method; ``None`` = platform
-            default.
-        timeout_s: per-task execution bound enforced inside the worker.
-        on_broken: callback fired once per pool breakage (after the
-            rebuild), e.g. ``breaker.record_failure``.
-
-    Call :meth:`run_one` from any number of runner threads; each call
-    blocks until its task has a terminal outcome.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[Any], Any],
-        workers: int = 1,
-        mp_context: Optional[str] = None,
-        timeout_s: Optional[float] = None,
-        on_broken: Optional[Callable[[], None]] = None,
-    ):
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.fn = fn
-        self.workers = workers
-        self.timeout_s = timeout_s
-        self.mp_context = mp_context
-        self.on_broken = on_broken
-        self._lock = threading.Lock()
-        self._executor = None
-        self._generation = 0
-        self._closed = False
-        self._rebuilds = 0
-
-    # ------------------------------------------------------------------
-
-    def _make_executor(self):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context is not None
-            else None
-        )
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=context
-        )
-
-    def _ensure_executor(self):
-        """The live executor and its generation, creating on demand."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("SupervisedPool is closed")
-            if self._executor is None:
-                self._executor = self._make_executor()
-            return self._executor, self._generation
-
-    def _handle_broken(self, generation: int) -> None:
-        """Rebuild after a breakage — once per generation, not per
-        thread that observed it."""
-        fire = False
-        with self._lock:
-            if self._closed or generation != self._generation:
-                return  # another thread already rebuilt this corpse
-            executor, self._executor = self._executor, None
-            self._generation += 1
-            self._rebuilds += 1
-            fire = True
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        if fire and self.on_broken is not None:
-            self.on_broken()
-
-    # ------------------------------------------------------------------
-
-    def run_one(self, payload: Any, index: int = 0) -> TaskOutcome:
-        """Execute one payload; always returns a terminal outcome.
-
-        A worker death comes back as a ``"pool-broken"`` outcome for
-        *this* task (the caller decides whether to retry, degrade or
-        give up); the pool itself has already been rebuilt for the
-        next caller by the time this returns.
-        """
-        outcome = TaskOutcome(index=index, status=STATUS_ERROR)
-        start = time.perf_counter()
-        try:
-            if self.workers == 1:
-                status, value = _pool_entry(
-                    self.fn, payload, self.timeout_s
-                )
-            else:
-                executor, generation = self._ensure_executor()
-                future = executor.submit(
-                    _pool_entry, self.fn, payload, self.timeout_s
-                )
-                try:
-                    status, value = future.result()
-                except BrokenProcessPool:
-                    self._handle_broken(generation)
-                    status, value = (
-                        STATUS_POOL_BROKEN,
-                        "worker process died (BrokenProcessPool); "
-                        "pool rebuilt",
-                    )
-        except RuntimeError as exc:
-            status, value = STATUS_ERROR, str(exc)
-        except Exception as exc:  # unpicklable payload/result etc.
-            status, value = STATUS_ERROR, f"{type(exc).__name__}: {exc}"
-        outcome.attempts = 1
-        outcome.elapsed_s = time.perf_counter() - start
-        outcome.status = status
-        if status == STATUS_OK:
-            outcome.value, outcome.error = value, None
-        else:
-            outcome.value, outcome.error = None, str(value)
-        return outcome
-
-    # ------------------------------------------------------------------
-
-    @property
-    def rebuilds(self) -> int:
-        with self._lock:
-            return self._rebuilds
-
-    def close(self) -> None:
-        """Shut the executor down; further :meth:`run_one` calls error."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CircuitBreaker",
-    "SupervisedPool",
 ]

@@ -8,13 +8,16 @@ a list of :class:`~repro.serve.jobs.PlanJob` and:
    :class:`~repro.network.topology.WRSN` object get one group key, so
    whichever worker executes them reuses a warm
    ``PlanningContext``/distance cache (:mod:`repro.serve.workers`);
-2. **fans out** over :func:`repro.serve.pool.run_tasks` — serial
-   in-process by default, a ``ProcessPoolExecutor`` when
-   ``workers > 1`` — with per-job timeout and bounded retry;
+2. **fans out** over :func:`repro.serve.pool.run_tasks` — in-process
+   by default, a worker pool when ``workers > 1`` — with per-job
+   timeout and bounded retry;
 3. **returns** one structured :class:`~repro.serve.jobs.JobResult` per
    job, in job order, failed or not: a malformed worker payload, a
    raising planner or a timeout becomes an ``"error"``/``"timeout"``
-   result and never aborts or contaminates sibling jobs.
+   result and never aborts or contaminates sibling jobs. An unknown
+   planner, or more chargers than the network has sensors
+   (``payload-too-large``, :func:`~repro.serve.admission.fleet_rejection`),
+   fails in the parent without a pool submission.
 
 Determinism contract: planners are pure functions of
 ``(network, requests, K)`` and context memoization is byte-transparent,
@@ -35,6 +38,7 @@ from repro.pipeline import (
     get_planner,
     snapshot_context,
 )
+from repro.serve.admission import fleet_rejection
 from repro.serve.jobs import JobResult, PlanJob
 from repro.serve.pool import (
     STATUS_ERROR,
@@ -101,6 +105,18 @@ def result_from_outcome(
     return result
 
 
+def _parent_error(job: PlanJob) -> Optional[str]:
+    """Why ``job`` cannot run at all, or ``None`` when it may."""
+    try:
+        get_planner(job.planner)
+    except KeyError as exc:
+        return str(exc)
+    rejection = fleet_rejection(job)
+    if rejection is None:
+        return None
+    return f"{rejection.reason}: {rejection.detail}"
+
+
 class PlanningService:
     """Run batches of planning jobs over a cache-sharing worker pool.
 
@@ -115,9 +131,6 @@ class PlanningService:
         share_contexts: reuse one planning context per job group (on by
             default); off builds a cold, unshared context per job —
             the honest baseline for the warm-vs-cold benchmark.
-        max_pool_rebuilds: broken-pool rebuilds tolerated per batch
-            before the remaining jobs get terminal ``"pool-broken"``
-            results (see :class:`~repro.serve.pool.PoolConfig`).
     """
 
     def __init__(
@@ -128,7 +141,6 @@ class PlanningService:
         backoff_s: float = 0.0,
         mp_context: Optional[str] = None,
         share_contexts: bool = True,
-        max_pool_rebuilds: int = 2,
     ):
         self.config = PoolConfig(
             workers=workers,
@@ -136,7 +148,6 @@ class PlanningService:
             max_retries=max_retries,
             backoff_s=backoff_s,
             mp_context=mp_context,
-            max_pool_rebuilds=max_pool_rebuilds,
         )
         self.share_contexts = share_contexts
         self._last_stats: Dict[str, int] = {}
@@ -174,21 +185,19 @@ class PlanningService:
         payloads: List[Dict] = []
         payload_jobs: List[int] = []
         for i, job in enumerate(jobs):
-            job_id = job.job_id or f"job-{i}"
-            try:
-                get_planner(job.planner)
-            except KeyError as exc:
-                # Fail unknown planners in the parent, without burning
-                # pool submissions or retries on them.
+            error = _parent_error(job)
+            if error is not None:
+                # Fail in the parent, without burning pool submissions
+                # or retries on a job that cannot succeed.
                 results[i] = JobResult(
-                    job_id=job_id,
+                    job_id=job.job_id or f"job-{i}",
                     index=i,
                     status=STATUS_ERROR,
                     planner=job.planner,
                     num_chargers=job.num_chargers,
                     group_key=group_keys[i],
                     attempts=0,
-                    error=str(exc),
+                    error=error,
                 )
                 if progress is not None:
                     progress(results[i])
@@ -281,9 +290,9 @@ class PlanningService:
             elif r.status == STATUS_TIMEOUT:
                 stats["timeouts"] += 1
             elif r.status == STATUS_POOL_BROKEN:
-                # Abandoned when the pool's rebuild budget ran out;
-                # counted as an error too so "ok + errors + timeouts"
-                # keeps summing to "jobs" for existing consumers.
+                # Its worker died on the last attempt; counted as an
+                # error too so "ok + errors + timeouts" keeps summing
+                # to "jobs" for existing consumers.
                 stats["pool_broken"] += 1
                 stats["errors"] += 1
             else:

@@ -12,8 +12,11 @@ request sets on the same network still share one distance cache
 cached network *object*, which the group state pins).
 
 The cache key includes a per-service ``token``, so two service runs in
-one process never cross-pollinate, and the LRU bound keeps a
-long-lived worker from accumulating every network it ever saw.
+one process never cross-pollinate. Two LRU bounds keep a long-lived
+worker (the daemon's) from accumulating every network it ever saw
+(:data:`MAX_CACHED_GROUPS`) and every request set asked of one network
+(:data:`MAX_CONTEXTS_PER_GROUP`) — the latter also caps how many warm
+contexts each drifted request has to invalidate.
 
 Serial execution uses exactly this function in-process, so the only
 difference between ``workers=1`` and ``workers=N`` is where the cache
@@ -42,15 +45,20 @@ from repro.pipeline import (
 #: Group states retained per worker process before LRU eviction.
 MAX_CACHED_GROUPS = 8
 
+#: Warm contexts (one per request set) retained per group before LRU
+#: eviction.
+MAX_CONTEXTS_PER_GROUP = 8
+
 
 @dataclass
 class GroupState:
     """Everything one job group shares inside a worker process."""
 
     network: WRSN
-    #: One warm context per request set seen in this group.
-    contexts: Dict[Tuple[int, ...], PlanningContext] = field(
-        default_factory=dict
+    #: One warm context per recently seen request set, least recent
+    #: first.
+    contexts: "OrderedDict[Tuple[int, ...], PlanningContext]" = field(
+        default_factory=OrderedDict
     )
 
 
@@ -147,12 +155,15 @@ def execute_plan_job(payload: Dict) -> Dict:
         context = state.contexts.get(requests)
         if context is not None:
             context_reused = True
+            state.contexts.move_to_end(requests)
         else:
             if warm_start is not None and warm_start.requests == requests:
                 context = restore_context(warm_start, state.network)
             else:
                 context = PlanningContext(state.network, requests)
             state.contexts[requests] = context
+            while len(state.contexts) > MAX_CONTEXTS_PER_GROUP:
+                state.contexts.popitem(last=False)
         run_network = state.network
     else:
         context = (
@@ -180,6 +191,7 @@ def execute_plan_job(payload: Dict) -> Dict:
 __all__ = [
     "GroupState",
     "MAX_CACHED_GROUPS",
+    "MAX_CONTEXTS_PER_GROUP",
     "execute_plan_job",
     "reset_worker_cache",
 ]

@@ -43,9 +43,15 @@ from repro.serve import (
     ServiceTimeEstimator,
     SupervisedPool,
     geometry_digest,
+    job_to_dict,
     network_digest,
 )
+from repro.serve import workers as workers_module
+from repro.serve.transport import DaemonSession
 from repro.serve.workers import execute_plan_job
+
+#: The inline engine and the process pool.
+WORKER_COUNTS = (1, 2)
 
 
 class FakeClock:
@@ -149,6 +155,35 @@ class TestAdmission:
         rejection = policy.admit(_job(net, n=8), queue_depth=0)
         assert rejection.reason == REJECT_PAYLOAD
         assert policy.admit(_job(net, n=4), queue_depth=0) is None
+
+    def test_more_chargers_than_sensors_is_too_large(self, net):
+        policy = AdmissionPolicy()
+        assert policy.admit(_job(net, k=len(net)), queue_depth=0) is None
+        rejection = policy.admit(_job(net, k=len(net) + 1), queue_depth=0)
+        assert rejection.reason == REJECT_PAYLOAD
+        assert f"{len(net)} sensors" in rejection.detail
+
+    def test_huge_fleet_rejected_through_session(self, net):
+        # A decodable K of 10^9 is refused at the door, in input order,
+        # and never reaches a planner.
+        lines = [
+            json.dumps(job_to_dict(_job(net, "small", k=2))),
+            json.dumps(job_to_dict(_job(net, "huge", k=10**9))),
+        ]
+        with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
+            session = DaemonSession(daemon)
+            outs = []
+            for lineno, line in enumerate(lines, start=1):
+                outs += list(session.handle_line(line, lineno))
+            outs += list(session.drain())
+            status = daemon.status()
+        small, huge = [json.loads(x) for x in outs]
+        assert small["id"] == "small" and small["status"] == "ok"
+        assert huge["id"] == "huge"
+        assert huge["status"] == STATUS_REJECTED
+        assert huge["reason"] == REJECT_PAYLOAD
+        assert status["counters"]["rejected"] == {REJECT_PAYLOAD: 1}
+        assert status["counters"]["accepted"] == 1
 
     def test_deadline_optimistic_before_observations(self, net):
         # No data yet: the optimistic bound is zero, everything admits.
@@ -262,22 +297,28 @@ class TestSupervisedPool:
             pool.close()
 
     def test_closed_pool_errors_structurally(self):
-        pool = SupervisedPool(_echo, workers=2, mp_context="fork")
-        pool.close()
-        outcome = pool.run_one("x")
-        assert not outcome.ok
-        assert "closed" in outcome.error
+        for workers in WORKER_COUNTS:
+            pool = SupervisedPool(_echo, workers=workers, mp_context="fork")
+            pool.close()
+            outcome = pool.run_one("x")
+            assert not outcome.ok
+            assert "closed" in outcome.error
 
     def test_warm_contexts_survive_across_calls(self, net):
+        for workers in WORKER_COUNTS:
+            self._assert_warm_across_calls(net, workers)
+
+    @staticmethod
+    def _assert_warm_across_calls(net, workers):
         # The whole point of the persistent pool: two requests about
         # the same network, minutes apart, hit a warm context.
         pool = SupervisedPool(
-            execute_plan_job, workers=2, mp_context="fork"
+            execute_plan_job, workers=workers, mp_context="fork"
         )
         try:
             requests = tuple(net.all_sensor_ids()[:8])
             payload = {
-                "token": "t-persist",
+                "token": f"t-persist-{workers}",
                 "group_key": network_digest(net),
                 "network": net,
                 "requests": requests,
@@ -300,6 +341,59 @@ class TestSupervisedPool:
             assert reused, "no warm-context hit in 8 follow-up calls"
         finally:
             pool.close()
+
+
+class TestWorkerContextCache:
+    def test_contexts_per_group_are_lru_bounded(self, net):
+        # More distinct request sets than the bound: the group keeps
+        # exactly the bound, evicting least recent first, and every
+        # plan (warm, evicted-then-rebuilt, drifted) stays byte-equal
+        # to a plain run_planner call.
+        bound = workers_module.MAX_CONTEXTS_PER_GROUP
+        ids = net.all_sensor_ids()
+        request_sets = [
+            tuple(ids[i:i + 6]) for i in range(bound + 3)
+        ]
+        token, group = "t-lru", geometry_digest(net)
+
+        def plan(network, requests):
+            value = execute_plan_job({
+                "token": token,
+                "group_key": group,
+                "network": network,
+                "requests": requests,
+                "num_chargers": 2,
+                "planner": "Appro",
+                "share_contexts": True,
+            })
+            cold = network.copy()
+            baseline = run_planner("Appro", cold, requests, 2)
+            assert value["schedule"] == schedule_to_dict(
+                baseline, algorithm="Appro"
+            )
+            return value
+
+        workers_module.reset_worker_cache()
+        try:
+            for requests in request_sets:
+                assert plan(net, requests)["context_reused"] is False
+            state = workers_module._GROUP_CACHE[(token, group)]
+            assert list(state.contexts) == request_sets[-bound:]
+            # The most recent set is warm; the oldest was evicted.
+            assert plan(net, request_sets[-1])["context_reused"] is True
+            assert plan(net, request_sets[0])["context_reused"] is False
+            assert len(state.contexts) == bound
+            # A drifted request invalidates only the retained contexts.
+            drifted = net.copy()
+            drifted.set_residuals({
+                sid: 0.5 * drifted.sensor(sid).residual_j
+                for sid in ids[:5]
+            })
+            value = plan(drifted, request_sets[0])
+            assert value["context_reused"] is True
+            assert len(state.contexts) == bound
+        finally:
+            workers_module.reset_worker_cache()
 
 
 # ----------------------------------------------------------------------

@@ -744,7 +744,7 @@ class TestPoolPayloadRule:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.serve.health import SupervisedPool
+            from repro.serve.pool import SupervisedPool
 
             def f():
                 return SupervisedPool(lambda p: p, workers=2)
@@ -759,11 +759,11 @@ class TestPoolPayloadRule:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.serve import health
+            from repro.serve import pool
 
             class Daemon:
                 def build(self):
-                    return health.SupervisedPool(fn=self.execute)
+                    return pool.SupervisedPool(fn=self.execute)
             """,
             subdir="repro/cli",
             select=["pool-payload"],
@@ -777,7 +777,7 @@ class TestPoolPayloadRule:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.serve.health import SupervisedPool
+            from repro.serve.pool import SupervisedPool
 
             def execute(p):
                 return p

@@ -6,7 +6,10 @@ returns a malformed payload must come back as a structured failed
 same batch (and the same shared-context group) complete normally.
 
 Fake planners are registered in the parent process; the pool tests pin
-``mp_context="fork"`` so workers inherit those registrations.
+``mp_context="fork"`` so workers inherit those registrations. Cases
+that hold at every worker count run at both :data:`WORKER_COUNTS`;
+cases that kill a worker process run pooled only (inline, the dying
+"worker" would be the test process).
 """
 
 import time
@@ -32,7 +35,11 @@ from repro.serve import (
     call_with_timeout,
     run_tasks,
 )
+from repro.serve import pool as pool_module
 from repro.serve import service as service_module
+
+#: The inline engine and the process pool.
+WORKER_COUNTS = (1, 2)
 
 
 def _boom_planner(network, request_ids, num_chargers, **kwargs):
@@ -128,23 +135,42 @@ class TestRaisingPlanner:
         assert results[1].attempts == 0
         assert "NoSuchPlanner" in results[1].error
 
+    def test_oversized_fleet_fails_without_submission(self, net):
+        # More chargers than sensors: every planner's cost grows with
+        # K, so the job fails in the parent like an unknown planner.
+        ids = tuple(net.all_sensor_ids()[:10])
+        jobs = [
+            PlanJob(net, ids, 2, "Appro", "fine"),
+            PlanJob(net, ids, 10**9, "Appro", "huge"),
+        ]
+        service = PlanningService(workers=1, max_retries=3)
+        results = service.run(jobs)
+        assert results[0].ok
+        assert results[1].status == STATUS_ERROR
+        assert results[1].attempts == 0
+        assert results[1].error.startswith("payload-too-large: ")
+        assert "1000000000" in results[1].error
+        assert service.stats()["errors"] == 1
+
+
+def _assert_timeout_isolated(net, workers):
+    jobs = _jobs(net, ["Appro", "Slow", "K-EDF"])
+    results = PlanningService(
+        workers=workers, timeout_s=0.2, mp_context="fork"
+    ).run(jobs)
+    assert [r.status for r in results] == [
+        STATUS_OK, STATUS_TIMEOUT, STATUS_OK,
+    ]
+    assert "0.2" in results[1].error
+    assert results[1].attempts == 1
+
 
 class TestTimeouts:
     def test_serial_timeout(self, fake_planners, net):
-        jobs = _jobs(net, ["Appro", "Slow", "K-EDF"])
-        results = PlanningService(workers=1, timeout_s=0.2).run(jobs)
-        assert [r.status for r in results] == [
-            STATUS_OK, STATUS_TIMEOUT, STATUS_OK,
-        ]
-        assert "0.2" in results[1].error
+        _assert_timeout_isolated(net, workers=1)
 
     def test_pool_timeout(self, fake_planners, net):
-        jobs = _jobs(net, ["Slow", "Appro"])
-        results = PlanningService(
-            workers=2, timeout_s=0.2, mp_context="fork"
-        ).run(jobs)
-        assert results[0].status == STATUS_TIMEOUT
-        assert results[1].ok
+        _assert_timeout_isolated(net, workers=2)
 
     def test_call_with_timeout_primitive(self):
         with pytest.raises(TaskTimeout):
@@ -191,34 +217,102 @@ class TestMalformedPayload:
 class TestPoolEngine:
     def test_dead_worker_fails_only_its_task(self):
         # A worker that hard-exits breaks the pool; the engine must
-        # report that task as an error, rebuild, and (with retries off)
-        # leave siblings unaffected.
+        # report that task as pool-broken, rebuild, and (with retries
+        # off) leave siblings unaffected.
         outcomes = run_tasks(
             _exit_or_echo,
             ["die", "a", "b", "c"],
             config=PoolConfig(workers=2, mp_context="fork"),
         )
-        assert not outcomes[0].ok
-        assert "died" in outcomes[0].error or "Broken" in outcomes[0].error
+        assert outcomes[0].status == STATUS_POOL_BROKEN
+        assert "worker process died" in outcomes[0].error
         # Siblings either completed or were collateral of the broken
         # pool (scheduling decides which); none may hang or vanish.
         for o in outcomes[1:]:
             if o.ok:
                 assert o.value
             else:
-                assert "died" in o.error or "Broken" in o.error
+                assert o.status == STATUS_POOL_BROKEN
+                assert "worker process died" in o.error
 
-    def test_retry_rescues_broken_pool_collateral(self):
+    def test_retry_rescues_broken_pool_collateral(self, monkeypatch):
         # With a retry wave, the collateral of the broken pool must
         # come back clean: only "die" keeps failing.
+        monkeypatch.setattr(pool_module, "MAX_POOL_REBUILDS", 5)
         outcomes = run_tasks(
             _exit_or_echo,
             ["die", "a", "b", "c"],
             config=PoolConfig(workers=2, mp_context="fork",
-                              max_retries=3, max_pool_rebuilds=5),
+                              max_retries=3),
         )
         assert not outcomes[0].ok
         assert [o.value for o in outcomes[1:]] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_retry_waves_report_each_task_once(self, workers, tmp_path):
+        # Each task's final outcome reaches progress exactly once, and
+        # a task succeeding on its first attempt is reported in the
+        # wave it succeeded in: before any retried task.
+        payloads = [
+            ("ok", "a"),
+            ("once", str(tmp_path / "b")),
+            ("ok", "c"),
+            ("raise", "d"),
+        ]
+        seen = []
+        outcomes = run_tasks(
+            _mixed_task,
+            payloads,
+            config=PoolConfig(workers=workers, mp_context="fork",
+                              max_retries=1),
+            progress=seen.append,
+        )
+        assert [o.status for o in outcomes] == [
+            STATUS_OK, STATUS_OK, STATUS_OK, STATUS_ERROR,
+        ]
+        assert [o.attempts for o in outcomes] == [1, 2, 1, 2]
+        assert sorted(p.index for p in seen) == [0, 1, 2, 3]
+        assert {p.index for p in seen[:2]} == {0, 2}
+        if workers == 1:
+            # Inline, each wave runs in payload order.
+            assert [p.index for p in seen] == [0, 2, 1, 3]
+
+    def test_outcomes_equal_at_both_worker_counts(self, tmp_path):
+        # The serial retry waves are the pooled ones run inline: a
+        # mixed list of ok, raising, timing-out and fail-once payloads
+        # ends identically at 1 and 2 workers.
+        def run(workers):
+            flags = tmp_path / f"w{workers}"
+            flags.mkdir()
+            payloads = [
+                ("ok", "a"),
+                ("raise", "b"),
+                ("sleep", "c"),
+                ("once", str(flags / "d")),
+                ("ok", "e"),
+                ("once", str(flags / "f")),
+            ]
+            outcomes = run_tasks(
+                _mixed_task,
+                payloads,
+                config=PoolConfig(workers=workers, mp_context="fork",
+                                  max_retries=2, timeout_s=0.3),
+            )
+            return [
+                (o.index, o.status, o.value, o.attempts, o.error)
+                for o in outcomes
+            ]
+
+        serial = run(1)
+        assert serial == run(2)
+        assert [row[1:4] for row in serial] == [
+            (STATUS_OK, "a", 1),
+            (STATUS_ERROR, None, 3),
+            (STATUS_TIMEOUT, None, 3),
+            (STATUS_OK, "done", 2),
+            (STATUS_OK, "e", 1),
+            (STATUS_OK, "done", 2),
+        ]
 
     def test_retry_recovers_after_pool_rebuild(self):
         outcomes = run_tasks(
@@ -230,42 +324,29 @@ class TestPoolEngine:
         assert all(o.ok for o in outcomes)
         assert [o.value for o in outcomes] == ["a", "b"]
 
-    def test_rebuild_cap_yields_terminal_pool_broken(self):
+    def test_rebuild_cap_yields_terminal_pool_broken(self, monkeypatch):
         # A payload that kills its worker on *every* attempt would
-        # previously break the pool once per retry wave; the rebuild
-        # cap must stop the carnage and mark the survivors terminally.
+        # break the pool once per retry wave; the rebuild budget must
+        # stop the carnage and leave the survivors terminally broken.
+        monkeypatch.setattr(pool_module, "MAX_POOL_REBUILDS", 1)
         seen = []
         outcomes = run_tasks(
             _always_exit,
             ["a", "b", "c"],
-            config=PoolConfig(
-                workers=2,
-                mp_context="fork",
-                max_retries=5,
-                max_pool_rebuilds=1,
-            ),
+            config=PoolConfig(workers=2, mp_context="fork",
+                              max_retries=5),
             progress=seen.append,
         )
         assert [o.status for o in outcomes] == [STATUS_POOL_BROKEN] * 3
         for o in outcomes:
-            assert "max_pool_rebuilds=1" in o.error
+            assert "worker process died" in o.error
             # One attempt per wave; 1 rebuild allows exactly 2 waves.
             assert o.attempts == 2
         # Exactly one (terminal) progress call per task — no dupes.
         assert sorted(p.index for p in seen) == [0, 1, 2]
 
-    def test_rebuild_cap_zero_fails_fast(self):
-        outcomes = run_tasks(
-            _always_exit,
-            ["a"],
-            config=PoolConfig(workers=2, mp_context="fork",
-                              max_retries=3, max_pool_rebuilds=0),
-        )
-        assert outcomes[0].status == STATUS_POOL_BROKEN
-        assert outcomes[0].attempts == 1
-
     def test_pool_broken_surfaces_through_service_stats(
-        self, fake_planners, net
+        self, fake_planners, net, monkeypatch
     ):
         # The service maps the pool-broken outcome onto the job result
         # and counts it both specifically and as an error.
@@ -274,10 +355,10 @@ class TestPoolEngine:
             PlannerInfo(name="Die", build=_dying_planner,
                         multi_node=True, paper=False)
         )
+        monkeypatch.setattr(pool_module, "MAX_POOL_REBUILDS", 1)
         try:
             service = PlanningService(workers=2, max_retries=4,
-                                      mp_context="fork",
-                                      max_pool_rebuilds=1)
+                                      mp_context="fork")
             results = service.run(jobs)
         finally:
             unregister_planner("Die")
@@ -294,6 +375,25 @@ def _exit_or_echo(payload):
     if payload == "die":
         os._exit(13)
     return payload
+
+
+def _mixed_task(payload):
+    # ("ok", v) echoes v; ("raise", _) raises; ("sleep", _) outlives
+    # any test timeout; ("once", path) fails until the flag file at
+    # path exists, creating it on the way out.
+    import os
+
+    kind, arg = payload
+    if kind == "raise":
+        raise ValueError(f"injected failure for {arg}")
+    if kind == "sleep":
+        time.sleep(2.0)
+    if kind == "once":
+        if not os.path.exists(arg):
+            open(arg, "w").close()
+            raise RuntimeError("first attempt fails")
+        return "done"
+    return arg
 
 
 def _always_exit(payload):

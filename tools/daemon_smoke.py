@@ -13,9 +13,12 @@ contract in one pass:
    canonical JSON) against serial :func:`repro.pipeline.run_planner`
    on the same jobs — the daemon's warm-context/coalescing machinery
    must be invisible in the output;
-4. fetch the in-stream ``{"op": "status"}`` document and sanity-check
+4. send one more line asking for ``"num_chargers": 1000000000`` and
+   require a ``rejected`` / ``payload-too-large`` record in its input
+   position (admission refuses more chargers than sensors);
+5. fetch the in-stream ``{"op": "status"}`` document and sanity-check
    its ledger;
-5. SIGTERM the daemon and require a graceful drain: exit code 0 and a
+6. SIGTERM the daemon and require a graceful drain: exit code 0 and a
    final ``repro-daemon-status/1`` document on stderr.
 
 Run from CI (or by hand) as::
@@ -46,11 +49,14 @@ from repro.io import dump_jsonl_line, schedule_to_dict  # noqa: E402
 from repro.network.topology import random_wrsn  # noqa: E402
 from repro.pipeline import run_planner  # noqa: E402
 from repro.serve import PlanJob  # noqa: E402
-from repro.serve.jobs import jobs_to_jsonl  # noqa: E402
+from repro.serve.jobs import job_to_dict, jobs_to_jsonl  # noqa: E402
 from repro.serve.transport import request, request_status  # noqa: E402
 
 SOCKET_DEADLINE_S = 30.0
 DRAIN_DEADLINE_S = 60.0
+
+#: A decodable charger count far beyond any network's sensor count.
+HUGE_FLEET = 1_000_000_000
 
 
 def build_jobs(num_sensors: int = 25, seed: int = 0) -> List[PlanJob]:
@@ -151,14 +157,33 @@ def main() -> int:
         proc = spawn_daemon(socket_path)
         try:
             print(f"daemon up (pid {proc.pid}); submitting batch ...")
-            responses = request(
-                socket_path, jobs_to_jsonl(jobs).splitlines()
+            huge = PlanJob(
+                jobs[0].network, jobs[0].request_ids, HUGE_FLEET,
+                "K-EDF", "smoke-huge",
             )
-            if len(responses) != len(jobs):
+            huge_line = dump_jsonl_line(
+                job_to_dict(huge, network_ref="net-0")
+            )
+            responses = request(
+                socket_path, jobs_to_jsonl(jobs).splitlines() + [huge_line]
+            )
+            if len(responses) != len(jobs) + 1:
                 raise SystemExit(
-                    f"FAIL: {len(jobs)} jobs in, "
+                    f"FAIL: {len(jobs) + 1} jobs in, "
                     f"{len(responses)} responses out"
                 )
+            rejected = json.loads(responses.pop())
+            if (
+                rejected.get("id") != huge.job_id
+                or rejected.get("status") != "rejected"
+                or rejected.get("reason") != "payload-too-large"
+            ):
+                raise SystemExit(
+                    f"FAIL: num_chargers={HUGE_FLEET} not rejected as "
+                    f"payload-too-large in input order: {rejected}"
+                )
+            print(f"admission ok: num_chargers={HUGE_FLEET} rejected "
+                  f"as payload-too-large")
             for job, expect, line in zip(jobs, expected, responses):
                 record = json.loads(line)
                 if record.get("id") != job.job_id:
