@@ -16,21 +16,21 @@ Run at paper scale with::
 
 from __future__ import annotations
 
-from repro.bench.experiments import fig3_network_size
 from repro.bench.reporting import (
     format_series_table,
     improvement_over_best_baseline,
 )
+from repro.bench.runner import FIGURES, run_figure
 from repro.bench.workloads import bench_horizon_s, bench_instances
 
 from .conftest import cached_experiment
 
-SIZES = (200, 400, 600, 800, 1000, 1200)
+SIZES = FIGURES["fig3"].x_values
 
 
 def _run():
-    return fig3_network_size(
-        sizes=SIZES,
+    return run_figure(
+        "fig3",
         instances=bench_instances(),
         horizon_s=bench_horizon_s(),
     )

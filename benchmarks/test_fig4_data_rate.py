@@ -9,18 +9,18 @@ stays below every baseline across the sweep, with the gap largest at
 
 from __future__ import annotations
 
-from repro.bench.experiments import fig4_data_rate
 from repro.bench.reporting import format_series_table
+from repro.bench.runner import FIGURES, run_figure
 from repro.bench.workloads import bench_horizon_s, bench_instances
 
 from .conftest import cached_experiment
 
-B_MAX = (10, 20, 30, 40, 50)
+B_MAX = FIGURES["fig4"].x_values
 
 
 def _run():
-    return fig4_data_rate(
-        b_max_kbps=B_MAX,
+    return run_figure(
+        "fig4",
         instances=bench_instances(),
         horizon_s=bench_horizon_s(),
     )

@@ -8,18 +8,18 @@ best algorithm at every ``K``.
 
 from __future__ import annotations
 
-from repro.bench.experiments import fig5_num_chargers
 from repro.bench.reporting import format_series_table
+from repro.bench.runner import FIGURES, run_figure
 from repro.bench.workloads import bench_horizon_s, bench_instances
 
 from .conftest import cached_experiment
 
-NUM_CHARGERS = (1, 2, 3, 4, 5)
+NUM_CHARGERS = FIGURES["fig5"].x_values
 
 
 def _run():
-    return fig5_num_chargers(
-        num_chargers=NUM_CHARGERS,
+    return run_figure(
+        "fig5",
         instances=bench_instances(),
         horizon_s=bench_horizon_s(),
     )

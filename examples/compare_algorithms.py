@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from repro import random_wrsn
-from repro.sim.scenario import ALGORITHMS
+from repro.pipeline import planner_names, run_planner
 
 
 def main() -> None:
@@ -45,10 +45,10 @@ def main() -> None:
     print("-" * 66)
 
     rows = []
-    for name, spec in ALGORITHMS.items():
+    for name in planner_names(paper_only=True):
         t0 = time.time()
-        result = spec.run(
-            net, requests, num_chargers, charger=None, lifetimes=lifetimes
+        result = run_planner(
+            name, net, requests, num_chargers, lifetimes=lifetimes
         )
         elapsed = time.time() - t0
         delays = sorted(

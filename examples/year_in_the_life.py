@@ -20,13 +20,13 @@ import sys
 import time
 
 from repro.bench.workloads import PaperParams, make_instance
-from repro.sim.scenario import ALGORITHMS
+from repro.pipeline import planner_names
 from repro.sim.simulator import MonitoringSimulation
 
 
 def main() -> None:
     days = float(sys.argv[1]) if len(sys.argv) > 1 else 60.0
-    names = sys.argv[2:] or list(ALGORITHMS)
+    names = sys.argv[2:] or planner_names(paper_only=True)
 
     params = PaperParams(num_sensors=1000, num_chargers=2)
     net = make_instance(params, seed=42)
@@ -40,7 +40,7 @@ def main() -> None:
         t0 = time.time()
         sim = MonitoringSimulation(
             network=net,
-            algorithm=ALGORITHMS[name],
+            algorithm=name,
             num_chargers=params.num_chargers,
             charger=params.charger(),
             threshold=params.request_threshold,

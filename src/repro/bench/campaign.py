@@ -19,23 +19,11 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.bench.ascii_plot import plot_experiment
-from repro.bench.experiments import (
-    fig3_network_size,
-    fig4_data_rate,
-    fig5_num_chargers,
-)
 from repro.bench.reporting import (
     format_series_table,
     improvement_over_best_baseline,
 )
-from repro.bench.runner import ExperimentResult
-
-#: The figures a full campaign covers, with display metadata.
-FIGURES = {
-    "fig3": (fig3_network_size, "Fig. 3 — vs network size n (K=2)"),
-    "fig4": (fig4_data_rate, "Fig. 4 — vs max data rate b_max (n=1000, K=2)"),
-    "fig5": (fig5_num_chargers, "Fig. 5 — vs number of chargers K (n=1000)"),
-}
+from repro.bench.runner import FIGURES, ExperimentResult, run_figure
 
 
 @dataclass
@@ -83,16 +71,16 @@ def run_campaign(
     campaign = CampaignResult(
         instances=instances, horizon_days=horizon_days
     )
-    start = time.time()
+    start = time.perf_counter()
     for key in figures:
-        driver, _title = FIGURES[key]
-        campaign.results[key] = driver(
+        campaign.results[key] = run_figure(
+            key,
             instances=instances,
             horizon_s=horizon_days * 86400.0,
             progress=progress,
             workers=workers,
         )
-    campaign.wall_clock_s = time.time() - start
+    campaign.wall_clock_s = time.perf_counter() - start
     return campaign
 
 
@@ -114,9 +102,8 @@ def render_markdown_report(campaign: CampaignResult) -> str:
         f"--days {campaign.horizon_days:g}`"
     )
     for key, result in campaign.results.items():
-        _, title = FIGURES[key]
         lines.append("")
-        lines.append(f"## {title}")
+        lines.append(f"## {FIGURES[key].title}")
         lines.append("")
         lines.append("```")
         lines.append(format_series_table(

@@ -1,20 +1,22 @@
-"""Sweep execution: algorithms × sweep points × instances.
+"""The paper's figures and the sweep engine that reproduces them.
 
-:func:`run_sweep` is the engine behind every figure reproduction: for
-each sweep point (a :class:`PaperParams` override) and each seeded
-instance, it runs the monitoring simulation once per algorithm and
-averages the two paper metrics.
+:data:`FIGURES` is the one table of the evaluation section: per
+figure, the x-axis, its title, the base :class:`PaperParams` and how
+each x value overrides it. :func:`run_figure` turns one entry into
+sweep points for :func:`run_sweep`, which for each point and each
+seeded instance runs the monitoring simulation once per algorithm and
+averages the two paper metrics — so ``run_figure("fig3")`` covers
+Fig. 3(a) *and* 3(b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.workloads import PaperParams, make_instance
 from repro.serve.pool import PoolConfig, TaskOutcome, run_tasks
 from repro.sim.metrics import SimMetrics
-from repro.sim.scenario import get_algorithm
 from repro.sim.simulator import MonitoringSimulation
 
 #: Figure-legend order used everywhere in reporting.
@@ -75,7 +77,7 @@ def simulate_once(
     network = make_instance(params, seed)
     sim = MonitoringSimulation(
         network=network,
-        algorithm=get_algorithm(algorithm),
+        algorithm=algorithm,
         num_chargers=params.num_chargers,
         charger=params.charger(),
         threshold=params.request_threshold,
@@ -214,3 +216,88 @@ def run_sweep(
                 sum(o.value[1] for o in cell) / instances
             )
     return result
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure of the paper's evaluation (Section VI-B).
+
+    Attributes:
+        x_label: the x-axis name recorded in the result.
+        title: the display title of reports and tables.
+        base: the parameters every point shares.
+        x_values: the paper's x-axis.
+        override: the :class:`PaperParams` fields one x value sets.
+    """
+
+    x_label: str
+    title: str
+    base: PaperParams
+    x_values: Tuple[float, ...]
+    override: Callable[[Any], Dict[str, Any]]
+
+
+#: The three figures, both panels each, keyed as on the command line.
+FIGURES: Dict[str, Figure] = {
+    "fig3": Figure(
+        x_label="n",
+        title="Fig. 3 — vs network size n (K=2)",
+        base=PaperParams(num_chargers=2),
+        x_values=(200, 400, 600, 800, 1000, 1200),
+        override=lambda n: {"num_sensors": n},
+    ),
+    "fig4": Figure(
+        x_label="b_max_kbps",
+        title="Fig. 4 — vs max data rate b_max (n=1000, K=2)",
+        base=PaperParams(num_sensors=1000, num_chargers=2),
+        x_values=(10, 20, 30, 40, 50),
+        override=lambda b: {"b_max_bps": b * 1000.0},
+    ),
+    "fig5": Figure(
+        x_label="K",
+        title="Fig. 5 — vs number of chargers K (n=1000)",
+        base=PaperParams(num_sensors=1000),
+        x_values=(1, 2, 3, 4, 5),
+        override=lambda k: {"num_chargers": k},
+    ),
+}
+
+
+def run_figure(
+    key: str,
+    instances: int = 2,
+    horizon_s: Optional[float] = None,
+    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    x_values: Optional[Sequence[float]] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    workers: int = 1,
+) -> ExperimentResult:
+    """Reproduce one figure of :data:`FIGURES`.
+
+    Paper scale is 100 instances per point and a one-year horizon;
+    reduced ``instances`` / ``horizon_s`` keep CI runs tractable.
+
+    Args:
+        key: ``"fig3"``, ``"fig4"`` or ``"fig5"``.
+        instances: seeded instances per point.
+        horizon_s: simulation horizon override.
+        algorithms: registry names to compare.
+        x_values: a subset of the x-axis; default the paper's.
+        progress: see :func:`run_sweep`.
+        workers: see :func:`run_sweep`.
+
+    Raises:
+        KeyError: on an unknown figure key.
+    """
+    figure = FIGURES[key]
+    points = [
+        SweepPoint(
+            label=x, params=figure.base.with_overrides(**figure.override(x))
+        )
+        for x in (figure.x_values if x_values is None else x_values)
+    ]
+    return run_sweep(
+        key, figure.x_label, points, algorithms=algorithms,
+        instances=instances, horizon_s=horizon_s, progress=progress,
+        workers=workers,
+    )

@@ -112,11 +112,9 @@ def make_instance(params: PaperParams, seed: int) -> WRSN:
 #: exact averaging scale.
 ENV_INSTANCES = "REPRO_BENCH_INSTANCES"
 ENV_HORIZON_DAYS = "REPRO_BENCH_HORIZON_DAYS"
-ENV_FAULT_TRIALS = "REPRO_BENCH_FAULT_TRIALS"
 
 DEFAULT_BENCH_INSTANCES = 2
 DEFAULT_BENCH_HORIZON_DAYS = 40.0
-DEFAULT_FAULT_TRIALS = 100
 
 
 def bench_instances() -> int:
@@ -136,10 +134,3 @@ def bench_horizon_s() -> float:
         raise ValueError(f"{ENV_HORIZON_DAYS} must be positive, got {days}")
     return days * 24.0 * 3600.0
 
-
-def fault_trials() -> int:
-    """Fault draws per algorithm in ``repro faults`` (env-overridable)."""
-    value = int(os.environ.get(ENV_FAULT_TRIALS, DEFAULT_FAULT_TRIALS))
-    if value <= 0:
-        raise ValueError(f"{ENV_FAULT_TRIALS} must be positive, got {value}")
-    return value

@@ -8,23 +8,23 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Dict
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.bench import experiments
 from repro.bench.ascii_plot import plot_experiment
 from repro.bench.reporting import (
     format_series_table,
     improvement_over_best_baseline,
 )
+from repro.bench.runner import FIGURES, run_figure
 from repro.core.validation import validate_schedule
 from repro.energy.charging import ChargerSpec
 from repro.io import load_wrsn, save_schedule, save_wrsn
 from repro.network.requests import sensors_below_threshold
 from repro.network.topology import random_wrsn
+from repro.pipeline.planner import planner_names, run_planner
 from repro.sim.online import OnlineMonitoringSimulation
-from repro.sim.scenario import ALGORITHMS
 from repro.sim.simulator import MonitoringSimulation
 
 
@@ -65,11 +65,12 @@ def cmd_schedule(args) -> int:
         return 0
     spec = ChargerSpec()
     lifetimes = {sid: 1e12 for sid in requests}
-    t0 = time.time()
-    result = ALGORITHMS[args.algorithm].run(
-        net, requests, args.num_chargers, charger=spec, lifetimes=lifetimes
+    t0 = time.perf_counter()
+    result = run_planner(
+        args.algorithm, net, requests, args.num_chargers, charger=spec,
+        lifetimes=lifetimes,
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     print(f"algorithm      : {args.algorithm}")
     print(f"requests       : {len(requests)}")
     print(f"chargers (K)   : {args.num_chargers}")
@@ -102,7 +103,7 @@ def cmd_simulate(args) -> int:
         b_max_bps=args.b_max_kbps * 1000.0,
     )
     horizon_s = args.days * 86400.0
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.algorithm == "Appro-Online":
         deadline_s = (
             args.deadline_hours * 3600.0
@@ -130,7 +131,7 @@ def cmd_simulate(args) -> int:
             horizon_s=horizon_s,
         )
     metrics = sim.run()
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     print(f"algorithm                  : {args.algorithm}")
     print(f"network / chargers         : n={args.num_sensors}, "
           f"K={args.num_chargers}")
@@ -158,25 +159,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_FIGURES = {
-    "fig3": (
-        experiments.fig3_network_size,
-        "n",
-        "Fig. 3: vs network size (K=2)",
-    ),
-    "fig4": (
-        experiments.fig4_data_rate,
-        "b_max (kbps)",
-        "Fig. 4: vs max data rate (n=1000, K=2)",
-    ),
-    "fig5": (
-        experiments.fig5_num_chargers,
-        "K",
-        "Fig. 5: vs number of chargers (n=1000)",
-    ),
-}
-
-
 def cmd_bench(args) -> int:
     """Regenerate one paper figure, or run a micro campaign."""
     if args.online:
@@ -187,8 +169,9 @@ def cmd_bench(args) -> int:
     if args.figure is None:
         print("bench: a figure is required unless --online is given")
         return 2
-    driver, x_label, title = _FIGURES[args.figure]
-    result = driver(
+    title = FIGURES[args.figure].title
+    result = run_figure(
+        args.figure,
         instances=args.instances,
         horizon_s=args.days * 86400.0,
         progress=lambda line: print(f"  .. {line}"),
@@ -312,45 +295,38 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """All five algorithms on one fully-requesting instance."""
-    net = random_wrsn(num_sensors=args.num_sensors, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    net.set_residuals(
-        {
-            sid: float(rng.uniform(0.0, 0.2)) * net.sensor(sid).capacity_j
-            for sid in net.all_sensor_ids()
-        }
+    """The paper's five planners on one fully-requesting instance."""
+    from repro.eval import paired_matrix, run_eval
+
+    report = run_eval(
+        paired_matrix(
+            "none", planner_names(paper_only=True), args.num_sensors,
+            args.num_chargers, trials=1, seed=args.seed,
+        )
     )
-    requests = net.all_sensor_ids()
-    lifetimes = {sid: 1e12 for sid in requests}
-    rows: Dict[str, float] = {}
     print(
         f"n={args.num_sensors}, all requesting, K={args.num_chargers}\n"
     )
     print(f"{'algorithm':<10} {'longest delay (h)':>18} {'runtime (s)':>12}")
     print("-" * 44)
-    for name, spec in ALGORITHMS.items():
-        t0 = time.time()
-        result = spec.run(
-            net, requests, args.num_chargers, charger=None,
-            lifetimes=lifetimes,
-        )
-        rows[name] = result.longest_delay()
+    rows: Dict[str, float] = {}
+    for cell in report["cells"]:
+        rows[cell["planner"]] = cell["planned_delay_s"]
         print(
-            f"{name:<10} {result.longest_delay() / 3600:>18.2f} "
-            f"{time.time() - t0:>12.2f}"
+            f"{cell['planner']:<10} {cell['planned_delay_s'] / 3600:>18.2f} "
+            f"{report['timings'][cell['cell']]['plan_s']:>12.2f}"
         )
     best_baseline = min(v for k, v in rows.items() if k != "Appro")
     print(
         f"\nAppro is {1 - rows['Appro'] / best_baseline:.0%} shorter than "
         f"the best one-to-one baseline."
     )
-    return 0
+    return _gate_cells(report)
 
 
 def cmd_plan(args) -> int:
     """Run one registered planner through the unified pipeline."""
-    from repro.pipeline import PlanningContext, run_planner
+    from repro.pipeline import PlanningContext
 
     net = random_wrsn(num_sensors=args.num_sensors, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
@@ -362,11 +338,11 @@ def cmd_plan(args) -> int:
     )
     requests = net.all_sensor_ids()
     ctx = PlanningContext(net, requests)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = run_planner(
         args.planner, net, requests, args.num_chargers, context=ctx
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     uncovered = sorted(set(requests) - result.covered_sensors())
     stats = ctx.stats()
     print(f"planner        : {result.planner}")
@@ -391,36 +367,51 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    """Run the fault-injection campaign and print the comparison."""
-    from repro.bench.fault_campaign import run_fault_campaign
-    from repro.bench.workloads import fault_trials
+def _gate_cells(report: Dict[str, Any]) -> int:
+    """Exit 1 when any cell's plan fails validation or its realized
+    timeline charges a sensor simultaneously; else 0."""
+    bad = [
+        cell["cell"]
+        for cell in report["cells"]
+        if cell["violations"] or cell["conflicts"]
+    ]
+    if bad:
+        print(
+            f"FAIL: {len(bad)} cell(s) with plan violations or realized "
+            f"conflicts: {bad[:5]}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
-    trials = args.trials if args.trials is not None else fault_trials()
+
+def cmd_faults(args) -> int:
+    """Compare planners under identical seeded fault draws."""
+    from repro.eval import paired_matrix, render_cells_table, run_eval
+
     print(
         f"scenario={args.scenario} n={args.num_sensors} "
-        f"K={args.num_chargers} trials={trials} seed={args.seed}\n"
+        f"K={args.num_chargers} trials={args.trials} seed={args.seed}\n"
     )
-    result = run_fault_campaign(
-        scenario=args.scenario,
-        algorithms=args.algorithms,
-        num_sensors=args.num_sensors,
-        num_chargers=args.num_chargers,
-        trials=trials,
-        seed=args.seed,
-        progress=lambda line: print(f"  {line}"),
+    report = run_eval(
+        paired_matrix(
+            args.scenario,
+            args.algorithms or planner_names(paper_only=True),
+            args.num_sensors,
+            args.num_chargers,
+            trials=args.trials,
+            seed=args.seed,
+        ),
         workers=args.workers,
+        progress=lambda line: print(line, file=sys.stderr),
     )
-    print()
-    print(result.format_table())
-    appro_rows = [r for r in result.rows if r.violation_trials is not None]
-    if appro_rows:
-        worst = max(r.violation_trials or 0 for r in appro_rows)
-        print(
-            f"\nrealized constraint violations across "
-            f"{trials} fault trials: {worst}"
-        )
-    return 0
+    print(render_cells_table(report))
+    conflicts = sum(cell["conflicts"] for cell in report["cells"])
+    print(
+        f"\nrealized constraint violations across "
+        f"{args.trials} fault trials: {conflicts}"
+    )
+    return _gate_cells(report)
 
 
 def _write_demo_jobs(path: str) -> None:
@@ -476,7 +467,7 @@ def cmd_serve(args) -> int:
         backoff_s=args.backoff,
         share_contexts=not args.no_shared_context,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = service.run(
         jobs,
         progress=lambda r: print(
@@ -484,7 +475,7 @@ def cmd_serve(args) -> int:
             file=sys.stderr,
         ),
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     records = [
         (lineno, result.to_dict())
         for (lineno, _), result in zip(parsed, results)
@@ -778,4 +769,4 @@ def cmd_eval(args) -> int:
         )
         write_bench_record(record, args.bench)
         print(f"wrote {args.bench}", file=sys.stderr)
-    return 0
+    return _gate_cells(report)

@@ -11,12 +11,12 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.bench.runner import FIGURES
 from repro.cli import commands
 from repro.pipeline import planner_names
 from repro.sim.faults.scenarios import scenario_names
-from repro.sim.scenario import ALGORITHMS
 
-_ALGORITHM_NAMES = sorted(ALGORITHMS)
+_ALGORITHM_NAMES = planner_names(paper_only=True)
 _PLANNER_NAMES = planner_names()
 
 
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the online-replanning campaign",
     )
     bench.add_argument(
-        "figure", nargs="?", choices=["fig3", "fig4", "fig5"],
+        "figure", nargs="?", choices=sorted(FIGURES),
         help="which evaluation figure to regenerate (omit with "
         "--online)",
     )
@@ -134,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=commands.cmd_bench)
 
     cmp_ = sub.add_parser(
-        "compare", help="all five algorithms on one request batch"
+        "compare",
+        help="the paper's five algorithms on one request batch (a "
+        "one-group eval matrix, no faults)",
     )
     cmp_.add_argument("-n", "--num-sensors", type=int, default=500)
     cmp_.add_argument("-k", "--num-chargers", type=int, default=2)
@@ -153,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--instances", type=int, default=2)
     rep.add_argument("--days", type=float, default=40.0)
     rep.add_argument(
-        "--figures", nargs="+", choices=["fig3", "fig4", "fig5"],
-        default=["fig3", "fig4", "fig5"],
+        "--figures", nargs="+", choices=sorted(FIGURES),
+        default=sorted(FIGURES),
     )
     rep.add_argument(
         "--workers", type=int, default=1,
@@ -177,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     flt = sub.add_parser(
         "faults",
-        help="fault-injection campaign: algorithms under identical "
-        "seeded fault draws",
+        help="fault-injection comparison: algorithms under identical "
+        "seeded fault draws (a one-group eval matrix); exits 1 on any "
+        "plan violation or realized conflict",
     )
     flt.add_argument(
         "scenario", nargs="?", choices=scenario_names(),
@@ -192,15 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("-n", "--num-sensors", type=int, default=100)
     flt.add_argument("-k", "--num-chargers", type=int, default=3)
     flt.add_argument(
-        "--trials", type=int, default=None,
-        help="fault draws per algorithm (default: "
-        "$REPRO_BENCH_FAULT_TRIALS or 100)",
+        "--trials", type=int, default=100,
+        help="fault draws per algorithm (default: 100)",
     )
     flt.add_argument("--seed", type=int, default=0)
     flt.add_argument(
         "--workers", type=int, default=1,
-        help="campaign worker processes, one algorithm per task "
-        "(default: 1, in-process)",
+        help="pool processes, one algorithm per task (default: 1, "
+        "in-process; results are identical at any count)",
     )
     flt.set_defaults(func=commands.cmd_faults)
 
@@ -408,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="head-to-head planner evaluation: all registered "
         "planners x scenario matrix x fault plans, one reproducible "
-        "repro-eval/1 report and table",
+        "repro-eval/1 report and table; exits 1 on any plan violation "
+        "or realized conflict",
     )
     evl.add_argument(
         "--quick", action="store_true",

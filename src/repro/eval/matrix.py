@@ -14,9 +14,10 @@ feed and makes results independent of worker count by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.pipeline.planner import planner_names
+from repro.sim.faults.scenarios import scenario_names
 
 #: Fault scenarios every matrix crosses (see repro.sim.faults).
 EVAL_SCENARIOS: Tuple[str, ...] = ("none", "breakdown", "overload")
@@ -67,6 +68,48 @@ class EvalMatrix:
             "budget_factor": self.budget_factor,
         }
 
+    def validate(self) -> None:
+        """Reject a grid no cell of which could run.
+
+        Raises:
+            ValueError: on ``trials < 1``, a size or ``K`` below 1, a
+                density outside ``(0, 1]``, a non-positive
+                ``budget_factor``, or an unregistered scenario or
+                planner name.
+        """
+        problems: List[str] = []
+        if self.trials < 1:
+            problems.append(f"trials must be >= 1, got {self.trials}")
+        problems += [
+            f"sizes must be >= 1, got {n}" for n in self.sizes if n < 1
+        ]
+        problems += [
+            f"num_chargers must be >= 1, got {k}"
+            for k in self.num_chargers
+            if k < 1
+        ]
+        problems += [
+            f"densities must be in (0, 1], got {d}"
+            for d in self.densities
+            if not 0.0 < d <= 1.0
+        ]
+        if not self.budget_factor > 0.0:
+            problems.append(
+                f"budget_factor must be > 0, got {self.budget_factor}"
+            )
+        problems += [
+            f"unknown fault scenario {name!r}"
+            for name in self.scenarios
+            if name not in scenario_names()
+        ]
+        problems += [
+            f"unknown planner {name!r}"
+            for name in self.planners
+            if name not in planner_names()
+        ]
+        if problems:
+            raise ValueError("invalid eval matrix: " + "; ".join(problems))
+
 
 def default_matrix(seed: int = 0) -> EvalMatrix:
     """The full head-to-head grid (the ``BENCH_eval.json`` campaign)."""
@@ -82,6 +125,31 @@ def quick_matrix(seed: int = 0) -> EvalMatrix:
         trials=2,
         seed=seed,
         quick=True,
+    )
+
+
+def paired_matrix(
+    scenario: str,
+    planners: Sequence[str],
+    num_sensors: int,
+    num_chargers: int,
+    trials: int,
+    seed: int = 0,
+) -> EvalMatrix:
+    """One group: every planner on one all-requesting instance.
+
+    The ``repro faults`` and ``repro compare`` preset: each planner
+    faces the identical instance and the identical ``trials`` fault
+    draws of ``scenario`` (``compare`` runs ``"none"`` once).
+    """
+    return EvalMatrix(
+        sizes=(num_sensors,),
+        densities=(1.0,),
+        num_chargers=(num_chargers,),
+        scenarios=(scenario,),
+        planners=tuple(planners),
+        trials=trials,
+        seed=seed,
     )
 
 
@@ -102,7 +170,11 @@ def build_cells(matrix: EvalMatrix) -> List[Dict[str, Any]]:
 
     The order is the deterministic nested-loop order (size, density,
     K, scenario, planner) and is also the report's cell order.
+
+    Raises:
+        ValueError: see :meth:`EvalMatrix.validate`.
     """
+    matrix.validate()
     planners = resolve_planners(matrix)
     cells: List[Dict[str, Any]] = []
     for size in matrix.sizes:

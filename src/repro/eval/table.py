@@ -2,8 +2,9 @@
 
 Two tables: a per-planner summary (strict wins/ties/losses vs Appro,
 mean delays, miss ratio, repairs) and the per-cell detail (longest
-delay, miss ratio, repairs, wall time — ``-`` when the report carries
-no timings).  ``fmt="markdown"`` emits pipe tables; ``"ascii"`` pads with
+delay, miss ratio, repairs, realized conflicts, deferred sensors,
+breakdown and degraded trials, wall time — ``-`` when the report
+carries no timings).  ``fmt="markdown"`` emits pipe tables; ``"ascii"`` pads with
 spaces under a dashed rule.
 """
 
@@ -81,6 +82,10 @@ def render_cells_table(
         "realized (s)",
         "miss ratio",
         "repairs",
+        "conflicts",
+        "deferred",
+        "breakdowns",
+        "degraded",
         "wall (s)",
     )
     rows = []
@@ -93,6 +98,10 @@ def render_cells_table(
                 f"{cell['realized_mean_s']:.1f}",
                 f"{cell['deadline_miss_ratio']:.3f}",
                 str(cell["repairs"]),
+                str(cell["conflicts"]),
+                str(cell["deferred"]),
+                str(cell["breakdowns"]),
+                str(cell["degraded"]),
                 f"{timing['wall_s']:.2f}" if timing else "-",
             ]
         )

@@ -12,7 +12,8 @@ One call plans one cell and executes its fault trials:
 3. plan through the registry, validate, and score the plan;
 4. execute ``trials`` seeded fault rounds through
    :func:`repro.sim.faults.executor.execute_with_faults`, accumulating
-   realized delays, repairs, deferrals and deadline misses.
+   realized delays, repairs, deferrals, realized conflicts,
+   breakdown and degraded-mode trials, and deadline misses.
 
 The deadline budget is planner-independent: ``budget_factor`` times
 a makespan estimate built only from the instance (total full-charge
@@ -158,6 +159,8 @@ def execute_eval_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     repairs = 0
     deferred = 0
     conflicts = 0
+    breakdowns = 0
+    degraded = 0
     misses = 0
     checks = 0
     for trial in range(trials):
@@ -169,6 +172,8 @@ def execute_eval_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         repairs += outcome.repairs
         deferred += len(outcome.deferred_sensors)
         conflicts += outcome.violation_count
+        breakdowns += outcome.breakdown_time_s is not None
+        degraded += outcome.degraded
         for sid in requests:
             checks += 1
             finish = outcome.sensor_finish_s.get(sid)
@@ -192,6 +197,8 @@ def execute_eval_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         "repairs": repairs,
         "deferred": deferred,
         "conflicts": conflicts,
+        "breakdowns": breakdowns,
+        "degraded": degraded,
         "violations": violations,
         "trials": trials,
         "timing": {

@@ -4,7 +4,7 @@ and the ``GreedyCover`` extension.
 Each adapter normalises its algorithm's native signature to the
 uniform :class:`~repro.pipeline.planner.Planner` call. Registration
 order matters: it is the display order of every comparison surface
-(``repro.sim.scenario.ALGORITHMS``, the CLI, the bench harness), so
+(``planner_names``, the CLI, the bench harness, ``repro eval``), so
 the paper's five come first, extensions after.
 """
 

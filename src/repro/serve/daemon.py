@@ -255,7 +255,7 @@ class PlanningDaemon:
         self.config = config if config is not None else DaemonConfig()
         self._token = f"daemon-{os.getpid()}-{next(_DAEMON_COUNTER)}"
         self._clock = clock
-        self._started_at = time.time()
+        self._started_at = time.monotonic()
 
         self.estimator = ServiceTimeEstimator()
         self.admission = AdmissionPolicy(
@@ -606,7 +606,7 @@ class PlanningDaemon:
         return {
             "format": DAEMON_STATUS_FORMAT,
             "pid": os.getpid(),
-            "uptime_s": time.time() - self._started_at,
+            "uptime_s": time.monotonic() - self._started_at,
             "accepting": accepting,
             "workers": self.config.workers,
             "queue_depth": queue_depth,

@@ -10,8 +10,6 @@
 * :mod:`repro.sim.metrics` — the aggregate metrics of the paper's
   figures (average longest tour duration, average dead duration per
   sensor).
-* :mod:`repro.sim.scenario` — the algorithm registry binding the five
-  schedulers to one uniform interface.
 * :mod:`repro.sim.faults` — seeded fault injection (vehicle
   breakdowns, charge droop/interruptions, travel slowdowns, sensor
   hardware failures, depot-communication delay) and the fault-aware
@@ -43,13 +41,10 @@ from repro.sim.robustness import (
     perturbed_execution,
     robustness_report,
 )
-from repro.sim.scenario import ALGORITHMS, AlgorithmSpec, get_algorithm
 from repro.sim.simulator import MonitoringSimulation, SECONDS_PER_YEAR
 from repro.sim.trace import SimulationTrace, TraceRecorder
 
 __all__ = [
-    "ALGORITHMS",
-    "AlgorithmSpec",
     "DeadlinePolicy",
     "Event",
     "EventQueue",
@@ -68,7 +63,6 @@ __all__ = [
     "draw_round_faults",
     "execute_with_faults",
     "fault_robustness_report",
-    "get_algorithm",
     "get_scenario",
     "minimum_pairwise_slack",
     "perturbed_execution",

@@ -33,6 +33,7 @@ the monitoring horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, Optional, Union
 
@@ -43,11 +44,11 @@ from repro.energy.consumption import RadioModel, sensor_power_draw
 from repro.energy.policies import FULL_CHARGE, ChargingPolicy
 from repro.network.routing import build_routing_tree, relay_loads_bps
 from repro.network.topology import WRSN
+from repro.pipeline.planner import get_planner, run_planner
 from repro.sim.faults.executor import execute_with_faults
 from repro.sim.faults.injector import draw_round_faults, surge_victims
 from repro.sim.faults.specs import FaultPlan
 from repro.sim.metrics import SimMetrics
-from repro.sim.scenario import ALGORITHMS, AlgorithmSpec
 
 #: The paper's monitoring period ``T_M`` (one year), in seconds.
 SECONDS_PER_YEAR = 365.0 * 24.0 * 3600.0
@@ -109,9 +110,11 @@ class MonitoringSimulation:
     Args:
         network: the WRSN instance (used read-only; batteries are
             staged on a private copy).
-        algorithm: an :class:`~repro.sim.scenario.AlgorithmSpec`, a
-            registry name (``"Appro"``, ``"K-EDF"``, ...), or any
-            callable with the uniform scheduler signature.
+        algorithm: a registered planner name (``"Appro"``,
+            ``"K-EDF"``, ...) or any callable with the uniform
+            scheduler signature ``(network, request_ids, num_chargers,
+            charger, lifetimes)`` returning an object with
+            ``longest_delay()`` and ``sensor_finish_times()``.
         num_chargers: ``K``.
         charger: MCV parameters; paper defaults when omitted.
         threshold: request threshold as a residual fraction (0.2).
@@ -139,7 +142,7 @@ class MonitoringSimulation:
     def __init__(
         self,
         network: WRSN,
-        algorithm: Union[str, AlgorithmSpec, Callable],
+        algorithm: Union[str, Callable],
         num_chargers: int,
         charger: Optional[ChargerSpec] = None,
         threshold: float = DEFAULT_REQUEST_THRESHOLD,
@@ -188,13 +191,11 @@ class MonitoringSimulation:
                 )
 
     @staticmethod
-    def _resolve_algorithm(
-        algorithm: Union[str, AlgorithmSpec, Callable]
-    ) -> Callable:
+    def _resolve_algorithm(algorithm: Union[str, Callable]) -> Callable:
         if isinstance(algorithm, str):
-            return ALGORITHMS[algorithm].run
-        if isinstance(algorithm, AlgorithmSpec):
-            return algorithm.run
+            return functools.partial(
+                run_planner, get_planner(algorithm).name
+            )
         return algorithm
 
     def _power_draws(self) -> Dict[int, float]:

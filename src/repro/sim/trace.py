@@ -11,12 +11,13 @@ argument for :class:`~repro.sim.simulator.MonitoringSimulation`.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, List, Union
 
-from repro.sim.scenario import ALGORITHMS, AlgorithmSpec
+from repro.pipeline.planner import get_planner, run_planner
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,10 @@ class TraceRecorder:
         recorder.trace.save_jsonl("rounds.jsonl")
     """
 
-    def __init__(self, algorithm: Union[str, AlgorithmSpec, Callable]):
+    def __init__(self, algorithm: Union[str, Callable]):
         if isinstance(algorithm, str):
-            self._name = algorithm
-            self._inner = ALGORITHMS[algorithm].run
-        elif isinstance(algorithm, AlgorithmSpec):
-            self._name = algorithm.name
-            self._inner = algorithm.run
+            self._name = get_planner(algorithm).name
+            self._inner = functools.partial(run_planner, self._name)
         else:
             self._name = getattr(algorithm, "__name__", "custom")
             self._inner = algorithm

@@ -6,12 +6,11 @@ import pytest
 
 from repro.bench.campaign import (
     CampaignResult,
-    FIGURES,
     render_markdown_report,
     run_campaign,
     write_campaign,
 )
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import FIGURES, ExperimentResult
 
 
 def micro_campaign():

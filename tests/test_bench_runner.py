@@ -1,10 +1,22 @@
-"""Unit tests for :mod:`repro.bench.runner` (tiny scales)."""
+"""Unit tests for :mod:`repro.bench.runner` (tiny scales).
+
+The figure series are pinned bit for bit against
+``tests/data/figure_golden.json``; regenerate it only on a deliberate
+output change::
+
+    PYTHONPATH=src python -m tests.test_bench_runner
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.runner import (
+    FIGURES,
     ExperimentResult,
     SweepPoint,
+    run_figure,
     run_sweep,
     simulate_once,
 )
@@ -67,3 +79,57 @@ class TestExperimentResult:
         result = ExperimentResult(name="x", x_label="n")
         result.mean_longest_delay_h["B"] = []
         assert result.algorithms() == ["B"]
+
+
+GOLDEN = Path(__file__).parent / "data" / "figure_golden.json"
+
+
+def _golden_series(workers: int, golden) -> dict:
+    """Every golden figure re-run at the golden's scale, as hex floats."""
+    figures = {}
+    for key, expected in golden["figures"].items():
+        result = run_figure(
+            key,
+            instances=golden["instances"],
+            horizon_s=golden["horizon_days"] * 86400.0,
+            algorithms=tuple(golden["algorithms"]),
+            x_values=tuple(expected["x_values"]),
+            workers=workers,
+        )
+        figures[key] = {
+            "x_values": list(result.x_values),
+            **{
+                metric: {
+                    alg: [float(v).hex() for v in values]
+                    for alg, values in result.series(name).items()
+                }
+                for metric, name in (
+                    ("mean_longest_delay_h", "longest_delay_h"),
+                    ("avg_dead_min", "dead_min"),
+                )
+            },
+        }
+    return figures
+
+
+class TestFigureGolden:
+    def test_table_covers_the_three_figures(self):
+        assert set(FIGURES) == {"fig3", "fig4", "fig5"}
+        golden = json.loads(GOLDEN.read_text())
+        assert set(golden["figures"]) == set(FIGURES)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_series_float_identical(self, workers):
+        golden = json.loads(GOLDEN.read_text())
+        assert _golden_series(workers, golden) == golden["figures"]
+
+    def test_unknown_figure(self):
+        with pytest.raises(KeyError):
+            run_figure("fig99")
+
+
+if __name__ == "__main__":
+    golden = json.loads(GOLDEN.read_text())
+    golden["figures"] = _golden_series(1, golden)
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -153,7 +153,7 @@ class TestFaults:
         assert args.scenario == "breakdown"
         assert args.num_sensors == 100
         assert args.num_chargers == 3
-        assert args.trials is None
+        assert args.trials == 100
         assert args.seed == 0
         assert args.algorithms is None
 
@@ -182,13 +182,80 @@ class TestFaults:
         assert "Appro" in out and "K-EDF" in out
         assert "realized constraint violations" in out
 
-    def test_trials_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FAULT_TRIALS", "2")
+    def test_trials_flag(self, capsys):
         code = main(
-            ["faults", "none", "-n", "25", "-k", "2", "-a", "Appro"]
+            ["faults", "none", "-n", "25", "-k", "2", "-a", "Appro",
+             "--trials", "2"]
         )
         assert code == 0
         assert "trials=2" in capsys.readouterr().out
+
+    def test_zero_trials_is_a_usage_error(self, capsys):
+        code = main(["faults", "none", "-n", "25", "--trials", "0"])
+        assert code == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+
+def _stub_cell(violations=0, conflicts=0):
+    return {
+        "cell": "n20-d100-k2-breakdown-Appro",
+        "group": "n20-d100-k2-breakdown",
+        "planner": "Appro",
+        "planned_delay_s": 100.0,
+        "realized_mean_s": 120.0,
+        "deadline_miss_ratio": 0.0,
+        "repairs": 1,
+        "conflicts": conflicts,
+        "deferred": 0,
+        "breakdowns": 1,
+        "degraded": 0,
+        "violations": violations,
+    }
+
+
+class TestCellGate:
+    """``faults``, ``compare`` and ``eval`` fail a run whose cells carry
+    plan violations or realized simultaneous charging."""
+
+    @pytest.fixture
+    def stub_report(self, monkeypatch):
+        import repro.eval as eval_pkg
+
+        cells = []
+
+        def fake_run_eval(matrix, workers=1, progress=None):
+            return {
+                "cells": list(cells),
+                "planners": {},
+                "timings": {
+                    c["cell"]: {"plan_s": 0.0, "wall_s": 0.0}
+                    for c in cells
+                },
+            }
+
+        monkeypatch.setattr(eval_pkg, "run_eval", fake_run_eval)
+        return cells
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "-a", "Appro", "--trials", "1"],
+            ["eval", "--quick"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "cell, code",
+        [
+            (_stub_cell(), 0),
+            (_stub_cell(violations=1), 1),
+            (_stub_cell(conflicts=2), 1),
+        ],
+    )
+    def test_exit_code(self, stub_report, capsys, argv, cell, code):
+        stub_report.append(cell)
+        assert main(argv) == code
+        if code:
+            assert "FAIL" in capsys.readouterr().err
 
 
 class TestLint:

@@ -1,4 +1,4 @@
-"""Tests for the CLI ``bench`` command with stubbed experiment drivers
+"""Tests for the CLI ``bench`` command with a stubbed figure runner
 (the real sweeps are exercised by the benchmark suite)."""
 
 import pytest
@@ -23,7 +23,10 @@ def fake_result():
 def stubbed_figures(monkeypatch):
     calls = {}
 
-    def fake_driver(instances, horizon_s, progress=None, workers=1):
+    def fake_run_figure(
+        key, instances, horizon_s, progress=None, workers=1
+    ):
+        calls["key"] = key
         calls["instances"] = instances
         calls["horizon_s"] = horizon_s
         calls["workers"] = workers
@@ -31,10 +34,7 @@ def stubbed_figures(monkeypatch):
             progress("stub progress line")
         return fake_result()
 
-    monkeypatch.setitem(
-        commands._FIGURES, "fig3",
-        (fake_driver, "n", "Fig. 3 (stub)"),
-    )
+    monkeypatch.setattr(commands, "run_figure", fake_run_figure)
     return calls
 
 
@@ -50,6 +50,7 @@ class TestCmdBench:
 
     def test_scale_arguments_forwarded(self, stubbed_figures, capsys):
         main(["bench", "fig3", "--instances", "3", "--days", "7"])
+        assert stubbed_figures["key"] == "fig3"
         assert stubbed_figures["instances"] == 3
         assert stubbed_figures["horizon_s"] == pytest.approx(7 * 86400.0)
 

@@ -462,6 +462,13 @@ class TestPlanningDaemon:
                 baseline, algorithm=planner
             )
 
+    def test_uptime_survives_a_wall_clock_stepping_back(self, monkeypatch):
+        wall = iter(range(10**6, 0, -3600))
+        monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+        daemon = PlanningDaemon(DaemonConfig(workers=1))
+        assert daemon.status()["uptime_s"] >= 0.0
+        assert daemon.status()["uptime_s"] >= 0.0
+
     def test_warm_context_across_separate_submissions(self, net):
         # Two *separate* requests (not one batch) about networks that
         # are different objects with identical content: the digest

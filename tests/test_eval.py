@@ -19,6 +19,7 @@ from repro.eval import (
     cell_parity_lines,
     default_matrix,
     execute_eval_cell,
+    paired_matrix,
     quick_matrix,
     render_cells_table,
     render_summary_table,
@@ -28,6 +29,7 @@ from repro.eval import (
 )
 from repro.eval.matrix import EVAL_SCENARIOS, instance_seed
 from repro.pipeline import planner_names
+from repro.sim.faults.scenarios import scenario_names
 
 
 class TestMatrix:
@@ -80,6 +82,38 @@ class TestMatrix:
         for cell in build_cells(quick_matrix()):
             assert json.loads(json.dumps(cell)) == cell
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"trials": 0}, "trials"),
+            ({"num_chargers": (2, 0)}, "num_chargers"),
+            ({"sizes": (0,)}, "sizes"),
+            ({"densities": (0.0,)}, "densities"),
+            ({"densities": (1.5,)}, "densities"),
+            ({"budget_factor": 0.0}, "budget_factor"),
+            ({"scenarios": ("none", "meteor")}, "meteor"),
+            ({"planners": ("Appro", "Oracle")}, "Oracle"),
+        ],
+    )
+    def test_invalid_matrix_rejected_before_any_cell_runs(
+        self, monkeypatch, overrides, message
+    ):
+        import repro.eval.runner as runner_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_tasks must not be reached")
+
+        monkeypatch.setattr(runner_module, "run_tasks", no_pool)
+        with pytest.raises(ValueError, match=message):
+            run_eval(EvalMatrix(**{"sizes": (20,), **overrides}))
+
+    def test_paired_matrix_is_one_all_requesting_group(self):
+        matrix = paired_matrix("breakdown", ("Appro", "AA"), 40, 3, 5)
+        cells = build_cells(matrix)
+        assert {c["group"] for c in cells} == {"n40-d100-k3-breakdown"}
+        assert [c["planner"] for c in cells] == ["Appro", "AA"]
+        assert all(c["trials"] == 5 for c in cells)
+
 
 class TestCellExecution:
     @pytest.fixture(scope="class")
@@ -94,6 +128,17 @@ class TestCellExecution:
         assert record["violations"] == 0
         assert 0.0 <= record["deadline_miss_ratio"] <= 1.0
         assert set(record["timing"]) == {"plan_s", "wall_s"}
+
+    @pytest.mark.parametrize("scenario", scenario_names())
+    def test_every_scenario_runs(self, scenario):
+        (cell,) = build_cells(
+            paired_matrix(scenario, ("Appro",), 20, 2, trials=2)
+        )
+        record = execute_eval_cell(cell)
+        assert record["scenario"] == scenario
+        assert record["violations"] == 0
+        assert 0 <= record["breakdowns"] <= record["trials"]
+        assert 0 <= record["degraded"] <= record["trials"]
 
     def test_overload_enlarges_the_request_set(self, quick_cells):
         baseline = next(
@@ -165,6 +210,15 @@ class TestReport:
         pooled = run_eval(quick_matrix(), workers=2)
         assert report_to_json(serial) == report_to_json(pooled)
 
+    def test_faults_preset_identical_at_one_and_two_workers(self):
+        matrix = paired_matrix(
+            "perfect-storm", planner_names(paper_only=True), 30, 3, 4
+        )
+        serial = run_eval(matrix)
+        pooled = run_eval(matrix, workers=2)
+        assert serial["cells"] == pooled["cells"]
+        assert any(c["breakdowns"] for c in serial["cells"])
+
     def test_parity_lines_roundtrip(self, quick_report):
         lines = cell_parity_lines(quick_report)
         assert len(lines) == len(quick_report["cells"])
@@ -196,3 +250,8 @@ class TestTables:
         table = render_cells_table(quick_report)
         assert table.splitlines()
         assert "-" in table.splitlines()[-1].split()[-1]
+
+    def test_cells_table_shows_fault_counters(self, quick_report):
+        header = render_cells_table(quick_report).splitlines()[0].split()
+        for column in ("conflicts", "deferred", "breakdowns", "degraded"):
+            assert column in header

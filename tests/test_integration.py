@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.bench.experiments import fig3_network_size
 from repro.bench.reporting import format_series_table
+from repro.bench.runner import run_figure
 from repro.core.appro import appro_schedule_with_artifacts
 from repro.core.validation import validate_schedule
 from repro.energy.charging import full_charge_time
 from repro.network.topology import random_wrsn
-from repro.sim.scenario import ALGORITHMS
+from repro.pipeline import planner_names, run_planner
 from repro.sim.simulator import MonitoringSimulation
 
 
@@ -45,9 +45,9 @@ class TestSchedulingPipeline:
         requests = net.all_sensor_ids()
         lifetimes = {sid: 1e9 for sid in requests}
         delays = {}
-        for name, spec in ALGORITHMS.items():
-            result = spec.run(net, requests, 2, charger=None,
-                              lifetimes=lifetimes)
+        for name in planner_names(paper_only=True):
+            result = run_planner(name, net, requests, 2,
+                                 lifetimes=lifetimes)
             delays[name] = result.longest_delay()
             assert set(result.sensor_finish_times()) >= set(requests)
         # Multi-node Appro beats all one-to-one baselines on a dense
@@ -98,8 +98,9 @@ class TestBenchPipeline:
     def test_fig3_micro_run_and_report(self):
         """A miniature Fig. 3 run end to end through the harness and
         the reporter."""
-        result = fig3_network_size(
-            sizes=(60, 120),
+        result = run_figure(
+            "fig3",
+            x_values=(60, 120),
             instances=1,
             horizon_s=6 * 86400.0,
             algorithms=("Appro", "K-EDF"),

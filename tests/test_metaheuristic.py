@@ -23,7 +23,6 @@ from repro.core.appro import appro_schedule
 from repro.io import dump_jsonl_line, schedule_to_dict
 from repro.network.topology import random_wrsn
 from repro.pipeline import planner_names, run_planner
-from repro.sim.scenario import ALGORITHMS
 
 #: Small instance shared by the seed sweep (keeps 200 GA runs cheap).
 _NET_SEED = 3
@@ -145,4 +144,3 @@ class TestRegistry:
     def test_registered_as_extension_not_paper_algorithm(self):
         assert "Metaheuristic" in planner_names(paper_only=False)
         assert "Metaheuristic" not in planner_names(paper_only=True)
-        assert "Metaheuristic" not in ALGORITHMS

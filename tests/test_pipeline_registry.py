@@ -62,6 +62,11 @@ class TestRegistry:
                 PlannerInfo(name="Appro", build=info.build, multi_node=True)
             )
 
+    def test_only_appro_is_multi_node_of_the_paper_five(self):
+        assert [
+            name for name in PAPER_PLANNERS if get_planner(name).multi_node
+        ] == ["Appro"]
+
     def test_only_multi_node_planners_produce_charging_schedules(
         self, workload
     ):
@@ -121,6 +126,25 @@ class TestParity:
                 "Appro", net, requests, 2,
                 charger=ChargerSpec(travel_speed_mps=2.5), context=ctx,
             )
+
+
+class TestUniformInterface:
+    @pytest.mark.parametrize("name", sorted(PAPER_PLANNERS))
+    def test_uniform_signature_and_result(self, depleted_net, name):
+        """The simulator's scheduler call: every paper planner takes
+        the uniform arguments and no finish offset exceeds the longest
+        delay."""
+        requests = depleted_net.all_sensor_ids()[:20]
+        lifetimes = {sid: 1e6 for sid in requests}
+        result = run_planner(
+            name, depleted_net, requests, 2, charger=None,
+            lifetimes=lifetimes,
+        )
+        delay = result.longest_delay()
+        finishes = result.sensor_finish_times()
+        assert delay > 0
+        assert set(finishes) >= set(requests)
+        assert all(0 <= f <= delay + 1e-6 for f in finishes.values())
 
 
 class TestRoundTrips:

@@ -95,24 +95,38 @@ class TestMonitoringSimulation:
         assert len(metrics.round_request_counts) == metrics.num_rounds
 
     def test_accepts_spec_name_and_callable(self):
-        from repro.sim.scenario import ALGORITHMS
+        import functools
+
+        from repro.pipeline import run_planner
 
         net = random_wrsn(num_sensors=20, seed=5)
         horizon = 5 * 86400.0
         by_name = MonitoringSimulation(
             net, "K-EDF", 1, horizon_s=horizon
         ).run()
-        by_spec = MonitoringSimulation(
-            net, ALGORITHMS["K-EDF"], 1, horizon_s=horizon
-        ).run()
         by_callable = MonitoringSimulation(
-            net, ALGORITHMS["K-EDF"].run, 1, horizon_s=horizon
+            net, functools.partial(run_planner, "K-EDF"), 1,
+            horizon_s=horizon,
         ).run()
+        assert by_name.num_rounds == by_callable.num_rounds
         assert (
-            by_name.num_rounds
-            == by_spec.num_rounds
-            == by_callable.num_rounds
+            by_name.round_longest_delays_s
+            == by_callable.round_longest_delays_s
         )
+
+    def test_all_five_paper_algorithms_accepted(self):
+        from repro.pipeline import planner_names
+
+        paper = {"Appro", "K-EDF", "NETWRAP", "AA", "K-minMax"}
+        assert set(planner_names(paper_only=True)) == paper
+        net = random_wrsn(num_sensors=20, seed=5)
+        for name in sorted(paper):
+            MonitoringSimulation(net, name, 1)
+
+    def test_unknown_name_rejected(self):
+        net = random_wrsn(num_sensors=20, seed=5)
+        with pytest.raises(KeyError, match="unknown planner"):
+            MonitoringSimulation(net, "NotAPlanner", 1)
 
     def test_dead_time_zero_in_underloaded_network(self):
         """A tiny network with one charger keeps everyone alive:

@@ -43,10 +43,11 @@ class TestTraceRecorder:
             assert record.mean_residual_j < 0.2 * 10_800.0
 
     def test_wraps_callable(self):
-        from repro.sim.scenario import ALGORITHMS
+        def my_planner(network, request_ids, num_chargers, **kwargs):
+            raise AssertionError("not called")
 
-        recorder = TraceRecorder(ALGORITHMS["AA"])
-        assert recorder.trace.algorithm == "AA"
+        assert TraceRecorder(my_planner).trace.algorithm == "my_planner"
+        assert TraceRecorder("AA").trace.algorithm == "AA"
 
 
 class TestSimulationTrace:
