@@ -21,6 +21,7 @@ charging.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -97,16 +98,24 @@ def extend_schedule(
     """Run the full extension loop of Algorithm 1 (lines 7–24).
 
     Candidates are drawn from ``remaining`` (``S_I \\ V'_H``); each
-    iteration picks the one with the smallest ``f_N`` (Eq. 8,
-    recomputed against the evolving schedule), skips it when its disk
-    is already fully covered, and otherwise inserts it after its
-    latest-finishing scheduled neighbour.
+    iteration picks the one with the smallest ``(f_N, node)`` (Eq. 8,
+    against the evolving schedule), skips it when its disk is already
+    fully covered, and otherwise inserts it after its latest-finishing
+    scheduled neighbour.
+
+    ``f_N`` is kept in a lazy min-heap of ``(f_N, node, stamp)``
+    entries; an entry is live while its stamp is the node's latest.
+    An insertion at position ``i`` of a tour changes only the finish
+    times of ``tour[i:]`` (the inserted stop among them), so only the
+    pending H-neighbours of those stops get a fresh entry — the same
+    pick a rescan of every pending candidate would make.
 
     Candidates with *no* scheduled neighbour are deferred; if at some
     point every remaining candidate is deferred and uncovered (possible
-    only when ``H`` is disconnected from the scheduled core), they are
-    appended to the shortest tour so coverage is never lost — a
-    fallback outside the paper's narrative but required for totality.
+    only when ``H`` is disconnected from the scheduled core), the one
+    with the smallest id is appended to the shortest tour so coverage
+    is never lost — a fallback outside the paper's narrative but
+    required for totality.
 
     Returns:
         A map from each processed candidate to its outcome:
@@ -114,14 +123,31 @@ def extend_schedule(
     """
     pending: Set[int] = set(remaining)
     outcome: Dict[int, str] = {}
+    heap: List[Tuple[float, int, int]] = []
+    stamp: Dict[int, int] = {}
+
+    def refresh(node: int) -> None:
+        finish = latest_neighbor_finish(node, aux_graph, schedule)
+        stamp[node] = stamp.get(node, 0) + 1
+        if finish is not None:
+            heapq.heappush(heap, (finish, node, stamp[node]))
+
+    def refresh_after(tour_index: int, first: int) -> None:
+        touched: Set[int] = set()
+        for stop in schedule.tours[tour_index][first:]:
+            touched.update(aux_graph.adj.get(stop, ()))
+        for node in sorted(touched & pending):
+            refresh(node)
+
+    for node in sorted(pending):
+        refresh(node)
     while pending:
-        keyed = [
-            (node, latest_neighbor_finish(node, aux_graph, schedule))
-            for node in sorted(pending)
-        ]
-        with_neighbors = [(n, f) for n, f in keyed if f is not None]
-        if with_neighbors:
-            node, _ = min(with_neighbors, key=lambda pair: (pair[1], pair[0]))
+        while heap and (
+            heap[0][1] not in pending or heap[0][2] != stamp[heap[0][1]]
+        ):
+            heapq.heappop(heap)
+        if heap:
+            node = heapq.heappop(heap)[1]
         else:
             # No candidate touches the scheduled core: fall back.
             node = min(pending)
@@ -134,6 +160,7 @@ def extend_schedule(
                 )
                 schedule.append_stop(shortest, node)
                 outcome[node] = "appended"
+                refresh_after(shortest, len(schedule.tours[shortest]) - 1)
             continue
         pending.discard(node)
         if schedule.fully_covered(node):
@@ -143,4 +170,5 @@ def extend_schedule(
         tour_index, anchor = choose_insertion_anchor(node, aux_graph, schedule)
         schedule.insert_stop_after(tour_index, anchor, node)
         outcome[node] = f"case{case}"
+        refresh_after(tour_index, schedule.tours[tour_index].index(node))
     return outcome

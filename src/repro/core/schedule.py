@@ -220,7 +220,9 @@ class ChargingSchedule:
         self.tours[tour_index].append(node)
         self.tour_of[node] = tour_index
         self.wait[node] = 0.0
-        self.recompute_finish_times(tour_index)
+        self.recompute_finish_times(
+            tour_index, start=len(self.tours[tour_index]) - 1
+        )
 
     def insert_stop_after(
         self, tour_index: int, anchor: Optional[int], node: int
@@ -245,7 +247,7 @@ class ChargingSchedule:
         tour.insert(idx, node)
         self.tour_of[node] = tour_index
         self.wait[node] = 0.0
-        self.recompute_finish_times(tour_index)
+        self.recompute_finish_times(tour_index, start=idx)
 
     def _check_new_node(self, node: int) -> None:
         if node in self.tour_of:
@@ -350,15 +352,26 @@ class ChargingSchedule:
     # Finish times (Eqs. 6, 11, 12)
     # ------------------------------------------------------------------
 
-    def recompute_finish_times(self, tour_index: int) -> None:
+    def recompute_finish_times(self, tour_index: int, start: int = 0) -> None:
         """Recompute arrivals and finish times along one tour.
 
         ``f(v_l) = f(v_{l-1}) + travel(v_{l-1}, v_l) + wait(v_l)
         + τ'(v_l)`` with ``f(depot) = 0``.
+
+        Args:
+            tour_index: the tour to recompute.
+            start: first position whose timing may have changed. The
+                stops before it must hold current finish times; the
+                recursion resumes from ``f(tour[start - 1])``, so the
+                result is bit-identical to a recompute from the depot.
         """
+        tour = self.tours[tour_index]
         clock = 0.0
         prev: Optional[int] = None
-        for node in self.tours[tour_index]:
+        if start > 0:
+            prev = tour[start - 1]
+            clock = self.finish[prev]
+        for node in tour[start:]:
             clock += self.travel_time(prev, node)
             self.arrival[node] = clock
             clock += self.wait[node] + self.duration[node]

@@ -1,10 +1,12 @@
 """Uniform grid spatial index for fixed-radius neighbour queries.
 
-Building the charging graph ``G_c`` requires, for each of up to ~1200
-sensors, all other sensors within the charging radius ``γ``. A naive
-all-pairs scan is O(n²); the :class:`GridIndex` buckets points into
-square cells of side ``cell_size`` so a radius-``r`` query only visits
-the O((r / cell_size + 1)²) cells around the query point.
+Building the charging graph ``G_c`` requires, for each of up to
+several thousand sensors, all other sensors within the charging radius
+``γ``. A naive all-pairs scan is O(n²); the :class:`GridIndex` buckets
+points into square cells of side ``cell_size`` so a radius-``r`` query
+only visits the O((r / cell_size + 1)²) cells around the query point,
+and answers many queries at once from a KD-tree over the same points
+(:meth:`GridIndex.pairs_within`).
 
 The index is immutable after construction, matching its use: WRSN
 deployments are static for the lifetime of a scheduling instance.
@@ -16,15 +18,20 @@ import math
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.geometry.distance import euclidean
 from repro.geometry.point import PointLike
 
 _Cell = Tuple[int, int]
 
-#: Centers per broadcast block in :meth:`GridIndex.within_bulk` — bounds
-#: the (centers × points) distance matrix to a few MB.
-_BULK_CHUNK = 512
+#: Relative and absolute slack on the KD-tree query radius in
+#: :meth:`GridIndex.pairs_within`. The tree measures distance with its
+#: own arithmetic, which may round a boundary pair a few ulps above
+#: ``np.hypot``; the slack makes its hits a strict superset, and the
+#: exact ``np.hypot`` filter then decides membership.
+_TREE_REL_SLACK = 1e-9
+_TREE_ABS_SLACK = 1e-12
 
 
 class GridIndex:
@@ -48,9 +55,9 @@ class GridIndex:
             x, y = pos
             self._positions[label] = (float(x), float(y))
             self._cells.setdefault(self._cell_of(x, y), []).append(label)
-        # Dense views for within_bulk, built on first use.
-        self._bulk_labels: Optional[List[Hashable]] = None
-        self._bulk_coords: Optional[np.ndarray] = None
+        # Label list, coordinate array and KD-tree for pairs_within,
+        # built on first use.
+        self._bulk: Optional[Tuple[List[Hashable], np.ndarray, cKDTree]] = None
 
     def _cell_of(self, x: float, y: float) -> _Cell:
         return (math.floor(x / self._cell_size), math.floor(y / self._cell_size))
@@ -77,7 +84,9 @@ class GridIndex:
         """All labels whose point lies within ``radius_m`` of ``center``.
 
         The boundary is inclusive (``d <= radius_m``), matching the
-        paper's coverage definition ``d(u, v) <= γ``.
+        paper's coverage definition ``d(u, v) <= γ``, with ``d`` from
+        ``math.hypot`` — which can round an ulp away from the
+        ``np.hypot`` of :meth:`pairs_within`.
         """
         if radius_m < 0:
             raise ValueError(f"radius must be non-negative, got {radius_m}")
@@ -97,51 +106,76 @@ class GridIndex:
                         found.append(label)
         return found
 
-    def _bulk_view(self) -> Tuple[List[Hashable], np.ndarray]:
-        """Label list + coordinate array views, built on first use."""
-        labels, coords = self._bulk_labels, self._bulk_coords
-        if labels is None or coords is None:
+    def _bulk_view(self) -> Tuple[List[Hashable], np.ndarray, cKDTree]:
+        """Label list, coordinate array and KD-tree, built on first use."""
+        if self._bulk is None:
             labels = list(self._positions)
             coords = np.asarray(
                 [self._positions[lab] for lab in labels], dtype=float
             ).reshape(-1, 2)
-            self._bulk_labels, self._bulk_coords = labels, coords
-        return labels, coords
+            self._bulk = (labels, coords, cKDTree(coords))
+        return self._bulk
+
+    def pairs_within(
+        self, centers: Sequence[PointLike], radius_m: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every ``(center, point)`` pair within ``radius_m``, as arrays.
+
+        A KD-tree query at a slightly inflated radius yields a superset
+        of the hits; each candidate pair is then kept iff
+        ``np.hypot(cx - px, cy - py) <= radius_m`` — the rule that
+        defines membership, so the slack never adds a pair. This is
+        *not* always :meth:`within`'s rule: ``math.hypot`` and
+        ``np.hypot`` can differ by an ulp, so a pair at distance
+        ``≈ radius_m`` may be a hit here and a miss there
+        (``tests/test_geometry_boundary.py`` pins one such pair).
+
+        Returns:
+            ``(center_index, label_index)`` integer arrays of equal
+            length, sorted by center index and, within a center, by
+            label index (the index's insertion order).
+        """
+        if radius_m < 0:
+            raise ValueError(f"radius must be non-negative, got {radius_m}")
+        _, coords, tree = self._bulk_view()
+        centers_arr = np.asarray(
+            [(float(c[0]), float(c[1])) for c in centers], dtype=float
+        ).reshape(-1, 2)
+        hits = cKDTree(centers_arr).sparse_distance_matrix(
+            tree,
+            radius_m * (1.0 + _TREE_REL_SLACK) + _TREE_ABS_SLACK,
+            output_type="ndarray",
+        )
+        center_idx = hits["i"].astype(np.intp)
+        label_idx = hits["j"].astype(np.intp)
+        keep = np.hypot(
+            centers_arr[center_idx, 0] - coords[label_idx, 0],
+            centers_arr[center_idx, 1] - coords[label_idx, 1],
+        ) <= radius_m
+        center_idx, label_idx = center_idx[keep], label_idx[keep]
+        order = np.lexsort((label_idx, center_idx))
+        return center_idx[order], label_idx[order]
 
     def within_bulk(
         self, centers: Sequence[PointLike], radius_m: float
     ) -> List[List[Hashable]]:
-        """:meth:`within` for many centers at once, vectorised.
+        """One label list per center, from :meth:`pairs_within`.
 
-        One numpy broadcast per block of centers replaces the per-point
-        Python loop — the win that makes bulk coverage queries cheap.
-        Membership is identical to per-center :meth:`within` calls
-        (``np.hypot`` and ``math.hypot`` both defer to the platform's
-        IEEE ``hypot``, and the ``d <= radius_m`` boundary is the
-        same); only the order *within* each result list differs (index
-        insertion order rather than cell-scan order).
+        Each list holds the labels in index insertion order; its
+        membership follows :meth:`pairs_within`'s ``np.hypot`` rule.
 
         Returns:
             One label list per center, in ``centers`` order.
         """
-        if radius_m < 0:
-            raise ValueError(f"radius must be non-negative, got {radius_m}")
-        labels, coords = self._bulk_view()
-        centers_arr = np.asarray(
-            [(float(c[0]), float(c[1])) for c in centers], dtype=float
-        ).reshape(-1, 2)
-        out: List[List[Hashable]] = []
-        if len(labels) == 0:
-            return [[] for _ in range(len(centers_arr))]
-        for start in range(0, len(centers_arr), _BULK_CHUNK):
-            block = centers_arr[start:start + _BULK_CHUNK]
-            dists = np.hypot(
-                block[:, 0, None] - coords[None, :, 0],
-                block[:, 1, None] - coords[None, :, 1],
-            )
-            for row in dists <= radius_m:
-                out.append([labels[i] for i in np.nonzero(row)[0]])
-        return out
+        center_idx, label_idx = self.pairs_within(centers, radius_m)
+        labels = self._bulk_view()[0]
+        row_hits = [labels[i] for i in label_idx.tolist()]
+        bounds = np.searchsorted(
+            center_idx, np.arange(len(centers) + 1)
+        ).tolist()
+        return [
+            row_hits[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
     def neighbors_of(self, label: Hashable, radius_m: float) -> List[Hashable]:
         """Labels within ``radius_m`` of ``label``'s point, excluding itself."""

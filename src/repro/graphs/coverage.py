@@ -41,9 +41,10 @@ def coverage_sets(
     index = GridIndex(
         {t: positions[t] for t in sorted(target_ids)}, cell_size=radius_m
     )
-    # One vectorised bulk query for all candidates; membership is
-    # identical to per-candidate index.within() calls (same hypot, same
-    # inclusive boundary), which tests/test_coverage_vectorised.py pins.
+    # One bulk query for all candidates. Membership is the np.hypot
+    # rule of GridIndex.pairs_within, not the math.hypot of
+    # index.within(): the two can disagree by an ulp at d ≈ γ
+    # (tests/test_geometry_boundary.py pins such a pair).
     cand_list = list(candidates)
     rows = index.within_bulk(
         [positions[cand] for cand in cand_list], radius_m

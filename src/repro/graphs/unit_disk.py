@@ -5,8 +5,12 @@ with an edge wherever two sensors are within the charging radius ``γ``
 of each other — a unit-disk graph. Node positions are attached as node
 attributes so downstream code can stay graph-centric.
 
-Construction uses the grid spatial index, so it is
-O(n · average-neighbourhood) instead of O(n²).
+Construction takes its edges from one KD-tree pair query
+(:meth:`repro.geometry.grid_index.GridIndex.pairs_within`), so it is
+O(n log n + |E|) instead of O(n²). Membership is decided by
+``np.hypot(Δx, Δy) <= γ``, while each edge's ``weight`` is
+``math.hypot``; the two can differ by an ulp, so an edge at distance
+``≈ γ`` may carry a weight just above ``γ``.
 """
 
 from __future__ import annotations
@@ -40,22 +44,23 @@ def build_charging_graph(
     """
     if radius_m <= 0:
         raise ValueError(f"charging radius must be positive, got {radius_m}")
-    node_list = sorted(positions) if nodes is None else sorted(nodes)
+    node_list = sorted(positions) if nodes is None else sorted(set(nodes))
     graph = nx.Graph()
     for node in node_list:
         graph.add_node(node, pos=positions[node])
     index = GridIndex({n: positions[n] for n in node_list}, cell_size=radius_m)
-    # One vectorised neighbourhood query for all nodes. Membership is
-    # identical to per-node neighbors_of() scans (same hypot, same
-    # inclusive boundary — tests/test_graphs_unit_disk.py pins the
-    # parity), and edge weights still come from Point.distance_to, so
-    # the produced graph is byte-identical to the loop construction.
-    rows = index.within_bulk([positions[n] for n in node_list], radius_m)
-    for node, row in zip(node_list, rows):
-        p = positions[node]
-        for other in row:
-            if other > node:
-                graph.add_edge(
-                    node, other, weight=p.distance_to(positions[other])
-                )
+    # One pair query over all nodes. Labels were inserted in node_list
+    # order, so label index == node_list index and ``i < j`` is
+    # ``u < v``; the pairs come sorted by (i, j), which fixes the edge
+    # insertion order and with it every adjacency order downstream.
+    # Membership is the np.hypot rule of pairs_within, which can
+    # disagree by an ulp with the math.hypot of neighbors_of() and of
+    # the edge weight (tests/test_geometry_boundary.py pins a pair).
+    rows, cols = index.pairs_within(
+        [positions[n] for n in node_list], radius_m
+    )
+    upper = rows < cols
+    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+        u, v = node_list[i], node_list[j]
+        graph.add_edge(u, v, weight=positions[u].distance_to(positions[v]))
     return graph

@@ -281,8 +281,9 @@ class PlanningContext:
                 self.memo_misses += 1
                 fresh.append(cand)
         if fresh:
-            # All uncached candidates in one vectorised bulk query;
-            # membership matches per-candidate grid_index.within().
+            # All uncached candidates in one bulk query against the
+            # memoized index's cached KD-tree; membership is the
+            # np.hypot rule of coverage_sets, not grid_index.within().
             rows = self.grid_index.within_bulk(
                 [self.positions[cand] for cand in fresh], radius_m
             )

@@ -1,11 +1,12 @@
 """Byte-parity of the vectorised coverage path against the loop path.
 
-``GridIndex.within_bulk`` (numpy broadcast) replaced per-candidate
-``within`` loops in ``graphs.coverage.coverage_sets`` and
-``PlanningContext.coverage_for``. These tests pin that the replacement
-changed *nothing observable*: identical membership on seeded random
-deployments, on exact-boundary integer cases, and through the context
-memo.
+``GridIndex.within_bulk`` (a KD-tree pair query with an exact
+``np.hypot`` filter) replaced per-candidate ``within`` loops in
+``graphs.coverage.coverage_sets`` and ``PlanningContext.coverage_for``.
+These tests pin that the replacement changed nothing observable on
+seeded random deployments, on exact-boundary integer cases, and
+through the context memo. The two rules can still disagree by an ulp
+at ``d ≈ γ``; ``tests/test_geometry_boundary.py`` pins such a pair.
 """
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestWithinBulk:
             index.within_bulk([(0.0, 0.0)], -1.0)
 
     def test_chunking_covers_all_centers(self):
-        # More centers than one broadcast block (512).
+        # Hundreds of centers in one query; first, middle and last rows.
         points = {i: (float(i % 40), float(i // 40)) for i in range(700)}
         index = GridIndex(points, cell_size=3.0)
         centers = [points[i] for i in range(700)]
