@@ -1,51 +1,15 @@
-"""Load generator for the planning daemon: latency under overload.
+"""Nearest-rank percentile, the one helper left of the daemon load
+generator.
 
-The daemon's acceptance bar is behavioural, not aesthetic: under
-sustained traffic at **twice** its measured capacity it must keep
-answering — excess jobs structurally rejected at admission, accepted
-jobs planned at sane latency, nothing crashed, nothing hung. This
-module measures exactly that:
-
-1. :func:`measure_capacity_jps` — serial probes through a fresh
-   daemon give the median per-job service time; capacity is
-   ``workers / median``.
-2. :func:`run_load` — an open-loop arrival process (fixed
-   inter-arrival gap, independent of completions — the honest way to
-   model clients who don't slow down just because the server is
-   drowning) submits a seeded mixed corpus at the offered rate for a
-   fixed duration, then waits every ticket to its terminal record.
-3. :func:`loadgen_record` — the ``repro-bench/1`` record with the
-   accepted-job latency distribution (p50/p95/p99 by nearest-rank)
-   and the rejection ratio; ``BENCH_daemon.json`` at the repo root is
-   a committed snapshot.
-
-Latency is measured by the daemon's own ticket stamps (submission →
-terminal resolution), so queueing delay and rejection fast-paths are
-both visible: a healthy overloaded daemon shows rejections resolving
-in microseconds while accepted jobs ride the queue.
+``perfbench/workloads.py`` imports :func:`percentile` from this path for
+its latency percentiles. ``perfbench/`` stays frozen so that its runs
+compare across commits; this module must therefore stay importable here.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
-
-from repro.network.topology import random_wrsn
-from repro.units import approx_zero
-from repro.serve import (
-    DaemonConfig,
-    JobTicket,
-    PlanJob,
-    PlanningDaemon,
-    STATUS_REJECTED,
-)
-
-#: Default offered-load multiplier over measured capacity.
-OVERLOAD_FACTOR = 2.0
+from typing import Sequence
 
 
 def percentile(samples: Sequence[float], p: float) -> float:
@@ -63,296 +27,4 @@ def percentile(samples: Sequence[float], p: float) -> float:
     return ordered[rank - 1]
 
 
-def make_corpus(
-    num_networks: int = 3,
-    num_sensors: int = 30,
-    seed: int = 0,
-) -> List[PlanJob]:
-    """A seeded mixed-traffic corpus: varied planners, K and sizes.
-
-    Networks get seeded partial residuals so charge times are
-    realistic; request sets of different sizes land on the same
-    networks so the daemon's warm-context path is on the hot path,
-    exactly as in sustained production traffic.
-    """
-    planners = ("Appro", "K-EDF", "K-minMax")
-    jobs: List[PlanJob] = []
-    for n in range(num_networks):
-        net_seed = 1000 * seed + 77 + n
-        net = random_wrsn(num_sensors=num_sensors, seed=net_seed)
-        rng = np.random.default_rng(net_seed + 1)
-        net.set_residuals(
-            {
-                sid: float(rng.uniform(0.0, 0.2))
-                * net.sensor(sid).capacity_j
-                for sid in net.all_sensor_ids()
-            }
-        )
-        everyone = tuple(net.all_sensor_ids())
-        for requests in (everyone, everyone[::2], everyone[::3]):
-            for k, planner in enumerate(planners, start=1):
-                jobs.append(
-                    PlanJob(net, requests, k, planner)
-                )
-    return jobs
-
-
-def measure_capacity_jps(
-    config: DaemonConfig,
-    corpus: Sequence[PlanJob],
-    probes: int = 8,
-) -> float:
-    """Jobs/second the daemon sustains, from serial warm probes.
-
-    The first probe (cold contexts) is discarded; the median of the
-    rest approximates steady-state service time.
-    """
-    from statistics import median
-
-    probe_config = replace(config, max_queue=max(config.max_queue, 1000))
-    service_times: List[float] = []
-    with PlanningDaemon(probe_config) as daemon:
-        for i in range(max(probes, 2)):
-            job = corpus[i % len(corpus)]
-            start = time.perf_counter()
-            daemon.submit(
-                PlanJob(
-                    job.network, job.request_ids, job.num_chargers,
-                    job.planner, f"probe-{i}",
-                )
-            ).wait(300.0)
-            service_times.append(time.perf_counter() - start)
-    steady = service_times[1:]
-    service_s = median(steady)
-    if service_s <= 0:  # pragma: no cover - perf_counter is monotonic
-        return float("inf")
-    return config.workers / service_s
-
-
-@dataclass
-class LoadResult:
-    """Everything one load run produced, ready for summarizing."""
-
-    offered_rate_jps: float
-    duration_s: float
-    tickets: List[JobTicket] = field(default_factory=list)
-    records: List[Dict] = field(default_factory=list)
-    final_status: Dict = field(default_factory=dict)
-
-    @property
-    def accepted_latencies_s(self) -> List[float]:
-        return [
-            t.latency_s
-            for t, r in zip(self.tickets, self.records)
-            if r["status"] != STATUS_REJECTED and t.latency_s is not None
-        ]
-
-    @property
-    def rejected_latencies_s(self) -> List[float]:
-        return [
-            t.latency_s
-            for t, r in zip(self.tickets, self.records)
-            if r["status"] == STATUS_REJECTED and t.latency_s is not None
-        ]
-
-    @property
-    def rejection_ratio(self) -> float:
-        if not self.records:
-            return 0.0
-        rejected = sum(
-            1 for r in self.records if r["status"] == STATUS_REJECTED
-        )
-        return rejected / len(self.records)
-
-    def summary(self) -> Dict:
-        """Scalar digest: percentiles, ratios, outcome counts."""
-        accepted = self.accepted_latencies_s
-        outcomes: Dict[str, int] = {}
-        for record in self.records:
-            status = record["status"]
-            outcomes[status] = outcomes.get(status, 0) + 1
-        digest: Dict = {
-            "offered_rate_jps": self.offered_rate_jps,
-            "duration_s": self.duration_s,
-            "submitted": len(self.records),
-            "rejection_ratio": self.rejection_ratio,
-            "outcomes": outcomes,
-        }
-        if accepted:
-            digest.update(
-                p50_latency_s=percentile(accepted, 50),
-                p95_latency_s=percentile(accepted, 95),
-                p99_latency_s=percentile(accepted, 99),
-            )
-        return digest
-
-
-def run_load(
-    config: DaemonConfig,
-    corpus: Sequence[PlanJob],
-    offered_rate_jps: float,
-    duration_s: float,
-) -> LoadResult:
-    """Open-loop constant-rate traffic against a fresh daemon.
-
-    Submits at the offered rate for ``duration_s`` seconds, then
-    blocks for every ticket's terminal record (the drain itself is
-    part of the contract under test: nothing may hang). The daemon is
-    shut down before returning and its final status document kept for
-    inspection.
-    """
-    if offered_rate_jps <= 0:
-        raise ValueError(
-            f"offered rate must be positive, got {offered_rate_jps}"
-        )
-    gap_s = 1.0 / offered_rate_jps
-    result = LoadResult(
-        offered_rate_jps=offered_rate_jps, duration_s=duration_s
-    )
-    daemon = PlanningDaemon(config).start()
-    try:
-        start = time.monotonic()
-        due = start
-        i = 0
-        while time.monotonic() - start < duration_s:
-            job = corpus[i % len(corpus)]
-            result.tickets.append(
-                daemon.submit(
-                    PlanJob(
-                        job.network, job.request_ids,
-                        job.num_chargers, job.planner, f"lg-{i}",
-                    )
-                )
-            )
-            i += 1
-            due += gap_s
-            delay = due - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-        result.records = [t.wait(600.0) for t in result.tickets]
-        result.final_status = daemon.status()
-    finally:
-        daemon.shutdown()
-    return result
-
-
-def _order_statistics(
-    samples: Sequence[float], max_samples: int
-) -> List[float]:
-    """At most ``max_samples`` evenly-spaced order statistics.
-
-    Always keeps the minimum and maximum, so the record's min/max
-    summaries stay exact; interior quantiles are approximate.
-    """
-    ordered = sorted(samples)
-    if len(ordered) <= max_samples:
-        return ordered
-    last = len(ordered) - 1
-    picks = sorted(
-        {
-            round(i * last / (max_samples - 1))
-            for i in range(max_samples)
-        }
-    )
-    return [ordered[i] for i in picks]
-
-
-def loadgen_record(
-    config: DaemonConfig,
-    result: LoadResult,
-    throughput_jps: float,
-    max_samples: int = 33,
-) -> Dict:
-    """The ``repro-bench/1`` record for one load run.
-
-    The latency metric stores at most ``max_samples`` order
-    statistics of the accepted-job distribution (committed records
-    stay small); the derived p50/p95/p99 are computed from the full
-    sample set before downsampling.
-    """
-    from repro.bench.record import bench_record
-
-    summary = result.summary()
-    accepted = result.accepted_latencies_s
-    derived = {
-        "capacity_jps": throughput_jps,
-        "offered_rate_jps": result.offered_rate_jps,
-        "overload_factor": (
-            result.offered_rate_jps / throughput_jps
-            if throughput_jps > 0
-            else float("inf")
-        ),
-        "rejection_ratio": summary["rejection_ratio"],
-        "submitted": summary["submitted"],
-        "accepted": len(accepted),
-    }
-    for key in ("p50_latency_s", "p95_latency_s", "p99_latency_s"):
-        if key in summary:
-            derived[key] = summary[key]
-    return bench_record(
-        "daemon-loadgen",
-        params={
-            "workers": config.workers,
-            "max_queue": config.max_queue,
-            "duration_s": result.duration_s,
-            "corpus_jobs": len({t.job_id for t in result.tickets}),
-        },
-        metrics={"latency_s": _order_statistics(accepted, max_samples)},
-        derived=derived,
-    )
-
-
-def main(
-    workers: int = 1,
-    duration_s: float = 5.0,
-    rate_jps: Optional[float] = None,
-    max_queue: int = 16,
-    overload: float = OVERLOAD_FACTOR,
-    seed: int = 0,
-    json_path: Optional[str] = None,
-) -> int:
-    """CLI body for ``repro loadgen``; returns an exit code."""
-    config = DaemonConfig(workers=workers, max_queue=max_queue)
-    corpus = make_corpus(seed=seed)
-    capacity = measure_capacity_jps(config, corpus)
-    offered = rate_jps if rate_jps is not None else capacity * overload
-    print(
-        f"capacity ~{capacity:.1f} jobs/s ({workers} workers); "
-        f"offering {offered:.1f} jobs/s for {duration_s:g}s "
-        f"(queue {max_queue})"
-    )
-    result = run_load(config, corpus, offered, duration_s)
-    summary = result.summary()
-    print(f"submitted       : {summary['submitted']}")
-    print(f"outcomes        : {summary['outcomes']}")
-    print(f"rejection ratio : {summary['rejection_ratio']:.2%}")
-    if "p50_latency_s" in summary:
-        print(f"latency p50     : {summary['p50_latency_s'] * 1000:8.1f} ms")
-        print(f"latency p95     : {summary['p95_latency_s'] * 1000:8.1f} ms")
-        print(f"latency p99     : {summary['p99_latency_s'] * 1000:8.1f} ms")
-    if json_path:
-        from repro.bench.record import write_bench_record
-
-        write_bench_record(
-            loadgen_record(config, result, capacity), json_path
-        )
-        print(f"wrote {json_path}")
-    # The acceptance bar: every ticket terminal (run_load would have
-    # thrown otherwise), and overload visibly shed as rejections
-    # rather than unbounded queueing.
-    if offered > capacity and approx_zero(summary["rejection_ratio"]):
-        print("FAIL: overload produced no rejections (queue unbounded?)")
-        return 1
-    return 0
-
-
-__all__ = [
-    "LoadResult",
-    "OVERLOAD_FACTOR",
-    "loadgen_record",
-    "main",
-    "make_corpus",
-    "measure_capacity_jps",
-    "percentile",
-    "run_load",
-]
+__all__ = ["percentile"]

@@ -1,25 +1,25 @@
-"""Machine-readable micro-benchmark records (``repro-bench/1``).
+"""Machine-readable benchmark records (``repro-bench/1``).
 
-The micro-benchmarks under ``benchmarks/`` print human tables; CI and
-regression tooling need the same numbers as stable JSON. A record
-carries the benchmark name, its workload parameters, per-metric sample
-lists with median/min/max summaries, and any derived scalar ratios
-(speedups). Medians — not means — are the headline statistic: timing
-samples on shared runners are contaminated by one-sided noise, and the
-median is robust to it.
+The one producer is ``repro eval --bench``, which writes the
+head-to-head quality result ``BENCH_eval.json``. A record carries the
+benchmark name, its workload parameters, per-metric sample lists with
+median/min/max summaries, and any derived scalars. Medians — not
+means — are the headline statistic: they are robust to one-sided
+outliers.
 
 Schema (``repro-bench/1``)::
 
     {
       "format": "repro-bench/1",
-      "benchmark": "micro-serve",
-      "params": {"num_sensors": 200, "jobs": 12},
-      "repeats": 5,
+      "benchmark": "eval-head-to-head",
+      "params": {"sizes": [60, 100], "trials": 3, ...},
+      "repeats": 252,
       "metrics": {
-        "warm_s": {"median": ..., "min": ..., "max": ..., "samples": [...]},
+        "planned_delay_s": {"median": ..., "min": ..., "max": ...,
+                            "samples": [...]},
         ...
       },
-      "derived": {"speedup": ...}
+      "derived": {"wins_vs_appro[AA]": ..., ...}
     }
 
 Keys are emitted sorted, so records diff cleanly between runs.
@@ -64,10 +64,10 @@ def bench_record(
     """Build one ``repro-bench/1`` record.
 
     Args:
-        benchmark: stable benchmark name (``micro-conflicts``, ...).
+        benchmark: stable benchmark name (``eval-head-to-head``).
         params: the workload knobs the samples were measured under.
         metrics: metric name -> raw samples (seconds, counts, ...).
-        derived: scalar ratios computed *from the medians* (speedups);
+        derived: scalar summaries (win/tie/loss counts, means);
             stored as given.
 
     Raises:

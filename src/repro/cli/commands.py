@@ -160,15 +160,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Regenerate one paper figure, or run a micro campaign."""
-    if args.online:
-        return _cmd_bench_online(args)
-    if args.quick:
-        print("bench: --quick only applies to --online")
-        return 2
-    if args.figure is None:
-        print("bench: a figure is required unless --online is given")
-        return 2
+    """Regenerate one paper figure as tables (and ASCII plots)."""
     title = FIGURES[args.figure].title
     result = run_figure(
         args.figure,
@@ -203,41 +195,6 @@ def cmd_bench(args) -> int:
             result, "dead_min",
             f"{title} — dead duration", "min",
         ))
-    return 0
-
-
-def _cmd_bench_online(args) -> int:
-    """Run the online-replanning campaign (DESIGN §17)."""
-    from repro.bench.online import (
-        DEFAULT_NUM_SENSORS,
-        SPEEDUP_FLOOR,
-        format_online,
-        run_online_bench,
-        state_speedup,
-    )
-    from repro.bench.record import write_bench_record
-
-    if args.quick:
-        num_sensors, rounds = 120, 2
-    else:
-        num_sensors, rounds = DEFAULT_NUM_SENSORS, args.repeats
-    record = run_online_bench(
-        num_sensors=num_sensors,
-        rounds=rounds,
-        seed=args.seed,
-        progress=lambda line: print(f"  .. {line}"),
-    )
-    print()
-    print(format_online(record))
-    if args.json:
-        write_bench_record(record, args.json)
-        print(f"\nwrote {args.json}")
-    headline = state_speedup(record)
-    if not args.quick and headline is not None and (
-        headline < SPEEDUP_FLOOR
-    ):
-        print("FAIL: delta invalidation is below the speedup floor")
-        return 1
     return 0
 
 
@@ -581,21 +538,6 @@ def cmd_daemon(args) -> int:
     server.close()
     print(json.dumps(daemon.status()), file=sys.stderr)
     return 0
-
-
-def cmd_loadgen(args) -> int:
-    """Drive the planning daemon at a sustained offered rate."""
-    from repro.bench.loadgen import main as loadgen_main
-
-    return loadgen_main(
-        workers=args.workers,
-        duration_s=args.duration,
-        rate_jps=args.rate,
-        max_queue=args.queue,
-        overload=args.overload,
-        seed=args.seed,
-        json_path=args.json,
-    )
 
 
 def cmd_sanitize(args) -> int:

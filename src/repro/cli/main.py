@@ -95,13 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="regenerate a paper figure (tables + ASCII plots) or run "
-        "the online-replanning campaign",
+        help="regenerate a paper figure (tables + ASCII plots)",
     )
     bench.add_argument(
-        "figure", nargs="?", choices=sorted(FIGURES),
-        help="which evaluation figure to regenerate (omit with "
-        "--online)",
+        "figure", choices=sorted(FIGURES),
+        help="which evaluation figure to regenerate",
     )
     bench.add_argument("--instances", type=int, default=2)
     bench.add_argument("--days", type=float, default=40.0)
@@ -111,25 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--workers", type=int, default=1,
         help="simulation worker processes (default: 1, in-process)",
-    )
-    bench.add_argument(
-        "--online", action="store_true",
-        help="time delta invalidation (PlanningContext.invalidate) "
-        "against a cold context rebuild under seeded mid-round "
-        "residual perturbations (parity-checked every round)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="--online: timed rounds",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="--online: write the record as repro-bench/1 JSON",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="with --online: a small two-round parity smoke (CI)",
     )
     bench.set_defaults(func=commands.cmd_bench)
 
@@ -284,43 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: K-EDF)",
     )
     dmn.set_defaults(func=commands.cmd_daemon)
-
-    ldg = sub.add_parser(
-        "loadgen",
-        help="drive the planning daemon at a sustained offered rate "
-        "and report latency percentiles + rejection ratio",
-    )
-    ldg.add_argument(
-        "--workers", type=int, default=1,
-        help="daemon worker processes (default: 1, in-process)",
-    )
-    ldg.add_argument(
-        "--duration", type=float, default=5.0,
-        help="seconds of sustained traffic (default: 5)",
-    )
-    ldg.add_argument(
-        "--rate", type=float, default=None,
-        help="offered jobs/second (default: measured capacity x "
-        "overload factor)",
-    )
-    ldg.add_argument(
-        "--overload", type=float, default=2.0,
-        help="offered-rate multiplier over measured capacity when "
-        "--rate is not given (default: 2.0)",
-    )
-    ldg.add_argument(
-        "--queue", type=int, default=16,
-        help="daemon admission queue capacity (default: 16)",
-    )
-    ldg.add_argument(
-        "--seed", type=int, default=0,
-        help="traffic corpus seed (default: 0)",
-    )
-    ldg.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the repro-bench/1 record here",
-    )
-    ldg.set_defaults(func=commands.cmd_loadgen)
 
     ins = sub.add_parser(
         "inspect",

@@ -6,8 +6,8 @@ epsilon constant): the all-pairs O(n²) scan that
 ``repro.core.repair`` used, and the full-rescan resolution loops built
 on them. ``tests/test_core_conflicts.py`` pins the conflict engine
 (:mod:`repro.core.conflicts`) against them — identical conflict sets,
-identical wait insertions, byte-identical schedules — and
-``benchmarks/test_micro_conflicts.py`` measures the speedup over them.
+identical wait insertions, byte-identical schedules — on random
+schedules and on the adversarial ring instance (``ring_schedule``).
 
 They exist *only* as references; production code must never import
 this module.

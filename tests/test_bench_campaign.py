@@ -28,7 +28,7 @@ def micro_campaign():
 
 
 class TestRunCampaign:
-    def test_micro_run(self):
+    def test_one_figure_run(self):
         lines = []
         campaign = run_campaign(
             instances=1, horizon_days=2.0, figures=("fig5",),

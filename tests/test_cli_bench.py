@@ -66,7 +66,21 @@ class TestCmdBench:
         # Appro 1.0 vs AA 3.0 -> 67% shorter at the first point.
         assert "67%" in out
 
-    def test_quick_without_online_is_a_usage_error(self, capsys):
-        code = main(["bench", "--quick"])
-        assert code == 2
-        assert "--quick only applies to --online" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "option", [["--json", "x.json"], ["--seed", "1"], ["--repeats", "3"]]
+    )
+    def test_removed_options_are_usage_errors(
+        self, stubbed_figures, option, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "fig3", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "key" not in stubbed_figures  # nothing ran
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
+    def test_figure_is_required(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2

@@ -12,13 +12,15 @@ robustness per-sensor sweep). These tests pin the unification:
   produces byte-identical schedules (same waits, same pair order, same
   ``longest_delay``) to the retired full-rescan loops, both for
   ``validation.resolve_conflicts`` and ``repair.resolve_conflicts_
-  after``;
+  after``, on random schedules and on the adversarial ring instance;
 * **planner parity** — end-to-end ``Appro`` / ``GreedyCover`` runs
   equal a reconstruction that resolves conflicts with the retired
   all-pairs loop.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +87,56 @@ def random_schedule(
     stops = list(rng.permutation(ids))[:num_stops]
     for node in stops:
         schedule.append_stop(int(rng.integers(num_tours)), int(node))
+    return schedule
+
+
+def ring_schedule(num_stops: int, num_tours: int = 4) -> ChargingSchedule:
+    """The adversarial instance: ``num_stops / num_tours`` stop rings,
+    one stop per tour per ring, tours visiting the rings in the same
+    order.
+
+    Rings sit 10 m apart (no cross-ring coverage), but within a ring
+    every stop covers the shared central sensor, and the identical
+    visiting order keeps the tours time-synchronised — each ring is a
+    fresh all-tours conflict knot, the worst case for a full-rescan
+    resolver.
+    """
+    rings = num_stops // num_tours
+    stops = list(range(rings * num_tours))
+    spec = ChargerSpec()
+    positions = {}
+    charge_times = {}
+    for c in range(rings):
+        cx = 10.0 * c
+        for t in range(num_tours):
+            # A radius-2.0 ring: every stop is within the charge radius
+            # (2.7 m) of the shared sensor, but the ring chord (2.83 m)
+            # keeps each stop's own sensor private.
+            angle = 2.0 * math.pi * t / num_tours
+            positions[c * num_tours + t] = Point(
+                cx + 2.0 * math.cos(angle), 2.0 * math.sin(angle)
+            )
+            # Equal within a ring and growing across rings, so every
+            # ring re-overlaps and needs its own round of waits.
+            charge_times[c * num_tours + t] = 200.0 + 2.4 * c
+        positions[num_stops + c] = Point(cx, 0.0)
+        charge_times[num_stops + c] = 150.0
+    coverage = coverage_sets(
+        stops,
+        positions,
+        spec.charge_radius_m,
+        targets=sorted(positions),
+    )
+    schedule = ChargingSchedule(
+        depot=Point(0.0, 0.0),
+        positions=positions,
+        coverage=coverage,
+        charge_times=charge_times,
+        charger=spec,
+        num_tours=num_tours,
+    )
+    for node in stops:
+        schedule.append_stop(node % num_tours, node)
     return schedule
 
 
@@ -168,6 +220,18 @@ class TestResolutionParity:
             assert conflicting_pairs(b) == []
             total_waits += engine_waits
         assert total_waits > NUM_SEEDS  # the loop really inserts waits
+
+    @pytest.mark.parametrize("num_stops", [40, 80])
+    def test_ring_instance_matches_full_rescan(self, num_stops):
+        legacy = ring_schedule(num_stops)
+        engine = legacy.copy()
+        legacy_waits = legacy_resolve_conflicts(legacy, max_rounds=100_000)
+        engine_waits = resolve_conflicts(engine, max_rounds=100_000)
+        assert engine_waits == legacy_waits
+        assert schedule_fingerprint(engine) == schedule_fingerprint(legacy)
+        assert conflicting_pairs(engine) == []
+        # Genuinely adversarial: most rings serialise nearly all stops.
+        assert engine_waits > num_stops / 2
 
     def test_resolve_conflicts_after_parity(self):
         from repro.core.repair import resolve_conflicts_after

@@ -267,6 +267,76 @@ class TestInvalidateReplanParity:
         }
 
 
+def probe_state(ctx: PlanningContext):
+    """Force every residual-dependent memo and snapshot what it holds:
+    charge times, sojourn candidates, coverage rows, sensor->stop
+    groups and the conflict-free core."""
+    ids = list(ctx.requests)
+    times = ctx.charge_times_for(ids)
+    candidates = ctx.sojourn_candidates()
+    coverage = ctx.coverage_for(candidates)
+    groups = ctx.sensor_stop_groups(candidates)
+    return (
+        [times[sid] for sid in ids],
+        list(candidates),
+        [sorted(coverage[c]) for c in candidates],
+        {s: list(groups[s]) for s in sorted(groups)},
+        list(ctx.conflict_free_core()),
+    )
+
+
+class TestRepeatedInvalidation:
+    """One persistent context invalidated round after round stays equal
+    to a cold rebuild: its planning state after every ``invalidate``
+    and its replan bytes."""
+
+    ROUNDS = 3
+
+    def test_three_rounds_match_cold_rebuilds(self):
+        net = random_wrsn(num_sensors=120, seed=0)
+        rng = np.random.default_rng(1)
+        ids = net.all_sensor_ids()
+        net.set_residuals(
+            {
+                sid: float(rng.uniform(0.05, 0.2))
+                * net.sensor(sid).capacity_j
+                for sid in ids
+            }
+        )
+        warm_ctx = PlanningContext(net, ids, share_distances=False)
+        probe_state(warm_ctx)
+        run_planner("Appro", net, ids, 2, context=warm_ctx)
+
+        rng = np.random.default_rng(2)
+        for round_index in range(self.ROUNDS):
+            changed = [sid for sid in ids if rng.random() < 1 / 3]
+            changed = changed or [ids[0]]
+            net.set_residuals(
+                {
+                    sid: float(rng.uniform(0.05, 0.2))
+                    * net.sensor(sid).capacity_j
+                    for sid in changed
+                }
+            )
+            warm_ctx.invalidate(changed)
+            cold_ctx = PlanningContext(net, ids, share_distances=False)
+            assert probe_state(warm_ctx) == probe_state(cold_ctx), (
+                f"round {round_index}: state diverged "
+                f"({len(changed)} changed)"
+            )
+            warm = run_planner("Appro", net, ids, 2, context=warm_ctx)
+            cold = run_planner(
+                "Appro", net, ids, 2,
+                context=PlanningContext(net, ids, share_distances=False),
+            )
+            assert dump_jsonl_line(
+                schedule_to_dict(warm, algorithm="Appro")
+            ) == dump_jsonl_line(
+                schedule_to_dict(cold, algorithm="Appro")
+            ), f"round {round_index}: replan diverged"
+        assert warm_ctx.invalidations == self.ROUNDS
+
+
 class TestSharedDistances:
     def test_contexts_on_one_network_share_the_cache(self, depleted_net):
         a = PlanningContext(depleted_net, [0, 1, 2])

@@ -112,9 +112,28 @@ class TestParity:
         net, requests = workload
         ctx = PlanningContext(net, requests)
         cold = run_planner("Appro", net, requests, 2, context=ctx)
+        after_cold = ctx.stats()
         warm = run_planner("Appro", net, requests, 2, context=ctx)
         assert warm.longest_delay() == cold.longest_delay()
         assert warm.sensor_finish_times() == cold.sensor_finish_times()
+        # The warm run is served from the memos and the distance cache:
+        # it adds hits, and not one miss.
+        stats = ctx.stats()
+        assert stats["memo_hits"] > after_cold["memo_hits"] > 0
+        assert stats["memo_misses"] == after_cold["memo_misses"]
+        assert stats["distance_hits"] > after_cold["distance_hits"]
+        assert stats["distance_misses"] == after_cold["distance_misses"]
+
+    def test_one_context_serves_the_paper_planners(self, workload):
+        """Later planners hit the memos the earlier ones filled."""
+        net, requests = workload
+        ctx = PlanningContext(net, requests, share_distances=False)
+        for name in PAPER_PLANNERS:
+            result = run_planner(name, net, requests, 2, context=ctx)
+            assert result.longest_delay() > 0
+        stats = ctx.stats()
+        assert stats["memo_hits"] > 0
+        assert stats["distance_hits"] > 0
 
     def test_context_charger_mismatch_rejected(self, workload):
         net, requests = workload

@@ -143,3 +143,42 @@ class TestQuickParity:
         # repeats job 0's request set and hits its warm context.
         assert reuse_flags[5] is True
         assert service.stats()["context_reuses"] >= 1
+
+
+class TestSharedContexts:
+    """``share_contexts=True`` against ``False`` (``repro serve
+    --no-shared-context``) on one job group: same bytes, and only the
+    shared run reuses its context."""
+
+    def test_shared_and_cold_contexts_agree(self):
+        net = random_wrsn(num_sensors=80, seed=301)
+        rng = np.random.default_rng(302)
+        net.set_residuals(
+            {
+                sid: float(rng.uniform(0, 0.2)) * 10_800.0
+                for sid in net.all_sensor_ids()
+            }
+        )
+        requests = tuple(net.all_sensor_ids())
+        planners = ("Appro", "K-minMax", "K-EDF")
+        jobs = [
+            PlanJob(
+                network=net,
+                request_ids=requests,
+                num_chargers=1 + j % 3,
+                planner=planners[j % len(planners)],
+                job_id=f"job-{j}",
+            )
+            for j in range(6)
+        ]
+        warm = PlanningService(share_contexts=True).run(jobs)
+        cold = PlanningService(share_contexts=False).run(jobs)
+        assert all(r.ok for r in warm)
+        assert [r.parity_key() for r in warm] == [
+            r.parity_key() for r in cold
+        ]
+        assert sum(r.context_reused for r in warm) == len(jobs) - 1
+        assert not any(r.context_reused for r in cold)
+        assert sum(r.cache["memo_hits"] for r in warm) > sum(
+            r.cache["memo_hits"] for r in cold
+        )
