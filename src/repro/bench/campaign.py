@@ -62,8 +62,8 @@ def run_campaign(
     """Run the selected figures at the given scale.
 
     ``workers > 1`` fans the simulation cells of each figure out over
-    the batch-service worker pool; results are identical to a serial
-    run.
+    the worker pool (:func:`repro.serve.pool.run_tasks`); results are
+    identical to a serial run.
 
     Raises:
         KeyError: on an unknown figure key.

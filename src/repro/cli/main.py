@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="run a JSONL batch of planning jobs through the "
-        "cache-sharing worker pool",
+        help="run a JSONL batch of planning jobs through the planning "
+        "daemon",
     )
     srv.add_argument(
         "jobs",
@@ -205,19 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--timeout", type=float, default=None,
         help="per-job execution bound in seconds (default: none)",
-    )
-    srv.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts for failed jobs (default: 0)",
-    )
-    srv.add_argument(
-        "--backoff", type=float, default=0.0,
-        help="base retry backoff in seconds, doubled per wave "
-        "(default: 0)",
-    )
-    srv.add_argument(
-        "--no-shared-context", action="store_true",
-        help="build a cold, unshared planning context per job",
     )
     srv.add_argument(
         "--demo", action="store_true",
@@ -325,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", default=None, metavar="N,N,...",
         help="comma-separated pool sizes (default: 1,2,4; "
         "with --quick: 1,2)",
-    )
-    san.add_argument(
-        "--daemon", action="store_true",
-        help="also run every matrix cell through the planning daemon "
-        "and byte-compare against the batch-service baseline",
     )
     san.add_argument(
         "--online", action="store_true",

@@ -140,10 +140,9 @@ class DistanceCache:
     ) -> None:
         """Install a precomputed dense matrix for ``labels``.
 
-        Used when restoring pipeline context snapshots in worker
-        processes: the matrix was built by :meth:`dense_matrix` in
+        For a matrix built by :meth:`dense_matrix` elsewhere, e.g. in
         another process (entries are ``math.hypot`` floats, so any two
-        builds over the same labels are byte-identical) and shipping it
+        builds over the same labels are byte-identical): seeding it
         skips the O(n^2) rebuild. The array is frozen (pickling drops
         the read-only flag) and kept by reference; a matrix already
         cached for the label tuple wins — seeding is a no-op then.

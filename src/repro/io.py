@@ -31,11 +31,11 @@ WRSN_FORMAT = "repro-wrsn/1"
 #: distinguish a scheduled wait from slow travel without re-deriving it
 #: from ``start_s - arrival_s`` float arithmetic.
 SCHEDULE_FORMAT = "repro-schedule/2"
-#: One planning job of the batch service (:mod:`repro.serve`): planner
+#: One planning job for the planning daemon (:mod:`repro.serve`): planner
 #: name, request set, ``K``, and a network carried inline, by label
 #: reference, or by instance-file path.
 JOB_FORMAT = "repro-job/1"
-#: One batch-service result: job id, status, the ``repro-schedule/2``
+#: One planning-daemon result: job id, status, the ``repro-schedule/2``
 #: document, attempt count and cache/timing diagnostics.
 RESULT_FORMAT = "repro-result/1"
 
@@ -72,7 +72,7 @@ def dump_jsonl_line(row: Dict) -> str:
     """One canonical JSON Lines record (sorted keys, no padding).
 
     The canonical form is what the parity suite byte-compares, so both
-    the batch-service CLI and tests must serialize through it.
+    the serving CLI and tests must serialize through it.
     """
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 

@@ -177,7 +177,7 @@ class ProjectContext:
         """Static call graph over the module-level functions.
 
         Each key is a qualified function name
-        (``repro.serve.service.run``); each value the set of qualified
+        (``repro.serve.workers.execute_plan_job``); each value the set of qualified
         names its body calls, resolved through the import tables where
         possible. Unresolvable targets keep their local spelling
         prefixed with the calling module, so the graph stays total.

@@ -1,7 +1,7 @@
 """Rule R11 ``cache-mutation`` — ``PlanningContext`` memos are private.
 
-The batch service shares one :class:`repro.pipeline.PlanningContext`
-per network across jobs *and across pool workers* (DESIGN §12–13).
+The planning daemon shares one :class:`repro.pipeline.PlanningContext`
+per network across jobs inside each pool worker (DESIGN §12–13).
 Its memo dictionaries are written only by its own accessor methods,
 which makes the sharing story auditable: a memo is filled exactly
 once, from inputs alone, so a cache hit and a cache miss produce the

@@ -1,6 +1,6 @@
 """Rule R8 ``unordered-iteration`` — no set-order data in results.
 
-The batch service's contract is byte-identical results at any worker
+The serving contract is byte-identical results at any worker
 count and any ``PYTHONHASHSEED`` (DESIGN §13); PR 6's runtime
 sanitizer (``repro sanitize``) enforces it dynamically. This rule is
 the static half: it runs the intra-function dataflow analysis of

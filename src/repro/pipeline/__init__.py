@@ -28,17 +28,11 @@ from repro.pipeline.planner import (
     run_planner,
     unregister_planner,
 )
-from repro.pipeline.snapshot import (
-    ContextSnapshot,
-    restore_context,
-    snapshot_context,
-)
 
 # Importing the module registers the built-in planners.
 from repro.pipeline import planners as _planners  # noqa: F401
 
 __all__ = [
-    "ContextSnapshot",
     "PlannedSchedule",
     "Planner",
     "PlannerInfo",
@@ -46,9 +40,7 @@ __all__ = [
     "get_planner",
     "planner_names",
     "register_planner",
-    "restore_context",
     "run_planner",
     "shared_distance_cache",
-    "snapshot_context",
     "unregister_planner",
 ]

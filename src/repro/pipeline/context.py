@@ -394,8 +394,7 @@ class PlanningContext:
         :meth:`~repro.geometry.distcache.DistanceCache.dense_matrix`
         under the canonical label order — the same build the array
         kernels hit — and additionally pins the result in this
-        context's own memo so :func:`repro.pipeline.snapshot.\
-snapshot_context` can ship it to worker processes.
+        context's own memo.
         """
         key = canonical_labels(labels)
         cached = self._dense_matrices.get(key)
@@ -415,8 +414,8 @@ snapshot_context` can ship it to worker processes.
 
         The kernels memoize the matrix on the (process-local) distance
         cache either way; routing the build through the context memo
-        here is what lets snapshots carry it across the pickle
-        boundary. Gated on the solver's own
+        here counts it in the context's memo statistics. Gated on the
+        solver's own
         :func:`~repro.tours.kminmax.backbone_policy`, so no matrix is
         built that the solve would not build itself.
         """

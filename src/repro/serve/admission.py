@@ -24,8 +24,7 @@ machine-readable reason — that it will never run. Silent queue growth
   (before any observation the estimate is zero and everything is
   admitted).
 * ``payload-too-large`` — the request set exceeds the configured
-  cap (oversized problems belong in the batch service, not in the
-  interactive queue), or the job asks for more chargers than its
+  ``max_requests`` cap, or the job asks for more chargers than its
   network has sensors. Every planner's cost grows linearly with ``K``,
   so a decodable ``num_chargers`` of 10^9 would otherwise occupy a
   worker for good; past the sensor count extra chargers can only idle,
@@ -108,9 +107,9 @@ def fleet_rejection(job: PlanJob) -> Optional[Rejection]:
     """``payload-too-large`` when ``job`` asks for more chargers than
     its network has sensors; ``None`` otherwise.
 
-    Shared by the daemon's :class:`AdmissionPolicy` and the batch
-    :class:`~repro.serve.service.PlanningService`, which fails such a
-    job in the parent without a pool submission.
+    Every planner's cost grows with K, so such a job is refused at
+    the daemon's front door (:class:`AdmissionPolicy`) instead of
+    reaching a worker.
     """
     sensors = len(job.network)
     if job.num_chargers <= sensors:

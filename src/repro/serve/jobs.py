@@ -1,11 +1,10 @@
-"""The batch-service job model: :class:`PlanJob` in, :class:`JobResult` out.
+"""The serving job model: :class:`PlanJob` in, :class:`JobResult` out.
 
 A job names one planning problem — ``(network, request set, K,
 planner)`` — exactly the :func:`repro.pipeline.run_planner` signature.
-Jobs referencing the *same* :class:`~repro.network.topology.WRSN`
-object form a **group**: the service plans them against one shared
-``PlanningContext``/distance cache instead of re-paying cold
-construction per job.
+Jobs about the same network geometry form a **group**: the planning
+daemon plans them against one shared ``PlanningContext``/distance
+cache instead of re-paying cold construction per job.
 
 On disk a batch is a JSON Lines file (``repro-job/1``): each line is a
 job carrying its network inline (``"network"``), by reference to an
@@ -46,15 +45,15 @@ from repro.network.topology import WRSN
 
 @dataclass(frozen=True)
 class PlanJob:
-    """One planning problem for the batch service.
+    """One planning problem for the planning daemon.
 
     Attributes:
-        network: the WRSN instance. Jobs holding the *same object*
-            share one planning-context group.
+        network: the WRSN instance. Jobs whose networks share a
+            geometry share one planning-context group.
         request_ids: the to-be-charged set ``V_s``.
         num_chargers: ``K``.
         planner: registered planner name.
-        job_id: caller-chosen id echoed into the result; the service
+        job_id: caller-chosen id echoed into the result; the daemon
             assigns ``"job-<index>"`` when empty.
     """
 
@@ -346,8 +345,8 @@ def jobs_from_records(
     """Materialize jobs from parsed ``repro-job/1`` records.
 
     Network sharing is preserved: every ``network_ref`` (and repeated
-    ``network_path``) resolves to the same ``WRSN`` object, so the
-    service groups those jobs onto one shared context.
+    ``network_path``) resolves to the same ``WRSN`` object, so those
+    jobs are parsed and shipped to a worker as one network.
 
     Raises:
         ValueError: on a wrong format tag, a dangling ``network_ref``,

@@ -6,16 +6,17 @@ notices a dead worker and fills in a :class:`TaskOutcome`. With
 ``workers == 1`` it runs each task inline — no executor, no pickling.
 Its two callers:
 
-* :func:`run_tasks` — the batch entry point under the planning service,
-  ``repro eval``, the figure sweeps and the fault campaign — maps a
-  picklable top-level function over a payload list through a pool it
+* :func:`run_tasks` — the batch entry point under ``repro eval`` and
+  the figure sweeps — maps a picklable top-level function over a
+  payload list in one :meth:`SupervisedPool.run_wave` through a pool it
   opens and closes per call, and returns one :class:`TaskOutcome` per
   payload **in payload order** regardless of completion order;
 * the planning daemon, which keeps one pool (and therefore its
   workers' warm context caches) alive across requests and calls
   :meth:`SupervisedPool.run_one` from its runner threads.
 
-Failure semantics are the same at every worker count:
+Failure semantics are the same at every worker count, and every task
+runs exactly once:
 
 * an exception raised by the function becomes an ``"error"`` outcome
   (siblings keep running — one poisoned payload never aborts a batch);
@@ -26,14 +27,12 @@ Failure semantics are the same at every worker count:
 * a worker process dying (``BrokenProcessPool``) gives the tasks in
   flight a ``"pool-broken"`` outcome; the executor is rebuilt once per
   breakage (a generation counter stops concurrent callers that saw the
-  same corpse from rebuilding it twice);
-* :func:`run_tasks` retries failed tasks up to ``max_retries`` times in
-  later waves, with exponential backoff between waves
-  (``backoff_s · 2^(wave-1)``); the final outcome records the total
-  attempt count. A payload that *deterministically* kills its worker
-  would break the pool once per wave, so once a call has broken more
-  than :data:`MAX_POOL_REBUILDS` pools its retries stop and the
-  survivors keep their terminal ``"pool-broken"`` outcomes.
+  same corpse from rebuilding it twice).
+
+There are no retries: the functions are pure in their payload, so a
+second attempt at an error or a timeout reruns the same work. A dead
+worker leaves its tasks ``"pool-broken"``; the daemon recovers with
+the pool rebuild and its circuit breaker.
 
 Determinism: outcomes are positionally stable and the function is
 expected to be a pure function of its payload, so any two runs — and
@@ -56,10 +55,6 @@ STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
 STATUS_POOL_BROKEN = "pool-broken"
 
-#: Pool breakages one :func:`run_tasks` call rebuilds from; past this
-#: its retry waves stop.
-MAX_POOL_REBUILDS = 2
-
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -69,16 +64,12 @@ class PoolConfig:
         workers: process count; ``1`` (the default) runs every task
             in-process with no executor at all.
         timeout_s: per-task execution bound, seconds; ``None`` = none.
-        max_retries: extra attempts granted to a failed task.
-        backoff_s: base of the exponential inter-wave backoff.
         mp_context: multiprocessing start method (``"fork"``,
             ``"spawn"``, ...); ``None`` uses the platform default.
     """
 
     workers: int = 1
     timeout_s: Optional[float] = None
-    max_retries: int = 0
-    backoff_s: float = 0.0
     mp_context: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -88,19 +79,11 @@ class PoolConfig:
             raise ValueError(
                 f"timeout must be positive, got {self.timeout_s}"
             )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_s < 0:
-            raise ValueError(
-                f"backoff_s must be >= 0, got {self.backoff_s}"
-            )
 
 
 @dataclass
 class TaskOutcome:
-    """What happened to one payload, across all its attempts."""
+    """What happened to one payload."""
 
     index: int
     status: str
@@ -116,13 +99,6 @@ class TaskOutcome:
 
 class TaskTimeout(Exception):
     """Raised inside the executing process when a task runs too long."""
-
-
-def backoff_delay_s(wave: int, backoff_s: float) -> float:
-    """Exponential backoff before retry wave ``wave`` (1-based)."""
-    if wave <= 0 or backoff_s <= 0:
-        return 0.0
-    return backoff_s * (2.0 ** (wave - 1))
 
 
 def call_with_timeout(
@@ -177,9 +153,9 @@ def _pool_entry(
 def _settle(
     outcome: TaskOutcome, status: str, value: Any, elapsed_s: float
 ) -> TaskOutcome:
-    """Fold one finished attempt into ``outcome``."""
-    outcome.attempts += 1
-    outcome.elapsed_s += elapsed_s
+    """Record one finished run in ``outcome``."""
+    outcome.attempts = 1
+    outcome.elapsed_s = elapsed_s
     outcome.status = status
     if status == STATUS_OK:
         outcome.value, outcome.error = value, None
@@ -267,11 +243,10 @@ class SupervisedPool:
     def run_wave(
         self, payloads: Sequence[Any], outcomes: Sequence[TaskOutcome]
     ) -> Iterator[TaskOutcome]:
-        """Run each payload once, folding the attempt into its outcome.
+        """Run each payload once, recording the run in its outcome.
 
-        ``outcomes[i]`` receives ``payloads[i]``'s attempt (attempt
-        count and elapsed time accumulate across calls). Yields each
-        outcome as its attempt finishes: in payload order inline, in
+        ``outcomes[i]`` receives ``payloads[i]``'s run. Yields each
+        outcome as its run finishes: in payload order inline, in
         completion order across the pool.
         """
         try:
@@ -320,8 +295,8 @@ class SupervisedPool:
         """Execute one payload; always returns a terminal outcome.
 
         A worker death comes back as a ``"pool-broken"`` outcome for
-        *this* task (the caller decides whether to retry, degrade or
-        give up); the pool rebuilds itself for the next caller.
+        *this* task (the caller decides whether to degrade or give
+        up); the pool rebuilds itself for the next caller.
         """
         outcome = TaskOutcome(index=index, status=STATUS_ERROR)
         for _ in self.run_wave([payload], [outcome]):
@@ -364,7 +339,7 @@ def run_tasks(
         payloads: the work items.
         config: execution knobs; defaults to serial in-process.
         progress: optional callback invoked once per task with its
-            *final* outcome, in completion order.
+            outcome, in completion order.
 
     Returns:
         Outcomes positionally aligned with ``payloads``.
@@ -381,34 +356,15 @@ def run_tasks(
         timeout_s=config.timeout_s,
     )
     try:
-        pending = list(range(len(payloads)))
-        for wave in range(config.max_retries + 1):
-            if not pending:
-                break
-            if wave:
-                time.sleep(backoff_delay_s(wave, config.backoff_s))
-            last = wave == config.max_retries
-            for outcome in pool.run_wave(
-                [payloads[i] for i in pending],
-                [outcomes[i] for i in pending],
-            ):
-                if progress is not None and (outcome.ok or last):
-                    progress(outcome)
-            pending = [i for i in pending if not outcomes[i].ok]
-            if pool.rebuilds > MAX_POOL_REBUILDS:
-                # The payload set breaks every pool it meets: end the
-                # survivors' retries on their current outcomes.
-                if not last and progress is not None:
-                    for i in pending:
-                        progress(outcomes[i])
-                break
+        for outcome in pool.run_wave(payloads, outcomes):
+            if progress is not None:
+                progress(outcome)
     finally:
         pool.close(wait=False)
     return outcomes
 
 
 __all__ = [
-    "MAX_POOL_REBUILDS",
     "PoolConfig",
     "STATUS_ERROR",
     "STATUS_OK",
@@ -417,7 +373,6 @@ __all__ = [
     "SupervisedPool",
     "TaskOutcome",
     "TaskTimeout",
-    "backoff_delay_s",
     "call_with_timeout",
     "run_tasks",
 ]

@@ -24,7 +24,8 @@ Two servers share all of that through :class:`DaemonSession`:
   cross-connection context reuse and coalescing possible).
 
 :func:`request` / :func:`request_status` are the matching client
-helpers used by the CI smoke test and the load generator.
+helpers used by the CI smoke test (``tools/daemon_smoke.py``) and the
+tests.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def request(
 
     Half-closes the write side after sending, then reads until the
     server finishes the session — the batch-style client used by the
-    smoke test and the load generator.
+    smoke test.
     """
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
         sock.settimeout(timeout_s)

@@ -1,19 +1,27 @@
-"""Every script and test path the CI workflow names exists in the repo.
+"""Every script, test path and CLI command the CI workflow names exists.
 
-Deleting a script or a test module must not leave a CI step pointing at
-nothing. The workflow is read as plain text: each ``python <path>.py``
-and each path argument of ``pytest`` is checked, and a ``::Name`` node
-id must name a class or function defined in its file.
+Deleting a script, a test module or a CLI option must not leave a CI
+step pointing at nothing. The workflow is read as plain text: each
+``python <path>.py`` and each path argument of ``pytest`` is checked, a
+``::Name`` node id must name a class or function defined in its file,
+and each ``python -m repro ...`` command must parse with the real
+argument parser.
 """
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from repro.cli.main import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 SCRIPT = re.compile(r"\bpython3?[ \t]+([\w./-]+\.py)\b")
 PYTEST = re.compile(r"\bpytest((?:[ \t]+[^\s\\|;&]+)*)")
+REPRO = re.compile(r"\bpython3?[ \t]+-m[ \t]+repro[ \t]+(.*)$")
 
 
 def workflow_targets():
@@ -47,3 +55,27 @@ def test_named_pytest_targets_exist():
             assert re.search(
                 rf"^\s*(class|def)\s+{re.escape(name)}\b", source, re.M
             ), target
+
+
+def repro_commands():
+    """Argument lists of every ``python -m repro`` command in the
+    workflow, backslash continuations joined; lines using shell
+    variables (``$planner``) are skipped."""
+    text = WORKFLOW.read_text().replace("\\\n", " ")
+    commands = []
+    for line in text.splitlines():
+        match = REPRO.search(line)
+        if match and "$" not in line:
+            commands.append(shlex.split(match.group(1)))
+    return commands
+
+
+def test_named_repro_commands_parse():
+    commands = repro_commands()
+    assert len(commands) >= 5  # the scan sees steps
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"CI runs an unparseable command: repro {argv}")

@@ -2,11 +2,20 @@
 
 import io
 import json
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
 
 from repro.cli.main import build_parser, main
 from repro.io import RESULT_FORMAT
 from repro.network.topology import random_wrsn
-from repro.serve import PlanJob, jobs_to_jsonl
+from repro.serve import PlanJob, jobs_to_jsonl, request_status
 
 
 class TestParser:
@@ -73,3 +82,66 @@ class TestStdioSession:
         ]
         assert rows[0]["status"] == "rejected"
         assert rows[0]["reason"] == "payload-too-large"
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "raw",
+        [{"workers": "2"}, {"timeout_s": "5"}, {"timeout_s": 0},
+         {"degraded_planner": "Nope"}, {"breaker_failures": 0}],
+    )
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, raw):
+        config = tmp_path / "daemon.json"
+        config.write_text(json.dumps(raw))
+        assert main(["daemon", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_refused_reload_keeps_running_config(self, tmp_path):
+        # A real daemon behind a socket: SIGHUP with a bad file is
+        # refused and changes nothing; a good file then applies.
+        config = tmp_path / "daemon.json"
+        config.write_text(json.dumps({"max_queue": 5}))
+        sock = str(tmp_path / "d.sock")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "daemon", "--socket", sock,
+             "--config", str(config)],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        lines: "queue.Queue[str]" = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(x) for x in proc.stderr], daemon=True
+        )
+        reader.start()
+
+        def wait_for(prefix):
+            while True:
+                line = lines.get(timeout=30)
+                if line.startswith(prefix):
+                    return line
+
+        try:
+            wait_for("daemon listening")
+            assert request_status(sock)["queue_capacity"] == 5
+            config.write_text(
+                json.dumps({"max_queue": 7, "breaker_failures": 0})
+            )
+            proc.send_signal(signal.SIGHUP)
+            assert "breaker_failures" in wait_for("reload failed")
+            assert request_status(sock)["queue_capacity"] == 5
+            config.write_text(json.dumps({"max_queue": 7}))
+            proc.send_signal(signal.SIGHUP)
+            assert "max_queue: 5 -> 7" in wait_for("reload: max_queue")
+            assert request_status(sock)["queue_capacity"] == 7
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()

@@ -1,13 +1,35 @@
 """The ``repro serve`` subcommand: JSONL in, JSONL out, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from repro.cli.main import build_parser, main
 from repro.io import JOB_FORMAT, RESULT_FORMAT, read_jsonl
 from repro.network.topology import random_wrsn
+from repro.pipeline import (
+    PlannerInfo,
+    register_planner,
+    run_planner,
+    unregister_planner,
+)
 from repro.serve import PlanJob, save_jobs
+
+
+def _nap_planner(network, request_ids, num_chargers, **kwargs):
+    time.sleep(0.5)
+    return run_planner("K-EDF", network, request_ids, num_chargers).raw
+
+
+@pytest.fixture
+def nap_planner():
+    register_planner(
+        PlannerInfo(name="Nap", build=_nap_planner, multi_node=True,
+                    paper=False)
+    )
+    yield
+    unregister_planner("Nap")
 
 
 @pytest.fixture
@@ -29,19 +51,28 @@ class TestParser:
         args = build_parser().parse_args(["serve", "jobs.jsonl"])
         assert args.workers == 1
         assert args.timeout is None
-        assert args.retries == 0
+        assert args.output is None
         assert not args.demo
 
     def test_all_flags(self):
         args = build_parser().parse_args(
             ["serve", "j.jsonl", "-o", "r.jsonl", "--workers", "4",
-             "--timeout", "30", "--retries", "2", "--backoff", "0.5",
-             "--no-shared-context", "--demo"]
+             "--timeout", "30", "--demo"]
         )
         assert args.output == "r.jsonl"
         assert args.workers == 4
         assert args.timeout == 30.0
-        assert args.no_shared_context
+        assert args.demo
+
+    @pytest.mark.parametrize(
+        "flag", [["--retries", "1"], ["--backoff", "0.5"],
+                 ["--no-shared-context"]],
+    )
+    def test_retry_and_cold_context_options_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "j.jsonl", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCmdServe:
@@ -117,3 +148,55 @@ class TestCmdServe:
         results = read_jsonl(tmp_path / "r.jsonl")
         assert len(results) == len(jobs)
         assert all(r["status"] == "ok" for r in results)
+
+    def test_batch_above_default_queue_is_fully_planned(
+        self, tmp_path, nap_planner
+    ):
+        # 70 distinct jobs, more than the daemon's default queue of 64.
+        # The first naps while the rest are submitted, so the queue
+        # really holds 69 entries: serve must size it to the batch.
+        net = random_wrsn(num_sensors=15, seed=6)
+        ids = tuple(net.all_sensor_ids())
+        jobs = [PlanJob(net, ids, 1, "Nap", "nap")] + [
+            PlanJob(net, ids[:size], k, "K-EDF", f"s{size}-k{k}")
+            for size in range(6, 16)
+            for k in range(1, 8)
+        ][:69]
+        save_jobs(jobs, tmp_path / "big.jsonl")
+        out = tmp_path / "r.jsonl"
+        code = main(["serve", str(tmp_path / "big.jsonl"), "-o", str(out)])
+        assert code == 0
+        rows = read_jsonl(out)
+        assert len(rows) == 70
+        assert all(r["status"] == "ok" for r in rows)
+        assert [r["id"] for r in rows] == [j.job_id for j in jobs]
+
+    def test_identical_lines_each_get_a_record(self, jobs_file, tmp_path):
+        lines = jobs_file.read_text().splitlines()
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("\n".join([lines[0], lines[0], lines[1]]) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["serve", str(doubled), "-o", str(out)]) == 0
+        rows = read_jsonl(out)
+        assert [r["id"] for r in rows] == ["a", "a", "b"]
+        assert rows[0]["schedule"] == rows[1]["schedule"]
+        assert [r["index"] for r in rows] == [0, 1, 2]
+
+    def test_oversized_fleet_is_rejected(self, jobs_file, tmp_path):
+        rows = read_jsonl(jobs_file)
+        rows[1]["num_chargers"] = 10**9
+        bad = tmp_path / "huge.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "r.jsonl"
+        assert main(["serve", str(bad), "-o", str(out)]) == 1
+        results = read_jsonl(out)
+        assert results[0]["status"] == "ok"
+        assert results[1]["status"] == "rejected"
+        assert results[1]["reason"] == "payload-too-large"
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_nonpositive_timeout_exits_2(self, jobs_file, timeout, capsys):
+        assert main(["serve", str(jobs_file), "--timeout", timeout]) == 2
+        assert "timeout_s must be a positive number" in (
+            capsys.readouterr().err
+        )

@@ -13,13 +13,17 @@ import textwrap
 
 import pytest
 
+from repro.io import schedule_to_dict
 from repro.lint import lint_paths
+from repro.pipeline import run_planner
+from repro.serve import JobResult, load_jobs, save_jobs
 from repro.serve.sanitize import (
     Divergence,
     SanitizeReport,
     build_corpus,
     first_divergence,
     quick_corpus,
+    run_child,
     sanitize_corpus,
 )
 
@@ -88,6 +92,37 @@ class TestCorpus:
     def test_quick_corpus_is_small(self):
         jobs = quick_corpus()
         assert 0 < len(jobs) <= 15
+
+
+class TestChild:
+    def test_daemon_cell_matches_serial_run_planner(self, tmp_path):
+        # Every matrix cell plans through the planning daemon; its
+        # parity lines must equal a serial run_planner pass.
+        jobs = quick_corpus()
+        save_jobs(jobs, tmp_path / "corpus.jsonl")
+        run_child(str(tmp_path / "corpus.jsonl"), 1,
+                  str(tmp_path / "parity.jsonl"))
+        expected = []
+        for index, job in enumerate(load_jobs(tmp_path / "corpus.jsonl")):
+            planned = run_planner(
+                job.planner, job.network, job.request_ids,
+                job.num_chargers,
+            )
+            expected.append(
+                JobResult(
+                    job_id=job.job_id,
+                    index=index,
+                    status="ok",
+                    planner=job.planner,
+                    num_chargers=job.num_chargers,
+                    longest_delay_s=planned.longest_delay(),
+                    schedule=schedule_to_dict(
+                        planned, algorithm=job.planner
+                    ),
+                ).parity_key()
+            )
+        lines = (tmp_path / "parity.jsonl").read_text().splitlines()
+        assert lines == expected
 
 
 class TestFirstDivergence:
@@ -171,6 +206,7 @@ class TestInjectedBug:
 
     @pytest.mark.slow
     def test_clean_planners_pass_the_matrix(self, tmp_path):
+        # Every cell runs the corpus through the planning daemon.
         jobs = build_corpus(
             num_networks=1,
             num_sensors=16,
@@ -183,31 +219,6 @@ class TestInjectedBug:
         assert report.ok
         assert report.jobs == len(jobs)
         assert len(report.cells) == 4
-        assert all(
-            cell["lines"] == len(jobs) for cell in report.cells
-        )
-
-    @pytest.mark.slow
-    def test_daemon_cells_match_service_baseline(self, tmp_path):
-        # The daemon path (warm persistent contexts, admission,
-        # coalescing identity keys) must yield byte-identical parity
-        # lines to the batch service's.
-        jobs = build_corpus(
-            num_networks=1,
-            num_sensors=16,
-            planners=("Appro", "K-EDF"),
-            charger_counts=(1, 2),
-        )
-        report = sanitize_corpus(
-            jobs,
-            hash_seeds=(0,),
-            worker_counts=(1, 2),
-            daemon_cells=True,
-        )
-        assert report.ok, [d.describe() for d in report.divergences]
-        assert len(report.cells) == 4
-        daemon_cells = [c for c in report.cells if c["daemon"]]
-        assert len(daemon_cells) == 2
         assert all(
             cell["lines"] == len(jobs) for cell in report.cells
         )

@@ -1,11 +1,12 @@
-"""Fault paths of the batch service: structured failure, no poisoning.
+"""Fault paths of the serving engine: structured failure, no poisoning.
 
 A job whose planner raises, runs past its timeout, or whose worker
-returns a malformed payload must come back as a structured failed
-:class:`JobResult` — with its retry count — while sibling jobs in the
-same batch (and the same shared-context group) complete normally.
+returns a malformed payload must come back from the planning daemon as
+a structured failed :class:`JobResult` while sibling jobs in the same
+batch (and the same shared-context group) complete normally. Every job
+runs once: there are no retries.
 
-Fake planners are registered in the parent process; the pool tests pin
+Fake planners are registered in the parent process; the pool runs pin
 ``mp_context="fork"`` so workers inherit those registrations. Cases
 that hold at every worker count run at both :data:`WORKER_COUNTS`;
 cases that kill a worker process run pooled only (inline, the dying
@@ -20,23 +21,26 @@ from repro.network.topology import random_wrsn
 from repro.pipeline import (
     PlannerInfo,
     register_planner,
-    run_planner,
     unregister_planner,
 )
 from repro.serve import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_POOL_BROKEN,
+    STATUS_REJECTED,
     STATUS_TIMEOUT,
+    DaemonConfig,
     PlanJob,
-    PlanningService,
+    PlanningDaemon,
     PoolConfig,
     TaskTimeout,
     call_with_timeout,
+    execute_plan_job,
+    geometry_digest,
     run_tasks,
 )
-from repro.serve import pool as pool_module
-from repro.serve import service as service_module
+
+from tests._daemon_batch import daemon_batch, daemon_results
 
 #: The inline engine and the process pool.
 WORKER_COUNTS = (1, 2)
@@ -72,9 +76,10 @@ def net():
 
 
 def _jobs(net, planners):
+    # Job i asks for K = 1 + i, so no two jobs coalesce.
     ids = tuple(net.all_sensor_ids()[:10])
     return [
-        PlanJob(net, ids, num_chargers=2, planner=p, job_id=f"j{i}")
+        PlanJob(net, ids, num_chargers=1 + i, planner=p, job_id=f"j{i}")
         for i, p in enumerate(planners)
     ]
 
@@ -84,80 +89,85 @@ class TestRaisingPlanner:
         self, fake_planners, net
     ):
         jobs = _jobs(net, ["Appro", "Boom", "K-minMax"])
-        results = PlanningService(workers=1).run(jobs)
-        assert [r.status for r in results] == [
-            STATUS_OK, STATUS_ERROR, STATUS_OK,
-        ]
-        failed = results[1]
-        assert failed.error is not None
-        assert "injected planner failure" in failed.error
-        assert failed.schedule is None
-        assert failed.longest_delay_s is None
-        assert failed.attempts == 1
+        for workers in WORKER_COUNTS:
+            results = daemon_results(jobs, workers)
+            assert [r.status for r in results] == [
+                STATUS_OK, STATUS_ERROR, STATUS_OK,
+            ]
+            failed = results[1]
+            assert failed.error is not None
+            assert "injected planner failure" in failed.error
+            assert failed.schedule is None
+            assert failed.longest_delay_s is None
+            assert failed.attempts == 1
 
     def test_failed_job_does_not_poison_group_context(
         self, fake_planners, net
     ):
         # Same network => same group; the failure lands between two
-        # good jobs sharing a request set, and the second still reuses
-        # the context the first warmed.
+        # good jobs sharing a request set, and (inline, where the order
+        # is fixed) the second still reuses the context the first
+        # warmed.
         ids = tuple(net.all_sensor_ids()[:10])
         jobs = [
             PlanJob(net, ids, 2, "Appro", "warm"),
             PlanJob(net, ids, 2, "Boom", "fail"),
             PlanJob(net, ids, 2, "K-minMax", "reuse"),
         ]
-        service = PlanningService(workers=1)
-        results = service.run(jobs)
-        assert results[0].ok and results[2].ok
-        assert results[2].context_reused is True
-        assert {r.group_key for r in results} == {"g0"}
+        for workers in WORKER_COUNTS:
+            results = daemon_results(jobs, workers)
+            assert results[0].ok and results[2].ok
+            assert results[1].status == STATUS_ERROR
+            assert {r.group_key for r in results} == {
+                geometry_digest(net)
+            }
+            if workers == 1:
+                assert results[2].context_reused is True
 
     def test_pool_mode_isolates_failures(self, fake_planners, net):
         jobs = _jobs(net, ["Appro", "Boom", "K-minMax", "Appro"])
-        results = PlanningService(workers=2, mp_context="fork").run(jobs)
+        results = daemon_results(jobs, workers=2)
         assert [r.status for r in results] == [
             STATUS_OK, STATUS_ERROR, STATUS_OK, STATUS_OK,
         ]
         assert "injected planner failure" in results[1].error
 
-    def test_retries_are_counted(self, fake_planners, net):
-        jobs = _jobs(net, ["Boom"])
-        results = PlanningService(workers=1, max_retries=2).run(jobs)
-        assert results[0].status == STATUS_ERROR
-        assert results[0].attempts == 3
-
     def test_unknown_planner_fails_without_submission(self, net):
         jobs = _jobs(net, ["Appro", "NoSuchPlanner"])
-        results = PlanningService(workers=1, max_retries=3).run(jobs)
-        assert results[0].ok
-        assert results[1].status == STATUS_ERROR
-        assert results[1].attempts == 0
-        assert "NoSuchPlanner" in results[1].error
+        for workers in WORKER_COUNTS:
+            results = daemon_results(jobs, workers)
+            assert results[0].ok
+            assert results[1].status == STATUS_ERROR
+            assert results[1].attempts == 0
+            assert "NoSuchPlanner" in results[1].error
+            assert results[1].group_key == geometry_digest(net)
 
     def test_oversized_fleet_fails_without_submission(self, net):
         # More chargers than sensors: every planner's cost grows with
-        # K, so the job fails in the parent like an unknown planner.
+        # K, so admission rejects the job before it reaches a worker.
         ids = tuple(net.all_sensor_ids()[:10])
         jobs = [
             PlanJob(net, ids, 2, "Appro", "fine"),
             PlanJob(net, ids, 10**9, "Appro", "huge"),
         ]
-        service = PlanningService(workers=1, max_retries=3)
-        results = service.run(jobs)
-        assert results[0].ok
-        assert results[1].status == STATUS_ERROR
-        assert results[1].attempts == 0
-        assert results[1].error.startswith("payload-too-large: ")
-        assert "1000000000" in results[1].error
-        assert service.stats()["errors"] == 1
+        for workers in WORKER_COUNTS:
+            tickets, status = daemon_batch(jobs, workers)
+            assert tickets[0].job_result.ok
+            record = tickets[1].wait()
+            assert tickets[1].job_result is None
+            assert record["status"] == STATUS_REJECTED
+            assert record["reason"] == "payload-too-large"
+            assert record["attempts"] == 0
+            assert record["error"].startswith("payload-too-large: ")
+            assert "1000000000" in record["error"]
+            assert status["counters"]["rejected"] == {
+                "payload-too-large": 1
+            }
 
 
 def _assert_timeout_isolated(net, workers):
     jobs = _jobs(net, ["Appro", "Slow", "K-EDF"])
-    results = PlanningService(
-        workers=workers, timeout_s=0.2, mp_context="fork"
-    ).run(jobs)
+    results = daemon_results(jobs, workers, timeout_s=0.2)
     assert [r.status for r in results] == [
         STATUS_OK, STATUS_TIMEOUT, STATUS_OK,
     ]
@@ -178,47 +188,60 @@ class TestTimeouts:
         assert call_with_timeout(lambda x: x + 1, 1, 5.0) == 2
 
 
+def _garbage_payload(payload):
+    return "garbage"
+
+
+def _keyless_payload(payload):
+    return {"schedule": {}}
+
+
+def _run_with_worker(net, fn, workers):
+    """Plan one Appro job on a daemon whose pool runs ``fn``."""
+    config = DaemonConfig(
+        workers=workers, mp_context="fork" if workers > 1 else None
+    )
+    with PlanningDaemon(config) as daemon:
+        daemon.pool.fn = fn
+        return daemon.submit(_jobs(net, ["Appro"])[0]).wait(120.0)
+
+
 class TestMalformedPayload:
-    def test_non_dict_value_is_reported(self, net, monkeypatch):
-        monkeypatch.setattr(
-            service_module, "execute_plan_job", lambda payload: "garbage"
-        )
-        jobs = _jobs(net, ["Appro"])
-        results = PlanningService(workers=1).run(jobs)
-        assert results[0].status == STATUS_ERROR
-        assert "malformed worker payload" in results[0].error
+    def test_non_dict_value_is_reported(self, net):
+        for workers in WORKER_COUNTS:
+            record = _run_with_worker(net, _garbage_payload, workers)
+            assert record["status"] == STATUS_ERROR
+            assert "malformed worker payload" in record["error"]
 
-    def test_missing_keys_are_reported(self, net, monkeypatch):
-        monkeypatch.setattr(
-            service_module,
-            "execute_plan_job",
-            lambda payload: {"schedule": {}},
-        )
-        results = PlanningService(workers=1).run(_jobs(net, ["Appro"]))
-        assert results[0].status == STATUS_ERROR
-        assert "malformed worker payload" in results[0].error
+    def test_missing_keys_are_reported(self, net):
+        for workers in WORKER_COUNTS:
+            record = _run_with_worker(net, _keyless_payload, workers)
+            assert record["status"] == STATUS_ERROR
+            assert "malformed worker payload" in record["error"]
 
-    def test_malformed_does_not_poison_fallback_runs(
-        self, net, monkeypatch
-    ):
-        # After the monkeypatch is gone the same service instance
-        # plans normally — no state was corrupted.
-        service = PlanningService(workers=1)
-        with monkeypatch.context() as m:
-            m.setattr(
-                service_module, "execute_plan_job", lambda p: None
+    def test_malformed_does_not_poison_fallback_runs(self, net):
+        # Once the real worker function is back, the same daemon plans
+        # normally — no state was corrupted.
+        job = _jobs(net, ["Appro"])[0]
+        for workers in WORKER_COUNTS:
+            config = DaemonConfig(
+                workers=workers,
+                mp_context="fork" if workers > 1 else None,
             )
-            bad = service.run(_jobs(net, ["Appro"]))
-        assert bad[0].status == STATUS_ERROR
-        good = service.run(_jobs(net, ["Appro"]))
-        assert good[0].ok
+            with PlanningDaemon(config) as daemon:
+                daemon.pool.fn = _garbage_payload
+                bad = daemon.submit(job).wait(120.0)
+                daemon.pool.fn = execute_plan_job
+                good = daemon.submit(job).wait(120.0)
+            assert bad["status"] == STATUS_ERROR
+            assert good["status"] == STATUS_OK
 
 
 class TestPoolEngine:
     def test_dead_worker_fails_only_its_task(self):
         # A worker that hard-exits breaks the pool; the engine must
-        # report that task as pool-broken, rebuild, and (with retries
-        # off) leave siblings unaffected.
+        # report that task as pool-broken and leave siblings
+        # unaffected.
         outcomes = run_tasks(
             _exit_or_echo,
             ["die", "a", "b", "c"],
@@ -235,68 +258,43 @@ class TestPoolEngine:
                 assert o.status == STATUS_POOL_BROKEN
                 assert "worker process died" in o.error
 
-    def test_retry_rescues_broken_pool_collateral(self, monkeypatch):
-        # With a retry wave, the collateral of the broken pool must
-        # come back clean: only "die" keeps failing.
-        monkeypatch.setattr(pool_module, "MAX_POOL_REBUILDS", 5)
-        outcomes = run_tasks(
-            _exit_or_echo,
-            ["die", "a", "b", "c"],
-            config=PoolConfig(workers=2, mp_context="fork",
-                              max_retries=3),
-        )
-        assert not outcomes[0].ok
-        assert [o.value for o in outcomes[1:]] == ["a", "b", "c"]
-
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_retry_waves_report_each_task_once(self, workers, tmp_path):
-        # Each task's final outcome reaches progress exactly once, and
-        # a task succeeding on its first attempt is reported in the
-        # wave it succeeded in: before any retried task.
-        payloads = [
-            ("ok", "a"),
-            ("once", str(tmp_path / "b")),
-            ("ok", "c"),
-            ("raise", "d"),
-        ]
+    def test_run_reports_each_task_once(self, workers):
+        # Each task's outcome reaches progress exactly once, after its
+        # one and only run.
+        payloads = [("ok", "a"), ("raise", "b"), ("ok", "c")]
         seen = []
         outcomes = run_tasks(
             _mixed_task,
             payloads,
-            config=PoolConfig(workers=workers, mp_context="fork",
-                              max_retries=1),
+            config=PoolConfig(workers=workers, mp_context="fork"),
             progress=seen.append,
         )
         assert [o.status for o in outcomes] == [
-            STATUS_OK, STATUS_OK, STATUS_OK, STATUS_ERROR,
+            STATUS_OK, STATUS_ERROR, STATUS_OK,
         ]
-        assert [o.attempts for o in outcomes] == [1, 2, 1, 2]
-        assert sorted(p.index for p in seen) == [0, 1, 2, 3]
-        assert {p.index for p in seen[:2]} == {0, 2}
+        assert [o.attempts for o in outcomes] == [1, 1, 1]
+        assert sorted(p.index for p in seen) == [0, 1, 2]
         if workers == 1:
-            # Inline, each wave runs in payload order.
-            assert [p.index for p in seen] == [0, 2, 1, 3]
+            # Inline, tasks run in payload order.
+            assert [p.index for p in seen] == [0, 1, 2]
 
-    def test_outcomes_equal_at_both_worker_counts(self, tmp_path):
-        # The serial retry waves are the pooled ones run inline: a
-        # mixed list of ok, raising, timing-out and fail-once payloads
-        # ends identically at 1 and 2 workers.
+    def test_outcomes_equal_at_both_worker_counts(self):
+        # The serial run is the pooled one run inline: a mixed list of
+        # ok, raising and timing-out payloads ends identically at 1 and
+        # 2 workers, each task run once.
         def run(workers):
-            flags = tmp_path / f"w{workers}"
-            flags.mkdir()
             payloads = [
                 ("ok", "a"),
                 ("raise", "b"),
                 ("sleep", "c"),
-                ("once", str(flags / "d")),
                 ("ok", "e"),
-                ("once", str(flags / "f")),
             ]
             outcomes = run_tasks(
                 _mixed_task,
                 payloads,
                 config=PoolConfig(workers=workers, mp_context="fork",
-                                  max_retries=2, timeout_s=0.3),
+                                  timeout_s=0.3),
             )
             return [
                 (o.index, o.status, o.value, o.attempts, o.error)
@@ -307,66 +305,47 @@ class TestPoolEngine:
         assert serial == run(2)
         assert [row[1:4] for row in serial] == [
             (STATUS_OK, "a", 1),
-            (STATUS_ERROR, None, 3),
-            (STATUS_TIMEOUT, None, 3),
-            (STATUS_OK, "done", 2),
+            (STATUS_ERROR, None, 1),
+            (STATUS_TIMEOUT, None, 1),
             (STATUS_OK, "e", 1),
-            (STATUS_OK, "done", 2),
         ]
 
-    def test_retry_recovers_after_pool_rebuild(self):
-        outcomes = run_tasks(
-            _exit_once_then_echo,
-            ["a", "b"],
-            config=PoolConfig(workers=2, mp_context="fork",
-                              max_retries=2),
-        )
-        assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == ["a", "b"]
-
-    def test_rebuild_cap_yields_terminal_pool_broken(self, monkeypatch):
-        # A payload that kills its worker on *every* attempt would
-        # break the pool once per retry wave; the rebuild budget must
-        # stop the carnage and leave the survivors terminally broken.
-        monkeypatch.setattr(pool_module, "MAX_POOL_REBUILDS", 1)
+    def test_worker_killer_yields_terminal_pool_broken(self):
+        # A payload that kills its worker on every run breaks the pool
+        # once; every task in flight ends pool-broken after one run.
         seen = []
         outcomes = run_tasks(
             _always_exit,
             ["a", "b", "c"],
-            config=PoolConfig(workers=2, mp_context="fork",
-                              max_retries=5),
+            config=PoolConfig(workers=2, mp_context="fork"),
             progress=seen.append,
         )
         assert [o.status for o in outcomes] == [STATUS_POOL_BROKEN] * 3
         for o in outcomes:
             assert "worker process died" in o.error
-            # One attempt per wave; 1 rebuild allows exactly 2 waves.
-            assert o.attempts == 2
+            assert o.attempts == 1
         # Exactly one (terminal) progress call per task — no dupes.
         assert sorted(p.index for p in seen) == [0, 1, 2]
 
-    def test_pool_broken_surfaces_through_service_stats(
-        self, fake_planners, net, monkeypatch
-    ):
-        # The service maps the pool-broken outcome onto the job result
-        # and counts it both specifically and as an error.
+    def test_pool_broken_surfaces_through_daemon_status(self, net):
+        # The daemon maps the pool-broken outcome onto the job record,
+        # counts it and rebuilds its pool; two breakages stay below the
+        # breaker threshold, so nothing runs degraded.
         jobs = _jobs(net, ["Die", "Die"])
         register_planner(
             PlannerInfo(name="Die", build=_dying_planner,
                         multi_node=True, paper=False)
         )
-        monkeypatch.setattr(pool_module, "MAX_POOL_REBUILDS", 1)
         try:
-            service = PlanningService(workers=2, max_retries=4,
-                                      mp_context="fork")
-            results = service.run(jobs)
+            tickets, status = daemon_batch(jobs, workers=2)
         finally:
             unregister_planner("Die")
-        assert all(r.status == STATUS_POOL_BROKEN for r in results)
-        stats = service.stats()
-        assert stats["pool_broken"] == 2
-        assert stats["errors"] == 2
-        assert stats["ok"] == 0
+        assert all(
+            t.job_result.status == STATUS_POOL_BROKEN for t in tickets
+        )
+        assert status["counters"]["completed"] == {STATUS_POOL_BROKEN: 2}
+        assert status["counters"]["degraded"] == 0
+        assert status["pool_rebuilds"] >= 1
 
 
 def _exit_or_echo(payload):
@@ -379,25 +358,17 @@ def _exit_or_echo(payload):
 
 def _mixed_task(payload):
     # ("ok", v) echoes v; ("raise", _) raises; ("sleep", _) outlives
-    # any test timeout; ("once", path) fails until the flag file at
-    # path exists, creating it on the way out.
-    import os
-
+    # any test timeout.
     kind, arg = payload
     if kind == "raise":
         raise ValueError(f"injected failure for {arg}")
     if kind == "sleep":
         time.sleep(2.0)
-    if kind == "once":
-        if not os.path.exists(arg):
-            open(arg, "w").close()
-            raise RuntimeError("first attempt fails")
-        return "done"
     return arg
 
 
 def _always_exit(payload):
-    # Deterministic worker killer: breaks the pool on every attempt.
+    # Deterministic worker killer: breaks the pool on every run.
     import os
 
     os._exit(13)
@@ -407,23 +378,3 @@ def _dying_planner(network, request_ids, num_chargers, **kwargs):
     import os
 
     os._exit(13)
-
-
-_EXIT_FLAG = None
-
-
-def _exit_once_then_echo(payload):
-    # Dies in the first wave's worker processes, succeeds after the
-    # pool rebuild: the flag file is per-run state on disk.
-    import os
-    import tempfile
-
-    flag = os.path.join(
-        tempfile.gettempdir(), f"repro-pool-test-{os.getppid()}-{payload}"
-    )
-    if not os.path.exists(flag):
-        with open(flag, "w") as fh:
-            fh.write("1")
-        os._exit(13)
-    os.remove(flag)
-    return payload

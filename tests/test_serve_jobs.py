@@ -17,7 +17,6 @@ from repro.serve import (
     JobLineError,
     JobResult,
     PlanJob,
-    PlanningService,
     job_to_dict,
     jobs_from_lines,
     jobs_from_records,
@@ -25,6 +24,8 @@ from repro.serve import (
     load_jobs_lenient,
     save_jobs,
 )
+
+from tests._daemon_batch import daemon_results
 
 
 @pytest.fixture
@@ -102,7 +103,7 @@ class TestJsonlRoundTrip:
     def test_loaded_jobs_execute(self, net, tmp_path):
         path = tmp_path / "jobs.jsonl"
         save_jobs([_job(net, job_id="x")], path)
-        results = PlanningService().run(load_jobs(path))
+        results = daemon_results(load_jobs(path))
         assert results[0].ok
 
 
@@ -256,7 +257,7 @@ class TestLenientLoading:
         lines = self._mixed_lines(net)
         path.write_text("".join(line + "\n" for line in lines))
         jobs, errors = load_jobs_lenient(path)
-        results = PlanningService().run([j for _, j in jobs])
+        results = daemon_results([j for _, j in jobs])
         assert [r.ok for r in results] == [True, True, True]
         assert len(errors) == 3
 
