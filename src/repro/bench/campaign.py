@@ -1,144 +1,95 @@
-"""Full evaluation campaigns: run every figure, write one report.
+"""Figure rendering and the evaluation report.
 
-A *campaign* runs the complete evaluation section — all three sweeps,
-both metrics each — at a chosen scale, and renders a single Markdown
-report with tables, ASCII plots, the Appro-vs-best-baseline improvement
-statistics, and the exact configuration needed to rerun it. Results
-are also saved as JSON for downstream analysis.
-
-Used by ``python -m repro report`` and by users producing
-paper-vs-reproduction writeups.
+:func:`render_figure` is the one per-figure renderer: both paper
+metrics as tables, the Appro-vs-best-baseline improvement per sweep
+point and, optionally, ASCII plots. ``repro bench`` prints it for each
+figure it runs; with ``--output-dir`` it also writes the figures as
+one Markdown report (:func:`render_markdown_report`, the same blocks
+under a heading each, plus the exact command to rerun it) and as JSON
+for downstream analysis (:func:`write_campaign`).
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Mapping, Union
 
 from repro.bench.ascii_plot import plot_experiment
 from repro.bench.reporting import (
     format_series_table,
     improvement_over_best_baseline,
 )
-from repro.bench.runner import FIGURES, ExperimentResult, run_figure
+from repro.bench.runner import FIGURES, ExperimentResult
 
 
-@dataclass
-class CampaignResult:
-    """Everything one campaign produced."""
-
-    instances: int
-    horizon_days: float
-    results: Dict[str, ExperimentResult] = field(default_factory=dict)
-    wall_clock_s: float = 0.0
-
-    def to_json_dict(self) -> Dict:
-        out: Dict = {
-            "instances": self.instances,
-            "horizon_days": self.horizon_days,
-            "wall_clock_s": self.wall_clock_s,
-            "figures": {},
-        }
-        for key, result in self.results.items():
-            out["figures"][key] = {
-                "x_label": result.x_label,
-                "x_values": result.x_values,
-                "mean_longest_delay_h": result.mean_longest_delay_h,
-                "avg_dead_min": result.avg_dead_min,
-            }
-        return out
-
-
-def run_campaign(
-    instances: int = 2,
-    horizon_days: float = 40.0,
-    figures: Sequence[str] = ("fig3", "fig4", "fig5"),
-    progress: Optional[Callable[[str], None]] = None,
-    workers: int = 1,
-) -> CampaignResult:
-    """Run the selected figures at the given scale.
-
-    ``workers > 1`` fans the simulation cells of each figure out over
-    the worker pool (:func:`repro.serve.pool.run_tasks`); results are
-    identical to a serial run.
-
-    Raises:
-        KeyError: on an unknown figure key.
-    """
-    campaign = CampaignResult(
-        instances=instances, horizon_days=horizon_days
-    )
-    start = time.perf_counter()
-    for key in figures:
-        campaign.results[key] = run_figure(
-            key,
-            instances=instances,
-            horizon_s=horizon_days * 86400.0,
-            progress=progress,
-            workers=workers,
-        )
-    campaign.wall_clock_s = time.perf_counter() - start
-    return campaign
-
-
-def render_markdown_report(campaign: CampaignResult) -> str:
-    """One self-contained Markdown document for a campaign."""
-    lines: List[str] = []
-    lines.append("# WRSN multi-charger evaluation report")
-    lines.append("")
-    lines.append(
-        f"Scale: **{campaign.instances} instances/point**, "
-        f"**{campaign.horizon_days:g}-day horizon** "
-        f"(paper scale: 100 instances, 365 days). "
-        f"Wall clock: {campaign.wall_clock_s:.0f} s."
-    )
-    lines.append("")
-    lines.append(
-        "Rerun with: "
-        f"`python -m repro report --instances {campaign.instances} "
-        f"--days {campaign.horizon_days:g}`"
-    )
-    for key, result in campaign.results.items():
-        lines.append("")
-        lines.append(f"## {FIGURES[key].title}")
-        lines.append("")
-        lines.append("```")
-        lines.append(format_series_table(
+def render_figure(key: str, result: ExperimentResult, plot: bool) -> str:
+    """Both metric tables and the improvement line of one figure;
+    ``plot`` appends an ASCII plot per metric."""
+    title = FIGURES[key].title
+    gains = improvement_over_best_baseline(result, "longest_delay_h")
+    blocks = [
+        format_series_table(
             result, "longest_delay_h",
-            "(a) average longest tour duration", "hours",
-        ))
-        lines.append("")
-        lines.append(format_series_table(
+            f"{title} — average longest tour duration", "hours",
+        ),
+        format_series_table(
             result, "dead_min",
-            "(b) average dead duration per sensor", "minutes",
+            f"{title} — avg dead duration per sensor", "minutes",
+        ),
+        "Appro improvement over the best baseline per point: "
+        + ", ".join(
+            f"{x:g}: {g:.0%}" for x, g in zip(result.x_values, gains)
+        ),
+    ]
+    if plot:
+        blocks.append(plot_experiment(
+            result, "longest_delay_h", f"{title} — longest tour duration",
+            "h",
         ))
-        lines.append("```")
-        gains = improvement_over_best_baseline(result, "longest_delay_h")
-        pretty = ", ".join(
-            f"{x:g}: {g:+.0%}"
-            for x, g in zip(result.x_values, gains)
-        )
-        lines.append("")
-        lines.append(
-            f"Appro delay improvement over the best baseline — {pretty}."
-        )
-        lines.append("")
-        lines.append("```")
-        lines.append(plot_experiment(
-            result, "longest_delay_h", "(a) longest tour duration", "h",
-            width=56, height=14,
+        blocks.append(plot_experiment(
+            result, "dead_min", f"{title} — dead duration", "min",
         ))
-        lines.append("```")
+    return "\n\n".join(blocks)
+
+
+def render_markdown_report(
+    results: Mapping[str, ExperimentResult],
+    horizon_days: float,
+    wall_clock_s: float,
+) -> str:
+    """One self-contained Markdown document for a set of figures."""
+    instances = max(result.instances for result in results.values())
+    lines = [
+        "# WRSN multi-charger evaluation report",
+        "",
+        f"Scale: **{instances} instances/point**, "
+        f"**{horizon_days:g}-day horizon** "
+        f"(paper scale: 100 instances, 365 days). "
+        f"Wall clock: {wall_clock_s:.0f} s.",
+        "",
+        "Rerun with: "
+        f"`python -m repro bench {' '.join(results)} --instances "
+        f"{instances} --days {horizon_days:g} -o DIR`",
+    ]
+    for key, result in results.items():
+        lines += [
+            "",
+            f"## {FIGURES[key].title}",
+            "",
+            "```",
+            render_figure(key, result, plot=True),
+            "```",
+        ]
     lines.append("")
     return "\n".join(lines)
 
 
 def write_campaign(
-    campaign: CampaignResult,
+    results: Mapping[str, ExperimentResult],
     output_dir: Union[str, Path],
+    horizon_days: float,
+    wall_clock_s: float,
     stem: str = "evaluation",
 ) -> Dict[str, Path]:
     """Write the Markdown report and the JSON results.
@@ -150,6 +101,25 @@ def write_campaign(
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"{stem}.md"
     json_path = out / f"{stem}.json"
-    report_path.write_text(render_markdown_report(campaign))
-    json_path.write_text(json.dumps(campaign.to_json_dict(), indent=2))
+    report_path.write_text(
+        render_markdown_report(results, horizon_days, wall_clock_s)
+    )
+    figures = {
+        key: {
+            "x_label": result.x_label,
+            "x_values": result.x_values,
+            "mean_longest_delay_h": result.mean_longest_delay_h,
+            "avg_dead_min": result.avg_dead_min,
+        }
+        for key, result in results.items()
+    }
+    json_path.write_text(json.dumps(
+        {
+            "instances": max(r.instances for r in results.values()),
+            "horizon_days": horizon_days,
+            "wall_clock_s": wall_clock_s,
+            "figures": figures,
+        },
+        indent=2,
+    ))
     return {"report": report_path, "results": json_path}

@@ -4,11 +4,16 @@
 writing code:
 
 * ``generate`` — create and save a paper-parameter WRSN instance;
-* ``schedule`` — run one algorithm on an instance and report/save the
-  schedule;
+* ``plan`` — run one planner on a stored or generated instance,
+  validate the schedule and optionally save it;
 * ``simulate`` — the long-horizon monitoring simulation;
-* ``bench`` — regenerate a paper figure as tables and ASCII plots;
-* ``compare`` — all five algorithms side by side on one instance.
+* ``bench`` — regenerate paper figures as tables and ASCII plots, and
+  optionally a Markdown + JSON report;
+* ``eval`` — planners head to head over a scenario matrix (one group
+  of it compares them on one instance, with or without faults);
+* ``serve`` / ``daemon`` — planning jobs as a batch or a service;
+* ``inspect``, ``lint``, ``sanitize`` — instance analysis, the static
+  rules and the determinism sanitizer.
 """
 
 from repro.cli.main import build_parser, main

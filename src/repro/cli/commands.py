@@ -9,24 +9,30 @@ from __future__ import annotations
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from typing import Any, Dict
 
 import numpy as np
 
-from repro.bench.ascii_plot import plot_experiment
-from repro.bench.reporting import (
-    format_series_table,
-    improvement_over_best_baseline,
-)
-from repro.bench.runner import FIGURES, run_figure
-from repro.core.validation import validate_schedule
-from repro.energy.charging import ChargerSpec
+from repro.bench.runner import run_figure
 from repro.io import load_wrsn, save_schedule, save_wrsn
 from repro.network.requests import sensors_below_threshold
-from repro.network.topology import random_wrsn
-from repro.pipeline.planner import planner_names, run_planner
+from repro.network.topology import WRSN, random_wrsn
+from repro.pipeline.planner import run_planner
 from repro.sim.online import OnlineMonitoringSimulation
 from repro.sim.simulator import MonitoringSimulation
+
+
+def _deplete(net: WRSN, seed: int) -> None:
+    """Draw every residual uniformly below 20% of capacity (the
+    ``generate --deplete`` field; the RNG is seeded ``seed + 1``)."""
+    rng = np.random.default_rng(seed + 1)
+    net.set_residuals(
+        {
+            sid: float(rng.uniform(0.0, 0.2)) * net.sensor(sid).capacity_j
+            for sid in net.all_sensor_ids()
+        }
+    )
 
 
 def cmd_generate(args) -> int:
@@ -37,62 +43,13 @@ def cmd_generate(args) -> int:
         b_max_bps=args.b_max_kbps * 1000.0,
     )
     if args.deplete:
-        rng = np.random.default_rng(args.seed + 1)
-        net.set_residuals(
-            {
-                sid: float(rng.uniform(0.0, 0.2))
-                * net.sensor(sid).capacity_j
-                for sid in net.all_sensor_ids()
-            }
-        )
+        _deplete(net, args.seed)
     save_wrsn(net, args.output)
     state = "depleted" if args.deplete else "full batteries"
     print(
         f"wrote {args.output}: {len(net)} sensors ({state}), "
         f"depot at {tuple(net.depot.position)}"
     )
-    return 0
-
-
-def cmd_schedule(args) -> int:
-    """Run one algorithm on a stored instance."""
-    net = load_wrsn(args.instance)
-    if args.threshold >= 1.0:
-        requests = net.all_sensor_ids()
-    else:
-        requests = sensors_below_threshold(net, threshold=args.threshold)
-    if not requests:
-        print("no sensor is below the request threshold; nothing to do")
-        return 0
-    spec = ChargerSpec()
-    lifetimes = {sid: 1e12 for sid in requests}
-    t0 = time.perf_counter()
-    result = run_planner(
-        args.algorithm, net, requests, args.num_chargers, charger=spec,
-        lifetimes=lifetimes,
-    )
-    elapsed = time.perf_counter() - t0
-    print(f"algorithm      : {args.algorithm}")
-    print(f"requests       : {len(requests)}")
-    print(f"chargers (K)   : {args.num_chargers}")
-    print(f"longest delay  : {result.longest_delay() / 3600:.2f} h")
-    if hasattr(result, "tour_delays"):
-        delays = ", ".join(
-            f"{d / 3600:.2f}" for d in result.tour_delays()
-        )
-        print(f"per-tour (h)   : {delays}")
-    print(f"solved in      : {elapsed:.2f} s")
-    if args.validate:
-        if hasattr(result, "coverage"):
-            violations = validate_schedule(result, requests)
-            print(f"violations     : {len(violations)}")
-            for v in violations[:10]:
-                print(f"  [{v.kind}] {v.detail}")
-        else:
-            print("violations     : n/a (one-to-one baseline)")
-    if args.output:
-        save_schedule(result, args.output, algorithm=args.algorithm)
-        print(f"schedule saved : {args.output}")
     return 0
 
 
@@ -161,58 +118,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Regenerate one paper figure as tables (and ASCII plots)."""
-    title = FIGURES[args.figure].title
-    result = run_figure(
-        args.figure,
-        instances=args.instances,
-        horizon_s=args.days * 86400.0,
-        progress=lambda line: print(f"  .. {line}"),
-        workers=args.workers,
-    )
-    print()
-    print(format_series_table(
-        result, "longest_delay_h", f"{title} — longest tour duration",
-        "hours",
-    ))
-    print()
-    print(format_series_table(
-        result, "dead_min", f"{title} — avg dead duration per sensor",
-        "minutes",
-    ))
-    gains = improvement_over_best_baseline(result, "longest_delay_h")
-    print(
-        "\nAppro improvement over the best baseline per point: "
-        + ", ".join(f"{g:.0%}" for g in gains)
-    )
-    if args.plot:
+    """Regenerate paper figures as tables (and ASCII plots); with
+    ``--output-dir``, also write them as a Markdown + JSON report."""
+    from repro.bench.campaign import render_figure, write_campaign
+
+    start = time.perf_counter()
+    results = {}
+    for key in dict.fromkeys(args.figures):
+        results[key] = run_figure(
+            key,
+            instances=args.instances,
+            horizon_s=args.days * 86400.0,
+            progress=lambda line: print(f"  .. {line}"),
+            workers=args.workers,
+        )
         print()
-        print(plot_experiment(
-            result, "longest_delay_h",
-            f"{title} — longest tour duration", "h",
-        ))
-        print()
-        print(plot_experiment(
-            result, "dead_min",
-            f"{title} — dead duration", "min",
-        ))
-    return 0
-
-
-def cmd_report(args) -> int:
-    """Run the full campaign and write the report files."""
-    from repro.bench.campaign import run_campaign, write_campaign
-
-    campaign = run_campaign(
-        instances=args.instances,
-        horizon_days=args.days,
-        figures=tuple(args.figures),
-        progress=lambda line: print(f"  .. {line}"),
-        workers=args.workers,
-    )
-    paths = write_campaign(campaign, args.output_dir)
-    print(f"report : {paths['report']}")
-    print(f"results: {paths['results']}")
+        print(render_figure(key, results[key], plot=args.plot))
+    if args.output_dir:
+        paths = write_campaign(
+            results, args.output_dir, horizon_days=args.days,
+            wall_clock_s=time.perf_counter() - start,
+        )
+        print(f"\nreport : {paths['report']}")
+        print(f"results: {paths['results']}")
     return 0
 
 
@@ -252,49 +180,22 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    """The paper's five planners on one fully-requesting instance."""
-    from repro.eval import paired_matrix, run_eval
-
-    report = run_eval(
-        paired_matrix(
-            "none", planner_names(paper_only=True), args.num_sensors,
-            args.num_chargers, trials=1, seed=args.seed,
-        )
-    )
-    print(
-        f"n={args.num_sensors}, all requesting, K={args.num_chargers}\n"
-    )
-    print(f"{'algorithm':<10} {'longest delay (h)':>18} {'runtime (s)':>12}")
-    print("-" * 44)
-    rows: Dict[str, float] = {}
-    for cell in report["cells"]:
-        rows[cell["planner"]] = cell["planned_delay_s"]
-        print(
-            f"{cell['planner']:<10} {cell['planned_delay_s'] / 3600:>18.2f} "
-            f"{report['timings'][cell['cell']]['plan_s']:>12.2f}"
-        )
-    best_baseline = min(v for k, v in rows.items() if k != "Appro")
-    print(
-        f"\nAppro is {1 - rows['Appro'] / best_baseline:.0%} shorter than "
-        f"the best one-to-one baseline."
-    )
-    return _gate_cells(report)
-
-
 def cmd_plan(args) -> int:
-    """Run one registered planner through the unified pipeline."""
+    """Run one registered planner on a stored or generated instance."""
     from repro.pipeline import PlanningContext
 
-    net = random_wrsn(num_sensors=args.num_sensors, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    net.set_residuals(
-        {
-            sid: float(rng.uniform(0.0, 0.2)) * net.sensor(sid).capacity_j
-            for sid in net.all_sensor_ids()
-        }
-    )
-    requests = net.all_sensor_ids()
+    if args.instance:
+        net = load_wrsn(args.instance)
+    else:
+        net = random_wrsn(num_sensors=args.num_sensors, seed=args.seed)
+        _deplete(net, args.seed)
+    if args.threshold >= 1.0:
+        requests = net.all_sensor_ids()
+    else:
+        requests = sensors_below_threshold(net, threshold=args.threshold)
+    if not requests:
+        print("no sensor is below the request threshold; nothing to do")
+        return 0
     ctx = PlanningContext(net, requests)
     t0 = time.perf_counter()
     result = run_planner(
@@ -303,6 +204,7 @@ def cmd_plan(args) -> int:
     elapsed = time.perf_counter() - t0
     uncovered = sorted(set(requests) - result.covered_sensors())
     stats = ctx.stats()
+    violations = result.validate(requests)
     print(f"planner        : {result.planner}")
     print(f"requests       : {len(requests)}")
     print(f"chargers (K)   : {result.num_tours}")
@@ -312,12 +214,17 @@ def cmd_plan(args) -> int:
     print(f"per-tour (h)   : {delays}")
     print(f"covered        : {len(result.covered_sensors())}"
           f"/{len(requests)}")
-    print(f"violations     : {len(result.validate(requests))}")
+    print(f"violations     : {len(violations)}")
+    for v in violations[:10]:
+        print(f"  [{v.kind}] {v.detail}")
     print(f"cache          : {stats['distance_pairs']} distance pairs, "
           f"{stats['distance_hits']} hits / "
           f"{stats['distance_misses']} misses, "
           f"{stats['memo_hits']} memo hits")
     print(f"solved in      : {elapsed:.2f} s")
+    if args.output:
+        save_schedule(result, args.output, algorithm=args.planner)
+        print(f"schedule saved : {args.output}")
     if uncovered:
         print(f"error: {len(uncovered)} request(s) left uncovered: "
               f"{uncovered[:10]}", file=sys.stderr)
@@ -343,35 +250,6 @@ def _gate_cells(report: Dict[str, Any]) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    """Compare planners under identical seeded fault draws."""
-    from repro.eval import paired_matrix, render_cells_table, run_eval
-
-    print(
-        f"scenario={args.scenario} n={args.num_sensors} "
-        f"K={args.num_chargers} trials={args.trials} seed={args.seed}\n"
-    )
-    report = run_eval(
-        paired_matrix(
-            args.scenario,
-            args.algorithms or planner_names(paper_only=True),
-            args.num_sensors,
-            args.num_chargers,
-            trials=args.trials,
-            seed=args.seed,
-        ),
-        workers=args.workers,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    print(render_cells_table(report))
-    conflicts = sum(cell["conflicts"] for cell in report["cells"])
-    print(
-        f"\nrealized constraint violations across "
-        f"{args.trials} fault trials: {conflicts}"
-    )
-    return _gate_cells(report)
-
-
 def _write_demo_jobs(path: str) -> None:
     """A small self-contained batch: 2 networks × 3 planners × K∈{1,2}."""
     from repro.serve import PlanJob, save_jobs
@@ -379,14 +257,7 @@ def _write_demo_jobs(path: str) -> None:
     jobs = []
     for net_seed in (11, 12):
         net = random_wrsn(num_sensors=30, seed=net_seed)
-        rng = np.random.default_rng(net_seed + 1)
-        net.set_residuals(
-            {
-                sid: float(rng.uniform(0.0, 0.2))
-                * net.sensor(sid).capacity_j
-                for sid in net.all_sensor_ids()
-            }
-        )
+        _deplete(net, net_seed)
         requests = tuple(net.all_sensor_ids())
         for planner in ("Appro", "K-minMax", "K-EDF"):
             for k in (1, 2):
@@ -475,7 +346,6 @@ def cmd_daemon(args) -> int:
     import os
     import signal
     import threading
-    from dataclasses import replace
 
     from repro.serve.daemon import DaemonConfig, PlanningDaemon
     from repro.serve.transport import make_socket_server, serve_stream
@@ -667,11 +537,21 @@ def cmd_eval(args) -> int:
         run_eval,
     )
 
-    matrix = (
+    base = (
         quick_matrix(seed=args.seed)
         if args.quick
         else default_matrix(seed=args.seed)
     )
+    # Each axis flag replaces that field of the base matrix; the
+    # matrix's own validate() rejects bad values (exit 2).
+    overrides = {}
+    for name in ("sizes", "densities", "num_chargers", "scenarios",
+                 "planners"):
+        if getattr(args, name) is not None:
+            overrides[name] = tuple(getattr(args, name))
+    if args.trials is not None:
+        overrides["trials"] = args.trials
+    matrix = replace(base, **overrides)
     report = run_eval(
         matrix,
         workers=args.workers,

@@ -45,29 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--b-max-kbps", type=float, default=50.0)
     gen.set_defaults(func=commands.cmd_generate)
 
-    sch = sub.add_parser(
-        "schedule",
-        help="run one scheduling algorithm on an instance",
-    )
-    sch.add_argument("instance", help="WRSN JSON (from 'generate')")
-    sch.add_argument(
-        "-a", "--algorithm", choices=_ALGORITHM_NAMES, default="Appro"
-    )
-    sch.add_argument("-k", "--num-chargers", type=int, default=2)
-    sch.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help="request sensors below this residual fraction "
-        "(default 0.2; use 1.0 to request everyone)",
-    )
-    sch.add_argument("-o", "--output", help="save the schedule JSON here")
-    sch.add_argument(
-        "--validate", action="store_true",
-        help="run the feasibility validator and report violations",
-    )
-    sch.set_defaults(func=commands.cmd_schedule)
-
     sim = sub.add_parser(
         "simulate", help="long-horizon monitoring simulation"
     )
@@ -95,11 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="regenerate a paper figure (tables + ASCII plots)",
+        help="regenerate paper figures (tables + ASCII plots), "
+        "optionally written as a Markdown + JSON report",
     )
     bench.add_argument(
-        "figure", choices=sorted(FIGURES),
-        help="which evaluation figure to regenerate",
+        "figures", nargs="+", choices=sorted(FIGURES), metavar="FIGURE",
+        help=f"figures to regenerate, of {', '.join(sorted(FIGURES))}",
     )
     bench.add_argument("--instances", type=int, default=2)
     bench.add_argument("--days", type=float, default=40.0)
@@ -110,80 +88,38 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="simulation worker processes (default: 1, in-process)",
     )
+    bench.add_argument(
+        "-o", "--output-dir", default=None, metavar="DIR",
+        help="also write evaluation.md / evaluation.json here",
+    )
     bench.set_defaults(func=commands.cmd_bench)
-
-    cmp_ = sub.add_parser(
-        "compare",
-        help="the paper's five algorithms on one request batch (a "
-        "one-group eval matrix, no faults)",
-    )
-    cmp_.add_argument("-n", "--num-sensors", type=int, default=500)
-    cmp_.add_argument("-k", "--num-chargers", type=int, default=2)
-    cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.set_defaults(func=commands.cmd_compare)
-
-    rep = sub.add_parser(
-        "report",
-        help="run the full evaluation campaign and write a Markdown "
-        "report + JSON results",
-    )
-    rep.add_argument(
-        "-o", "--output-dir", default="evaluation-report",
-        help="directory for evaluation.md / evaluation.json",
-    )
-    rep.add_argument("--instances", type=int, default=2)
-    rep.add_argument("--days", type=float, default=40.0)
-    rep.add_argument(
-        "--figures", nargs="+", choices=sorted(FIGURES),
-        default=sorted(FIGURES),
-    )
-    rep.add_argument(
-        "--workers", type=int, default=1,
-        help="simulation worker processes (default: 1, in-process)",
-    )
-    rep.set_defaults(func=commands.cmd_report)
 
     pln = sub.add_parser(
         "plan",
-        help="run one registered planner through the unified "
-        "pipeline (shared PlanningContext, coverage check)",
+        help="run one registered planner on a stored or generated "
+        "instance and validate the schedule",
     )
+    source = pln.add_mutually_exclusive_group()
+    source.add_argument(
+        "--instance", default=None, metavar="PATH",
+        help="WRSN JSON (from 'generate'); default: generate a "
+        "depleted field as 'generate --deplete' does",
+    )
+    source.add_argument("-n", "--num-sensors", type=int, default=100)
+    pln.add_argument("--seed", type=int, default=0)
     pln.add_argument(
         "-p", "--planner", choices=_PLANNER_NAMES, default="Appro",
     )
-    pln.add_argument("-n", "--num-sensors", type=int, default=100)
     pln.add_argument("-k", "--num-chargers", type=int, default=2)
-    pln.add_argument("--seed", type=int, default=0)
+    pln.add_argument(
+        "--threshold",
+        type=float,
+        default=0.2,
+        help="request sensors below this residual fraction "
+        "(default 0.2; use 1.0 to request everyone)",
+    )
+    pln.add_argument("-o", "--output", help="save the schedule JSON here")
     pln.set_defaults(func=commands.cmd_plan)
-
-    flt = sub.add_parser(
-        "faults",
-        help="fault-injection comparison: algorithms under identical "
-        "seeded fault draws (a one-group eval matrix); exits 1 on any "
-        "plan violation or realized conflict",
-    )
-    flt.add_argument(
-        "scenario", nargs="?", choices=scenario_names(),
-        default="breakdown",
-        help="named fault scenario (default: breakdown)",
-    )
-    flt.add_argument(
-        "-a", "--algorithms", nargs="+", choices=_ALGORITHM_NAMES,
-        help="algorithms to compare (default: all)",
-    )
-    flt.add_argument("-n", "--num-sensors", type=int, default=100)
-    flt.add_argument("-k", "--num-chargers", type=int, default=3)
-    flt.add_argument(
-        "--trials", type=int, default=100,
-        help="fault draws per algorithm (default: 100)",
-    )
-    flt.add_argument("--seed", type=int, default=0)
-    flt.add_argument(
-        "--workers", type=int, default=1,
-        help="pool processes, one algorithm per task (default: 1, "
-        "in-process; results are identical at any count)",
-    )
-    flt.set_defaults(func=commands.cmd_faults)
 
     srv = sub.add_parser(
         "serve",
@@ -332,14 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     evl = sub.add_parser(
         "eval",
-        help="head-to-head planner evaluation: all registered "
-        "planners x scenario matrix x fault plans, one reproducible "
-        "repro-eval/1 report and table; exits 1 on any plan violation "
-        "or realized conflict",
+        help="head-to-head planner evaluation: planners x scenario "
+        "matrix x fault plans (each axis flag overrides the base "
+        "matrix; one value per axis compares planners on one "
+        "instance), one reproducible repro-eval/1 report and table; "
+        "exits 1 on any plan violation or realized conflict",
     )
     evl.add_argument(
         "--quick", action="store_true",
-        help="small grid for CI smoke runs; the quick report carries "
+        help="start from the small CI grid; the quick report carries "
         "no timings and is byte-identical at any worker count",
     )
     evl.add_argument(
@@ -351,6 +288,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="master seed for instances, residuals and fault plans "
         "(default: 0)",
+    )
+    evl.add_argument(
+        "-n", "--sizes", type=int, nargs="+", default=None,
+        help="network sizes (default: the base matrix's)",
+    )
+    evl.add_argument(
+        "--densities", type=float, nargs="+", default=None,
+        help="request densities in (0, 1]; 1.0 = every sensor requests",
+    )
+    evl.add_argument(
+        "-k", "--chargers", dest="num_chargers", type=int, nargs="+",
+        default=None, metavar="K", help="charger counts",
+    )
+    evl.add_argument(
+        "--scenarios", nargs="+", choices=scenario_names(), default=None,
+        metavar="SCENARIO",
+        help=f"fault scenarios, of {', '.join(scenario_names())} "
+        "(default: none, breakdown, overload)",
+    )
+    evl.add_argument(
+        "-p", "--planners", nargs="+", choices=_PLANNER_NAMES,
+        default=None, metavar="PLANNER",
+        help=f"planners, of {', '.join(_PLANNER_NAMES)} (default: all)",
+    )
+    evl.add_argument(
+        "--trials", type=int, default=None,
+        help="fault-draw rounds per cell",
     )
     evl.add_argument(
         "--markdown", action="store_true",

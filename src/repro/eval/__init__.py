@@ -15,7 +15,6 @@ from repro.eval.matrix import (
     EvalMatrix,
     build_cells,
     default_matrix,
-    paired_matrix,
     quick_matrix,
     resolve_planners,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "cell_parity_lines",
     "default_matrix",
     "execute_eval_cell",
-    "paired_matrix",
     "quick_matrix",
     "render_cells_table",
     "render_summary_table",

@@ -14,7 +14,7 @@ feed and makes results independent of worker count by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.pipeline.planner import planner_names
 from repro.sim.faults.scenarios import scenario_names
@@ -74,8 +74,8 @@ class EvalMatrix:
         Raises:
             ValueError: on ``trials < 1``, a size or ``K`` below 1, a
                 density outside ``(0, 1]``, a non-positive
-                ``budget_factor``, or an unregistered scenario or
-                planner name.
+                ``budget_factor``, an unregistered scenario or planner
+                name, or a value repeated on one axis.
         """
         problems: List[str] = []
         if self.trials < 1:
@@ -107,6 +107,12 @@ class EvalMatrix:
             for name in self.planners
             if name not in planner_names()
         ]
+        # A repeated value would emit two cells under one cell name.
+        for axis in ("sizes", "densities", "num_chargers", "scenarios",
+                     "planners"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                problems.append(f"{axis} repeat a value: {list(values)}")
         if problems:
             raise ValueError("invalid eval matrix: " + "; ".join(problems))
 
@@ -125,31 +131,6 @@ def quick_matrix(seed: int = 0) -> EvalMatrix:
         trials=2,
         seed=seed,
         quick=True,
-    )
-
-
-def paired_matrix(
-    scenario: str,
-    planners: Sequence[str],
-    num_sensors: int,
-    num_chargers: int,
-    trials: int,
-    seed: int = 0,
-) -> EvalMatrix:
-    """One group: every planner on one all-requesting instance.
-
-    The ``repro faults`` and ``repro compare`` preset: each planner
-    faces the identical instance and the identical ``trials`` fault
-    draws of ``scenario`` (``compare`` runs ``"none"`` once).
-    """
-    return EvalMatrix(
-        sizes=(num_sensors,),
-        densities=(1.0,),
-        num_chargers=(num_chargers,),
-        scenarios=(scenario,),
-        planners=tuple(planners),
-        trials=trials,
-        seed=seed,
     )
 
 

@@ -135,39 +135,6 @@ class DistanceCache:
         self._dense[key] = matrix
         return matrix
 
-    def seed_dense(
-        self, labels: Sequence[Hashable], matrix: np.ndarray
-    ) -> None:
-        """Install a precomputed dense matrix for ``labels``.
-
-        For a matrix built by :meth:`dense_matrix` elsewhere, e.g. in
-        another process (entries are ``math.hypot`` floats, so any two
-        builds over the same labels are byte-identical): seeding it
-        skips the O(n^2) rebuild. The array is frozen (pickling drops
-        the read-only flag) and kept by reference; a matrix already
-        cached for the label tuple wins — seeding is a no-op then.
-
-        Raises:
-            ValueError: on a depot-less cache, or when the matrix shape
-                does not match ``labels`` plus the depot row/column.
-        """
-        if self._depot is None:
-            raise ValueError(
-                "seed_dense requires a depot-carrying DistanceCache"
-            )
-        key = tuple(labels)
-        expect = len(key) + 1
-        if matrix.shape != (expect, expect):
-            raise ValueError(
-                f"dense matrix shape {matrix.shape} does not match "
-                f"{len(key)} labels plus the depot"
-            )
-        if key in self._dense:
-            return
-        matrix = np.asarray(matrix, dtype=np.float64)
-        matrix.flags.writeable = False
-        self._dense[key] = matrix
-
     def __len__(self) -> int:
         """Number of stored (directed) pair entries."""
         return len(self._memo)

@@ -45,8 +45,7 @@ def build_auxiliary_graph(
 
     Returns:
         ``networkx.Graph`` with an edge wherever two candidates' disks
-        share at least one sensor; edges carry the Euclidean
-        ``weight``.
+        share at least one sensor.
     """
     if radius_m <= 0:
         raise ValueError(f"charging radius must be positive, got {radius_m}")
@@ -58,11 +57,7 @@ def build_auxiliary_graph(
         # Disk intersection requires centre distance <= 2γ.
         for other in index.neighbors_of(cand, 2.0 * radius_m):
             if other > cand and coverage[cand] & coverage[other]:
-                graph.add_edge(
-                    cand,
-                    other,
-                    weight=positions[cand].distance_to(positions[other]),
-                )
+                graph.add_edge(cand, other)
     return graph
 
 

@@ -8,9 +8,10 @@ attributes so downstream code can stay graph-centric.
 Construction takes its edges from one KD-tree pair query
 (:meth:`repro.geometry.grid_index.GridIndex.pairs_within`), so it is
 O(n log n + |E|) instead of O(n²). Membership is decided by
-``np.hypot(Δx, Δy) <= γ``, while each edge's ``weight`` is
-``math.hypot``; the two can differ by an ulp, so an edge at distance
-``≈ γ`` may carry a weight just above ``γ``.
+``np.hypot(Δx, Δy) <= γ``, which can differ by an ulp from the
+``math.hypot`` of :meth:`Point.distance_to`, so an edge at distance
+``≈ γ`` may join a pair whose ``distance_to`` is just above ``γ``.
+Edges carry no weight: nothing downstream reads one.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ def build_charging_graph(
             of ``positions``.
 
     Returns:
-        ``networkx.Graph`` whose nodes carry a ``pos`` attribute and
-        whose edges carry the Euclidean ``weight``.
+        ``networkx.Graph`` whose nodes carry a ``pos`` attribute.
     """
     if radius_m <= 0:
         raise ValueError(f"charging radius must be positive, got {radius_m}")
@@ -54,13 +54,14 @@ def build_charging_graph(
     # ``u < v``; the pairs come sorted by (i, j), which fixes the edge
     # insertion order and with it every adjacency order downstream.
     # Membership is the np.hypot rule of pairs_within, which can
-    # disagree by an ulp with the math.hypot of neighbors_of() and of
-    # the edge weight (tests/test_geometry_boundary.py pins a pair).
+    # disagree by an ulp with the math.hypot of neighbors_of()
+    # (tests/test_geometry_boundary.py pins a pair).
     rows, cols = index.pairs_within(
         [positions[n] for n in node_list], radius_m
     )
     upper = rows < cols
-    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
-        u, v = node_list[i], node_list[j]
-        graph.add_edge(u, v, weight=positions[u].distance_to(positions[v]))
+    graph.add_edges_from(
+        (node_list[i], node_list[j])
+        for i, j in zip(rows[upper].tolist(), cols[upper].tolist())
+    )
     return graph

@@ -45,8 +45,6 @@ MEMO_FIELDS = frozenset(
         "_aux",
         "_core",
         "_minmax",
-        "_codecs",
-        "_dense_matrices",
         "memo_hits",
         "memo_misses",
         "invalidations",

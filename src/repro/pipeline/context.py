@@ -31,7 +31,6 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tupl
 from weakref import WeakKeyDictionary
 
 import networkx as nx
-import numpy as np
 
 from repro.energy.charging import ChargerSpec, full_charge_time
 from repro.geometry.distcache import DistanceCache
@@ -40,8 +39,7 @@ from repro.graphs.auxiliary import build_auxiliary_graph
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.unit_disk import build_charging_graph
 from repro.network.topology import WRSN
-from repro.tours.arrays import NodeIndexCodec, canonical_labels
-from repro.tours.kminmax import backbone_policy, solve_k_minmax_tours
+from repro.tours.kminmax import solve_k_minmax_tours
 
 #: Per-network shared distance caches. Positions are static for the
 #: lifetime of a WRSN, so every context on the same network — across
@@ -108,8 +106,6 @@ class PlanningContext:
         self._aux: Dict[Tuple[str, int], nx.Graph] = {}
         self._core: Dict[Tuple[str, int], List[int]] = {}
         self._minmax: Dict[Any, Tuple[List[List[int]], float]] = {}
-        self._codecs: Dict[Tuple[int, ...], NodeIndexCodec] = {}
-        self._dense_matrices: Dict[Tuple[int, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Consistency
@@ -367,68 +363,6 @@ class PlanningContext:
         return list(result)
 
     # ------------------------------------------------------------------
-    # Array tour engine backend (DESIGN §16)
-    # ------------------------------------------------------------------
-
-    def node_codec(self, labels: Sequence[int]) -> NodeIndexCodec:
-        """Memoized label ↔ dense-index codec over ``labels``.
-
-        Keyed by the canonical (sorted) label order, so every caller
-        over the same node set — whatever visit order it holds — shares
-        one codec, matching the dense-matrix memo key below.
-        """
-        key = canonical_labels(labels)
-        cached = self._codecs.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        self.memo_misses += 1
-        codec = NodeIndexCodec(key)
-        self._codecs[key] = codec
-        return codec
-
-    def dense_matrix_for(self, labels: Sequence[int]) -> np.ndarray:
-        """Memoized dense distance matrix over ``labels`` (depot last).
-
-        Delegates to the shared cache's
-        :meth:`~repro.geometry.distcache.DistanceCache.dense_matrix`
-        under the canonical label order — the same build the array
-        kernels hit — and additionally pins the result in this
-        context's own memo.
-        """
-        key = canonical_labels(labels)
-        cached = self._dense_matrices.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        self.memo_misses += 1
-        matrix = self.distance.dense_matrix(key)
-        self._dense_matrices[key] = matrix
-        return matrix
-
-    def _warm_array_backend(
-        self, nodes: Sequence[int], tsp_method: str, improve: bool
-    ) -> None:
-        """Pin the dense backend in this context's memos when the
-        min-max solver's array kernels will consult it.
-
-        The kernels memoize the matrix on the (process-local) distance
-        cache either way; routing the build through the context memo
-        here counts it in the context's memo statistics. Gated on the
-        solver's own
-        :func:`~repro.tours.kminmax.backbone_policy`, so no matrix is
-        built that the solve would not build itself.
-        """
-        if len(nodes) < 2:
-            return
-        method, run_improve = backbone_policy(len(nodes), tsp_method, improve)
-        if method not in ("nearest_neighbor", "greedy_edge") and not run_improve:
-            return
-        key = canonical_labels(nodes)
-        self.node_codec(key)
-        self.dense_matrix_for(key)
-
-    # ------------------------------------------------------------------
     # Min-max tours (step 5 / the K-minMax baseline)
     # ------------------------------------------------------------------
 
@@ -461,7 +395,6 @@ class PlanningContext:
             tours, delay = cached
         else:
             self.memo_misses += 1
-            self._warm_array_backend(node_tuple, tsp_method, improve)
             tours, delay = solve_k_minmax_tours(
                 list(node_tuple),
                 self.positions,
@@ -491,8 +424,6 @@ class PlanningContext:
             "minmax_solutions": len(self._minmax),
             "coverage_entries": len(self._coverage),
             "stop_group_indexes": len(self._stop_groups),
-            "dense_matrices": len(self._dense_matrices),
-            "node_codecs": len(self._codecs),
             **{
                 f"distance_{k}": v for k, v in self.distance.stats().items()
             },

@@ -82,7 +82,7 @@ from repro.serve.pool import (
     SupervisedPool,
     TaskOutcome,
 )
-from repro.serve.workers import execute_plan_job
+from repro.serve.workers import drop_groups, execute_plan_job
 
 #: Status document format tag.
 DAEMON_STATUS_FORMAT = "repro-daemon-status/1"
@@ -431,7 +431,8 @@ class PlanningDaemon:
 
         In-flight jobs finish normally; queued-but-unstarted entries
         resolve to terminal ``shutting-down`` rejections; runner
-        threads exit; both pools close. Idempotent.
+        threads exit; both pools close and this daemon's groups leave
+        the in-process worker cache. Idempotent.
         """
         with self._cond:
             self._accepting = False
@@ -457,6 +458,7 @@ class PlanningDaemon:
             thread.join()
         self.pool.close()
         self._degraded_pool.close()
+        drop_groups(self._token)
 
     def reconfigure(self, config: DaemonConfig) -> List[str]:
         """Apply the hot-reloadable knobs of ``config`` (SIGHUP path).

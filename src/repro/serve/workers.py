@@ -65,6 +65,20 @@ def reset_worker_cache() -> None:
     _GROUP_CACHE.clear()
 
 
+def drop_groups(token: str) -> None:
+    """Drop this process's cached groups of one daemon ``token``.
+
+    Called by :meth:`~repro.serve.daemon.PlanningDaemon.shutdown`: with
+    ``workers=1`` the cache lives in the daemon's own process, and a
+    stopped daemon's pinned networks and contexts must not outlive it.
+    """
+    # list() snapshots the keys in one step, and pop() tolerates a key
+    # that another daemon's runner thread evicts meanwhile.
+    for key in list(_GROUP_CACHE):
+        if key[0] == token:
+            _GROUP_CACHE.pop(key, None)
+
+
 def _group_state(
     token: str, group_key: str, network: WRSN
 ) -> Tuple[GroupState, bool]:
@@ -167,6 +181,7 @@ def execute_plan_job(payload: Dict) -> Dict:
 
 __all__ = [
     "GroupState",
+    "drop_groups",
     "MAX_CACHED_GROUPS",
     "MAX_CONTEXTS_PER_GROUP",
     "execute_plan_job",

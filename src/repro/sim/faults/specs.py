@@ -6,8 +6,8 @@ specs into one concrete :class:`RoundFaults` draw per scheduling round.
 Specs are plain frozen dataclasses so fault scenarios are hashable,
 comparable and trivially serialisable; every stochastic choice is
 deferred to the injector so the same :class:`FaultPlan` always yields
-the same faults for the same round — the property the ``repro faults``
-campaign relies on to compare algorithms under *identical* fault seeds.
+the same faults for the same round — the property ``repro eval``
+relies on to compare algorithms under *identical* fault seeds.
 
 The five fault classes mirror what field deployments report:
 

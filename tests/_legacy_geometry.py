@@ -74,10 +74,7 @@ def legacy_build_charging_graph(
         index, [positions[n] for n in node_list], radius_m
     )
     for node, row in zip(node_list, rows):
-        p = positions[node]
         for other in row:
             if other > node:
-                graph.add_edge(
-                    node, other, weight=p.distance_to(positions[other])
-                )
+                graph.add_edge(node, other)
     return graph

@@ -20,14 +20,34 @@ class TestParser:
         assert not args.deplete
 
     def test_schedule_algorithm_choices(self):
+        """``plan -p`` offers every registered planner."""
+        args = build_parser().parse_args(["plan", "-p", "GreedyCover"])
+        assert args.planner == "GreedyCover"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["plan", "-p", "NotAnAlg"])
+
+    def test_plan_instance_excludes_num_sensors(self):
+        args = build_parser().parse_args(["plan", "--instance", "x.json"])
+        assert args.instance == "x.json"
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["schedule", "x.json", "-a", "NotAnAlg"]
+                ["plan", "--instance", "x.json", "-n", "40"]
             )
+
+    @pytest.mark.parametrize(
+        "command", ["schedule", "compare", "faults", "report"]
+    )
+    def test_removed_commands_are_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bench_figure_choices(self):
         args = build_parser().parse_args(["bench", "fig3"])
-        assert args.figure == "fig3"
+        assert args.figures == ["fig3"]
+        args = build_parser().parse_args(["bench", "fig3", "fig5"])
+        assert args.figures == ["fig3", "fig5"]
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "fig9"])
 
@@ -54,6 +74,7 @@ class TestCommands:
         assert "wrote" in capsys.readouterr().out
 
     def test_schedule_roundtrip(self, tmp_path, capsys):
+        """A stored instance planned and its schedule saved as JSON."""
         net_path = tmp_path / "net.json"
         sched_path = tmp_path / "sched.json"
         assert main(
@@ -62,9 +83,8 @@ class TestCommands:
         ) == 0
         code = main(
             [
-                "schedule", str(net_path), "-a", "Appro", "-k", "2",
-                "--threshold", "1.0", "--validate",
-                "-o", str(sched_path),
+                "plan", "--instance", str(net_path), "-p", "Appro",
+                "-k", "2", "--threshold", "1.0", "-o", str(sched_path),
             ]
         )
         assert code == 0
@@ -74,25 +94,48 @@ class TestCommands:
         report = json.loads(sched_path.read_text())
         assert report["algorithm"] == "Appro"
 
+    @pytest.mark.parametrize("planner", ["Appro", "K-EDF"])
+    def test_plan_instance_matches_generated_field(
+        self, tmp_path, capsys, planner
+    ):
+        """``plan --instance`` on a ``generate --deplete`` file prints
+        the report ``plan -n/--seed`` prints for the same field."""
+        net_path = tmp_path / "net.json"
+        main(["generate", str(net_path), "-n", "40", "--seed", "3",
+              "--deplete"])
+        capsys.readouterr()
+
+        def report(argv):
+            assert main(["plan", "-p", planner, *argv]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [ln for ln in lines if not ln.startswith("solved in")]
+
+        stored = report(["--instance", str(net_path)])
+        generated = report(["-n", "40", "--seed", "3"])
+        assert stored == generated
+        assert f"planner        : {planner}" in stored
+
     def test_schedule_no_requests(self, tmp_path, capsys):
         net_path = tmp_path / "net.json"
         main(["generate", str(net_path), "-n", "20", "--seed", "3"])
-        code = main(["schedule", str(net_path)])
+        code = main(["plan", "--instance", str(net_path)])
         assert code == 0
         assert "nothing to do" in capsys.readouterr().out
 
-    def test_schedule_baseline_no_validator(self, tmp_path, capsys):
+    def test_plan_validates_baselines(self, tmp_path, capsys):
         net_path = tmp_path / "net.json"
         main(
             ["generate", str(net_path), "-n", "30", "--seed", "4",
              "--deplete"]
         )
         code = main(
-            ["schedule", str(net_path), "-a", "K-EDF",
-             "--threshold", "1.0", "--validate"]
+            ["plan", "--instance", str(net_path), "-p", "K-EDF",
+             "--threshold", "1.0"]
         )
         assert code == 0
-        assert "n/a" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "multi-node     : False" in out
+        assert "violations     : 0" in out
 
     def test_simulate_runs(self, capsys):
         code = main(
@@ -112,7 +155,12 @@ class TestCommands:
         assert "Appro-Online" in capsys.readouterr().out
 
     def test_compare_runs(self, capsys):
-        code = main(["compare", "-n", "60", "-k", "2", "--seed", "7"])
+        """The paper's five on one all-requesting batch, no faults."""
+        code = main(
+            ["eval", "-n", "60", "-k", "2", "--seed", "7",
+             "--densities", "1.0", "--scenarios", "none", "--trials", "1",
+             "-p", "Appro", "K-EDF", "NETWRAP", "AA", "K-minMax"]
+        )
         assert code == 0
         out = capsys.readouterr().out
         for name in ("Appro", "K-EDF", "NETWRAP", "AA", "K-minMax"):
@@ -141,57 +189,95 @@ class TestCommands:
         assert "analysed request set    : 0" in capsys.readouterr().out
 
     def test_error_exit_code(self, tmp_path, capsys):
-        code = main(["schedule", str(tmp_path / "missing.json")])
+        code = main(["plan", "--instance", str(tmp_path / "missing.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
 
 class TestFaults:
+    """Planners under identical seeded fault draws: ``eval`` with its
+    axis flags narrowed to one group."""
+
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["faults"])
-        assert args.command == "faults"
-        assert args.scenario == "breakdown"
-        assert args.num_sensors == 100
-        assert args.num_chargers == 3
-        assert args.trials == 100
+        args = build_parser().parse_args(["eval"])
+        assert args.command == "eval"
+        for axis in ("sizes", "densities", "num_chargers", "scenarios",
+                     "planners", "trials"):
+            assert getattr(args, axis) is None
         assert args.seed == 0
-        assert args.algorithms is None
+        assert not args.quick
 
     def test_parser_scenario_choices(self):
-        args = build_parser().parse_args(["faults", "perfect-storm"])
-        assert args.scenario == "perfect-storm"
+        args = build_parser().parse_args(
+            ["eval", "--scenarios", "perfect-storm"]
+        )
+        assert args.scenarios == ["perfect-storm"]
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults", "not-a-scenario"])
+            build_parser().parse_args(
+                ["eval", "--scenarios", "not-a-scenario"]
+            )
 
     def test_parser_algorithm_choices(self):
         args = build_parser().parse_args(
-            ["faults", "-a", "Appro", "K-EDF"]
+            ["eval", "-p", "Appro", "K-EDF"]
         )
-        assert args.algorithms == ["Appro", "K-EDF"]
+        assert args.planners == ["Appro", "K-EDF"]
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults", "-a", "NotAnAlg"])
+            build_parser().parse_args(["eval", "-p", "NotAnAlg"])
+
+    def test_axis_flags_make_one_group(self, monkeypatch):
+        from dataclasses import replace
+
+        import repro.eval as eval_pkg
+        from repro.eval import build_cells, quick_matrix
+
+        seen = []
+
+        def fake_run_eval(matrix, workers=1, progress=None):
+            seen.append(matrix)
+            return {"cells": [], "planners": {}, "timings": {}}
+
+        monkeypatch.setattr(eval_pkg, "run_eval", fake_run_eval)
+        assert main(
+            ["eval", "--quick", "-n", "40", "-k", "3", "--densities",
+             "1.0", "--scenarios", "breakdown", "-p", "Appro", "AA",
+             "--trials", "5"]
+        ) == 0
+        (matrix,) = seen
+        assert matrix == replace(
+            quick_matrix(), sizes=(40,), densities=(1.0,),
+            num_chargers=(3,), scenarios=("breakdown",),
+            planners=("Appro", "AA"), trials=5,
+        )
+        cells = build_cells(matrix)
+        assert {c["group"] for c in cells} == {"n40-d100-k3-breakdown"}
+        assert [c["planner"] for c in cells] == ["Appro", "AA"]
 
     def test_campaign_runs(self, capsys):
         code = main(
-            ["faults", "breakdown", "-n", "30", "-k", "2",
-             "--trials", "3", "--seed", "1", "-a", "Appro", "K-EDF"]
+            ["eval", "-n", "30", "-k", "2", "--densities", "1.0",
+             "--scenarios", "breakdown", "--trials", "3", "--seed", "1",
+             "-p", "Appro", "K-EDF", "--cells"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "scenario=breakdown" in out
-        assert "Appro" in out and "K-EDF" in out
-        assert "realized constraint violations" in out
+        assert "n30-d100-k2-breakdown-Appro" in out
+        assert "n30-d100-k2-breakdown-K-EDF" in out
+        assert "conflicts" in out
 
-    def test_trials_flag(self, capsys):
+    def test_trials_flag(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
         code = main(
-            ["faults", "none", "-n", "25", "-k", "2", "-a", "Appro",
-             "--trials", "2"]
+            ["eval", "-n", "25", "-k", "2", "-p", "Appro",
+             "--scenarios", "none", "--trials", "2", "-o", str(out)]
         )
         assert code == 0
-        assert "trials=2" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["matrix"]["trials"] == 2
+        assert {c["trials"] for c in report["cells"]} == {2}
 
     def test_zero_trials_is_a_usage_error(self, capsys):
-        code = main(["faults", "none", "-n", "25", "--trials", "0"])
+        code = main(["eval", "-n", "25", "--trials", "0"])
         assert code == 2
         assert "trials must be >= 1" in capsys.readouterr().err
 
@@ -214,8 +300,8 @@ def _stub_cell(violations=0, conflicts=0):
 
 
 class TestCellGate:
-    """``faults``, ``compare`` and ``eval`` fail a run whose cells carry
-    plan violations or realized simultaneous charging."""
+    """``eval`` fails a run whose cells carry plan violations or
+    realized simultaneous charging, whether one group or a matrix."""
 
     @pytest.fixture
     def stub_report(self, monkeypatch):
@@ -239,7 +325,8 @@ class TestCellGate:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["faults", "-a", "Appro", "--trials", "1"],
+            ["eval", "-n", "20", "--scenarios", "breakdown", "-p",
+             "Appro", "--trials", "1"],
             ["eval", "--quick"],
         ],
     )

@@ -396,6 +396,23 @@ class TestWorkerContextCache:
         finally:
             workers_module.reset_worker_cache()
 
+    def test_shutdown_drops_only_the_daemons_groups(self, net):
+        # With workers=1 the group cache lives in this process: a
+        # stopped daemon must not leave its pinned network and warm
+        # contexts behind, and must not touch another daemon's.
+        cache = workers_module._GROUP_CACHE
+        workers_module.reset_worker_cache()
+        other = ("another-daemon", "g")
+        cache[other] = workers_module.GroupState(network=net.copy())
+        try:
+            with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
+                daemon.run_batch([_job(net)], timeout_s=60.0)
+                mine = [key for key in cache if key[0] == daemon._token]
+                assert len(mine) == 1
+            assert list(cache) == [other]
+        finally:
+            workers_module.reset_worker_cache()
+
 
 # ----------------------------------------------------------------------
 # The daemon

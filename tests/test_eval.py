@@ -15,11 +15,9 @@ from repro.eval import (
     EVAL_FORMAT,
     EvalMatrix,
     build_cells,
-    build_report,
     cell_parity_lines,
     default_matrix,
     execute_eval_cell,
-    paired_matrix,
     quick_matrix,
     render_cells_table,
     render_summary_table,
@@ -93,6 +91,7 @@ class TestMatrix:
             ({"budget_factor": 0.0}, "budget_factor"),
             ({"scenarios": ("none", "meteor")}, "meteor"),
             ({"planners": ("Appro", "Oracle")}, "Oracle"),
+            ({"planners": ("Appro", "AA", "Appro")}, "planners repeat"),
         ],
     )
     def test_invalid_matrix_rejected_before_any_cell_runs(
@@ -106,13 +105,6 @@ class TestMatrix:
         monkeypatch.setattr(runner_module, "run_tasks", no_pool)
         with pytest.raises(ValueError, match=message):
             run_eval(EvalMatrix(**{"sizes": (20,), **overrides}))
-
-    def test_paired_matrix_is_one_all_requesting_group(self):
-        matrix = paired_matrix("breakdown", ("Appro", "AA"), 40, 3, 5)
-        cells = build_cells(matrix)
-        assert {c["group"] for c in cells} == {"n40-d100-k3-breakdown"}
-        assert [c["planner"] for c in cells] == ["Appro", "AA"]
-        assert all(c["trials"] == 5 for c in cells)
 
 
 class TestCellExecution:
@@ -132,7 +124,10 @@ class TestCellExecution:
     @pytest.mark.parametrize("scenario", scenario_names())
     def test_every_scenario_runs(self, scenario):
         (cell,) = build_cells(
-            paired_matrix(scenario, ("Appro",), 20, 2, trials=2)
+            EvalMatrix(
+                sizes=(20,), densities=(1.0,), num_chargers=(2,),
+                scenarios=(scenario,), planners=("Appro",), trials=2,
+            )
         )
         record = execute_eval_cell(cell)
         assert record["scenario"] == scenario
@@ -211,8 +206,10 @@ class TestReport:
         assert report_to_json(serial) == report_to_json(pooled)
 
     def test_faults_preset_identical_at_one_and_two_workers(self):
-        matrix = paired_matrix(
-            "perfect-storm", planner_names(paper_only=True), 30, 3, 4
+        matrix = EvalMatrix(
+            sizes=(30,), densities=(1.0,), num_chargers=(3,),
+            scenarios=("perfect-storm",),
+            planners=tuple(planner_names(paper_only=True)), trials=4,
         )
         serial = run_eval(matrix)
         pooled = run_eval(matrix, workers=2)

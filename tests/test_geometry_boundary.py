@@ -2,7 +2,7 @@
 
 ``G_c`` and the coverage sets ``N_c⁺(v)`` decide membership with
 ``np.hypot`` (:meth:`GridIndex.pairs_within`); ``GridIndex.within`` /
-``neighbors_of`` and every edge weight use ``math.hypot``. The two
+``neighbors_of`` and ``Point.distance_to`` use ``math.hypot``. The two
 round differently on the pair below at γ = 2.7: ``np.hypot`` gives
 exactly 2.7 (inside), ``math.hypot`` gives 2.7000000000000006
 (outside). Which rule is right is an open decision; until it is made,
@@ -37,8 +37,9 @@ def test_the_two_hypots_disagree_on_the_pair():
 def test_charging_graph_has_the_edge_with_weight_above_gamma():
     graph = build_charging_graph(POSITIONS, radius_m=GAMMA)
     assert graph.has_edge(0, 1)
-    assert graph[0][1]["weight"] == 2.7000000000000006  # repro-lint: disable=float-eq
-    assert graph[0][1]["weight"] > GAMMA
+    distance = POSITIONS[0].distance_to(POSITIONS[1])
+    assert distance == 2.7000000000000006  # repro-lint: disable=float-eq
+    assert distance > GAMMA
 
 
 def test_coverage_sets_include_the_sensor():

@@ -84,7 +84,7 @@ def test_lattice_ties_actually_occur():
 
 
 def test_dense_paper_instance_matches_oracle():
-    """One n=5000 paper field: G_c edges (in order, with weights) and
+    """One n=5000 paper field: G_c edges (in order) and
     the coverage rows equal the broadcast oracle's."""
     params = PaperParams(num_sensors=5000)
     net = make_instance(params, 1)
@@ -93,9 +93,7 @@ def test_dense_paper_instance_matches_oracle():
     graph = build_charging_graph(positions, radius_m)
     oracle = legacy_build_charging_graph(positions, radius_m)
     assert list(graph.nodes) == list(oracle.nodes)
-    assert list(graph.edges(data="weight")) == list(
-        oracle.edges(data="weight")
-    )
+    assert list(graph.edges) == list(oracle.edges)
     assert graph.number_of_edges() > 10_000
 
     requests = net.all_sensor_ids()
@@ -128,6 +126,4 @@ def test_duplicate_node_subset_matches_oracle():
     graph = build_charging_graph(positions, 2.7, nodes=nodes)
     oracle = legacy_build_charging_graph(positions, 2.7, nodes=nodes)
     assert list(graph.nodes) == list(oracle.nodes)
-    assert list(graph.edges(data="weight")) == list(
-        oracle.edges(data="weight")
-    )
+    assert list(graph.edges) == list(oracle.edges)

@@ -27,10 +27,10 @@ class TestBuildChargingGraph:
         graph = build_charging_graph(positions, radius_m=1.0)
         assert graph.nodes[0]["pos"] == Point(3, 4)
 
-    def test_edge_weights_are_distances(self):
+    def test_edges_carry_no_weight(self):
         positions = {0: Point(0, 0), 1: Point(1.5, 2.0)}
         graph = build_charging_graph(positions, radius_m=2.7)
-        assert graph[0][1]["weight"] == pytest.approx(2.5)
+        assert graph[0][1] == {}
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
@@ -76,12 +76,9 @@ class TestBulkParity:
             {n: positions[n] for n in node_list}, cell_size=radius_m
         )
         for node in node_list:
-            p = positions[node]
             for other in index.neighbors_of(node, radius_m):
                 if other > node:
-                    graph.add_edge(
-                        node, other, weight=p.distance_to(positions[other])
-                    )
+                    graph.add_edge(node, other)
         return graph
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -100,10 +97,6 @@ class TestBulkParity:
         assert set(map(frozenset, bulk.edges)) == set(
             map(frozenset, loop.edges)
         )
-        for u, v in loop.edges:
-            # Exact float equality: both paths use the same hypot and
-            # the same Point.distance_to weight math.
-            assert bulk[u][v]["weight"] == loop[u][v]["weight"]  # repro-lint: disable=float-eq
 
     def test_downstream_mis_unchanged(self):
         from repro.graphs.mis import maximal_independent_set

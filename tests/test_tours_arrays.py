@@ -106,21 +106,6 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             DistanceCache(positions).dense_matrix((1, 2))
 
-    def test_seed_dense_shape_checked(self):
-        _, _, positions, depot, _, dist = random_instance(3)
-        with pytest.raises(ValueError):
-            dist.seed_dense((1, 2), np.zeros((2, 2)))
-
-    def test_seed_dense_freezes_and_serves(self):
-        _, order, positions, depot, _, dist = random_instance(4)
-        key = canonical_labels(order)
-        built = dist.dense_matrix(key)
-        fresh = DistanceCache(positions, depot)
-        fresh.seed_dense(key, np.array(built))  # writeable copy
-        served = fresh.dense_matrix(key)
-        assert not served.flags.writeable
-        np.testing.assert_array_equal(served, built)
-
 
 class TestDenseBackend:
     def test_rejects_depotless_cache_and_duplicate_labels(self):
