@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.common import charge_times_for_requests
+from repro.core.context import PlanningContext
 from repro.energy.charging import ChargerSpec
 from repro.network.topology import random_wrsn
 from repro.tours.energy_budget import (
@@ -45,7 +45,9 @@ def test_ablation_battery_capacity(benchmark, instance, battery_kj):
     requests = instance.all_sensor_ids()
     positions = instance.positions()
     depot = instance.depot.position
-    charge_times = charge_times_for_requests(instance, requests, spec)
+    charge_times = PlanningContext(instance, requests, spec).charge_times_for(
+        requests
+    )
     model = MCVEnergyModel(
         battery_j=battery_kj * 1000.0,
         travel_j_per_m=10.0,
@@ -81,7 +83,9 @@ def test_smaller_battery_needs_no_fewer_vehicles(instance):
     requests = instance.all_sensor_ids()
     positions = instance.positions()
     depot = instance.depot.position
-    charge_times = charge_times_for_requests(instance, requests, spec)
+    charge_times = PlanningContext(instance, requests, spec).charge_times_for(
+        requests
+    )
     fleets = []
     for battery_kj in (300, 3000):
         model = MCVEnergyModel(
@@ -104,7 +108,9 @@ def test_budget_inflates_delay_at_fixed_fleet(instance):
     requests = instance.all_sensor_ids()
     positions = instance.positions()
     depot = instance.depot.position
-    charge_times = charge_times_for_requests(instance, requests, spec)
+    charge_times = PlanningContext(instance, requests, spec).charge_times_for(
+        requests
+    )
     tight = MCVEnergyModel(
         battery_j=200_000.0, travel_j_per_m=10.0,
         charge_rate_w=2.0, transfer_efficiency=0.5,

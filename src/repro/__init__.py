@@ -22,7 +22,7 @@ Simultaneously"*:
 * the four baselines used in the evaluation — ``K-EDF``, ``NETWRAP``,
   ``AA`` and ``K-minMax`` (:mod:`repro.baselines`);
 * the unified planner pipeline — a memoized
-  :class:`~repro.pipeline.PlanningContext` per workload and a registry
+  :class:`~repro.core.context.PlanningContext` per workload and a registry
   running every algorithm through one interface
   (:mod:`repro.pipeline`);
 * a one-year event-driven monitoring simulator and the benchmark

@@ -19,17 +19,13 @@ scipy versions.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.common import (
-    BaselineSchedule,
-    build_itinerary,
-    charge_times_for_requests,
-)
+from repro.baselines.common import BaselineSchedule, build_itinerary
+from repro.core.context import PlanningContext
 from repro.energy.charging import ChargerSpec
-from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN
 from repro.tours.tsp import build_tsp_order
 
@@ -92,8 +88,9 @@ def aa_schedule(
     request_ids: Sequence[int],
     num_chargers: int,
     charger: Optional[ChargerSpec] = None,
+    lifetimes: Optional[Mapping[int, float]] = None,
     seed: int = 0,
-    context: Optional[Any] = None,
+    context: Optional[PlanningContext] = None,
 ) -> BaselineSchedule:
     """Schedule the request set with the AA clustering heuristic.
 
@@ -102,10 +99,12 @@ def aa_schedule(
         request_ids: the to-be-charged sensors ``V_s``.
         num_chargers: ``K`` (also the number of K-means clusters).
         charger: MCV parameters (paper defaults when omitted).
+        lifetimes: accepted for the uniform planner call and ignored:
+            AA clusters geometrically, urgency does not enter.
         seed: K-means seed.
-        context: optional ``repro.pipeline.PlanningContext`` (duck
-            typed) supplying the shared distance cache and memoized
-            charge times.
+        context: the :class:`~repro.core.context.PlanningContext`
+            supplying the shared distance cache and memoized charge
+            times; built here when omitted.
 
     Returns:
         A :class:`~repro.baselines.common.BaselineSchedule`.
@@ -116,12 +115,10 @@ def aa_schedule(
     requests = sorted(set(request_ids))
     positions = network.positions()
     depot = network.depot.position
-    if context is not None:
-        dist = context.distance
-        charge_times = context.charge_times_for(requests)
-    else:
-        dist = DistanceCache(positions, depot)
-        charge_times = charge_times_for_requests(network, requests, spec)
+    if context is None:
+        context = PlanningContext(network, requests, spec)
+    dist = context.distance
+    charge_times = context.charge_times_for(requests)
 
     itineraries: List = [[] for _ in range(num_chargers)]
     if requests:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.energy.charging import ChargerSpec, full_charge_time
+from repro.energy.charging import ChargerSpec
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import Point
 from repro.network.topology import WRSN
@@ -99,20 +99,6 @@ class BaselineSchedule:
         return [
             v.sensor_id for itinerary in self.itineraries for v in itinerary
         ]
-
-
-def charge_times_for_requests(
-    network: WRSN, requests: Sequence[int], charger: ChargerSpec
-) -> Dict[int, float]:
-    """Eq. (1) full-charge time per requested sensor."""
-    return {
-        sid: full_charge_time(
-            network.sensor(sid).capacity_j,
-            network.sensor(sid).residual_j,
-            charger.charge_rate_w,
-        )
-        for sid in requests
-    }
 
 
 def build_itinerary(

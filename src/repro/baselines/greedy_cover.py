@@ -22,15 +22,13 @@ shows the cost of ignoring the constraint.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set
+from typing import List, Mapping, Optional, Sequence, Set
 
+from repro.core.context import PlanningContext
 from repro.core.schedule import ChargingSchedule
 from repro.core.validation import resolve_conflicts
-from repro.energy.charging import ChargerSpec, full_charge_time
-from repro.geometry.distcache import DistanceCache
-from repro.graphs.coverage import coverage_sets
+from repro.energy.charging import ChargerSpec
 from repro.network.topology import WRSN
-from repro.tours.kminmax import solve_k_minmax_tours
 
 
 def greedy_cover_schedule(
@@ -38,8 +36,9 @@ def greedy_cover_schedule(
     request_ids: Sequence[int],
     num_chargers: int,
     charger: Optional[ChargerSpec] = None,
+    lifetimes: Optional[Mapping[int, float]] = None,
     enforce_feasibility: bool = True,
-    context: Optional[Any] = None,
+    context: Optional[PlanningContext] = None,
 ) -> ChargingSchedule:
     """Schedule the request set with the GreedyCover heuristic.
 
@@ -48,10 +47,13 @@ def greedy_cover_schedule(
         request_ids: the to-be-charged sensors ``V_s``.
         num_chargers: ``K``.
         charger: MCV parameters (paper defaults when omitted).
+        lifetimes: accepted for the uniform planner call and ignored:
+            the set cover does not rank by urgency.
         enforce_feasibility: repair cross-tour overlaps with waits.
-        context: optional ``repro.pipeline.PlanningContext`` (duck
-            typed) supplying the shared distance cache and memoized
-            charge times, coverage sets and min-max tour solutions.
+        context: the :class:`~repro.core.context.PlanningContext`
+            supplying the shared distance cache and memoized charge
+            times, coverage sets and min-max tour solutions; built here
+            when omitted.
 
     Returns:
         A :class:`~repro.core.schedule.ChargingSchedule` (same surface
@@ -63,25 +65,11 @@ def greedy_cover_schedule(
     requests = sorted(set(request_ids))
     positions = network.positions()
     depot = network.depot.position
-    if context is not None:
-        dist = context.distance
-        charge_times = context.charge_times_for(requests)
-        # Every requested sensor location is a candidate sojourn
-        # location.
-        coverage = context.coverage_for(requests)
-    else:
-        dist = DistanceCache(positions, depot)
-        charge_times = {
-            sid: full_charge_time(
-                network.sensor(sid).capacity_j,
-                network.sensor(sid).residual_j,
-                spec.charge_rate_w,
-            )
-            for sid in requests
-        }
-        coverage = coverage_sets(
-            requests, positions, spec.charge_radius_m, targets=requests
-        )
+    if context is None:
+        context = PlanningContext(network, requests, spec)
+    charge_times = context.charge_times_for(requests)
+    # Every requested sensor location is a candidate sojourn location.
+    coverage = context.coverage_for(requests)
 
     # 1. Greedy set cover.
     uncovered: Set[int] = set(requests)
@@ -105,7 +93,7 @@ def greedy_cover_schedule(
         charge_times=charge_times,
         charger=spec,
         num_tours=num_chargers,
-        distance=dist,
+        distance=context.distance,
     )
 
     # 2. K min-max tours over the chosen stops, weighted by the full
@@ -117,18 +105,7 @@ def greedy_cover_schedule(
         )
         for c in chosen
     }
-    if context is not None:
-        tours, _ = context.minmax_tours(chosen, num_chargers, tau)
-    else:
-        tours, _ = solve_k_minmax_tours(
-            chosen,
-            positions,
-            depot,
-            num_chargers,
-            spec.travel_speed_mps,
-            service=lambda c: tau[c],
-            dist=dist,
-        )
+    tours, _ = context.minmax_tours(chosen, num_chargers, tau)
     for k, tour in enumerate(tours):
         for node in tour:
             schedule.append_stop(k, node)

@@ -13,7 +13,7 @@ at a time (one-to-one), then returns to the depot.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -21,11 +21,10 @@ from scipy.optimize import linear_sum_assignment
 from repro.baselines.common import (
     BaselineSchedule,
     build_itinerary,
-    charge_times_for_requests,
     default_lifetimes,
 )
+from repro.core.context import PlanningContext
 from repro.energy.charging import ChargerSpec
-from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN
 
 
@@ -35,7 +34,7 @@ def kedf_schedule(
     num_chargers: int,
     charger: Optional[ChargerSpec] = None,
     lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[Any] = None,
+    context: Optional[PlanningContext] = None,
 ) -> BaselineSchedule:
     """Schedule the request set with the K-EDF heuristic.
 
@@ -47,9 +46,9 @@ def kedf_schedule(
         lifetimes: residual lifetime per requested sensor in seconds;
             drives the EDF order. Falls back to a rate-proportional
             estimate when omitted.
-        context: optional ``repro.pipeline.PlanningContext`` (duck
-            typed — this layer cannot import the pipeline) supplying
-            the shared distance cache and memoized charge times.
+        context: the :class:`~repro.core.context.PlanningContext`
+            supplying the shared distance cache and memoized charge
+            times; built here when omitted.
 
     Returns:
         A :class:`~repro.baselines.common.BaselineSchedule`.
@@ -60,12 +59,10 @@ def kedf_schedule(
     requests = sorted(set(request_ids))
     positions = network.positions()
     depot = network.depot.position
-    if context is not None:
-        dist = context.distance
-        charge_times = context.charge_times_for(requests)
-    else:
-        dist = DistanceCache(positions, depot)
-        charge_times = charge_times_for_requests(network, requests, spec)
+    if context is None:
+        context = PlanningContext(network, requests, spec)
+    dist = context.distance
+    charge_times = context.charge_times_for(requests)
     life = default_lifetimes(network, requests, lifetimes)
 
     # EDF order: most urgent first.

@@ -14,17 +14,12 @@ Appro only ``|S_I|`` sojourn disks.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.baselines.common import (
-    BaselineSchedule,
-    build_itinerary,
-    charge_times_for_requests,
-)
+from repro.baselines.common import BaselineSchedule, build_itinerary
+from repro.core.context import PlanningContext
 from repro.energy.charging import ChargerSpec
-from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN
-from repro.tours.kminmax import solve_k_minmax_tours
 
 
 def kminmax_baseline_schedule(
@@ -32,8 +27,9 @@ def kminmax_baseline_schedule(
     request_ids: Sequence[int],
     num_chargers: int,
     charger: Optional[ChargerSpec] = None,
+    lifetimes: Optional[Mapping[int, float]] = None,
     tsp_method: str = "christofides",
-    context: Optional[Any] = None,
+    context: Optional[PlanningContext] = None,
 ) -> BaselineSchedule:
     """Schedule the request set with the K-minMax baseline.
 
@@ -42,13 +38,16 @@ def kminmax_baseline_schedule(
         request_ids: the to-be-charged sensors ``V_s``.
         num_chargers: ``K``.
         charger: MCV parameters (paper defaults when omitted).
+        lifetimes: accepted for the uniform planner call and ignored:
+            the min-max tours do not rank by urgency.
         tsp_method: backbone TSP construction (see
             :func:`repro.tours.tsp.build_tsp_order`). Large request
             sets automatically fall back from Christofides to the
             2-approximation for tractability.
-        context: optional ``repro.pipeline.PlanningContext`` (duck
-            typed) supplying the shared distance cache, memoized
-            charge times and memoized min-max tour solutions.
+        context: the :class:`~repro.core.context.PlanningContext`
+            supplying the shared distance cache, memoized charge times
+            and memoized min-max tour solutions; built here when
+            omitted.
 
     Returns:
         A :class:`~repro.baselines.common.BaselineSchedule`.
@@ -59,12 +58,10 @@ def kminmax_baseline_schedule(
     requests = sorted(set(request_ids))
     positions = network.positions()
     depot = network.depot.position
-    if context is not None:
-        dist = context.distance
-        charge_times = context.charge_times_for(requests)
-    else:
-        dist = DistanceCache(positions, depot)
-        charge_times = charge_times_for_requests(network, requests, spec)
+    if context is None:
+        context = PlanningContext(network, requests, spec)
+    dist = context.distance
+    charge_times = context.charge_times_for(requests)
 
     # Christofides' matching step is O(n^3)-ish; over every sensor
     # (rather than Appro's far smaller sojourn set) it becomes the
@@ -73,21 +70,9 @@ def kminmax_baseline_schedule(
     if method == "christofides" and len(requests) > 400:
         method = "double_mst"
 
-    if context is not None:
-        tours, _ = context.minmax_tours(
-            requests, num_chargers, charge_times, tsp_method=method
-        )
-    else:
-        tours, _ = solve_k_minmax_tours(
-            requests,
-            positions,
-            depot,
-            num_chargers,
-            spec.travel_speed_mps,
-            service=lambda sid: charge_times[sid],
-            tsp_method=method,
-            dist=dist,
-        )
+    tours, _ = context.minmax_tours(
+        requests, num_chargers, charge_times, tsp_method=method
+    )
     itineraries = [
         build_itinerary(tour, positions, depot, spec, charge_times, dist=dist)
         for tour in tours

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, List, Mapping, Optional, Sequence, Set
+from typing import List, Mapping, Optional, Sequence, Set
 
 from repro.baselines.common import (
     BaselineSchedule,
     Visit,
-    charge_times_for_requests,
     default_lifetimes,
 )
+from repro.core.context import PlanningContext
 from repro.energy.charging import ChargerSpec
-from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN
 
 
@@ -37,7 +36,7 @@ def netwrap_schedule(
     charger: Optional[ChargerSpec] = None,
     lifetimes: Optional[Mapping[int, float]] = None,
     travel_weight: float = 0.5,
-    context: Optional[Any] = None,
+    context: Optional[PlanningContext] = None,
 ) -> BaselineSchedule:
     """Schedule the request set with the NETWRAP greedy heuristic.
 
@@ -50,9 +49,9 @@ def netwrap_schedule(
         travel_weight: weight of the normalised travel-time term;
             ``1 - travel_weight`` goes to the normalised residual
             lifetime. Must lie in ``[0, 1]``.
-        context: optional ``repro.pipeline.PlanningContext`` (duck
-            typed) supplying the shared distance cache and memoized
-            charge times.
+        context: the :class:`~repro.core.context.PlanningContext`
+            supplying the shared distance cache and memoized charge
+            times; built here when omitted.
 
     Returns:
         A :class:`~repro.baselines.common.BaselineSchedule`.
@@ -65,12 +64,10 @@ def netwrap_schedule(
     requests = sorted(set(request_ids))
     positions = network.positions()
     depot = network.depot.position
-    if context is not None:
-        dist = context.distance
-        charge_times = context.charge_times_for(requests)
-    else:
-        dist = DistanceCache(positions, depot)
-        charge_times = charge_times_for_requests(network, requests, spec)
+    if context is None:
+        context = PlanningContext(network, requests, spec)
+    dist = context.distance
+    charge_times = context.charge_times_for(requests)
     life = default_lifetimes(network, requests, lifetimes)
 
     max_life = max(life.values(), default=1.0) or 1.0

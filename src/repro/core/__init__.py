@@ -1,5 +1,9 @@
 """The paper's core contribution.
 
+* :mod:`repro.core.context` — :class:`PlanningContext`: the memoized
+  distances, ``G_c``, MIS, coverage sets, ``H``, Eq. (1) times and
+  ``K``-tour solves that every planner draws on; a planner called
+  without one builds its own.
 * :mod:`repro.core.schedule` — :class:`ChargingSchedule`: K depot-
   rooted tours with per-stop residual charging durations ``τ'`` and
   charging finish times (Eqs. 3–6, 10–12).

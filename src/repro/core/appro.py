@@ -30,21 +30,17 @@ negligible delay (see ``EXPERIMENTS.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import networkx as nx
 
+from repro.core.context import PlanningContext
 from repro.core.insertion import extend_schedule
 from repro.core.schedule import ChargingSchedule
 from repro.core.validation import resolve_conflicts
-from repro.energy.charging import ChargerSpec, full_charge_time
-from repro.geometry.distcache import DistanceCache
-from repro.graphs.auxiliary import auxiliary_max_degree, build_auxiliary_graph
-from repro.graphs.coverage import coverage_sets
-from repro.graphs.mis import maximal_independent_set
-from repro.graphs.unit_disk import build_charging_graph
+from repro.energy.charging import ChargerSpec
+from repro.graphs.auxiliary import auxiliary_max_degree
 from repro.network.topology import WRSN
-from repro.tours.kminmax import solve_k_minmax_tours
 
 
 @dataclass
@@ -80,13 +76,14 @@ def appro_schedule(
     request_ids: Sequence[int],
     num_chargers: int,
     charger: Optional[ChargerSpec] = None,
+    lifetimes: Optional[Mapping[int, float]] = None,
     mis_strategy: str = "min_degree",
     tsp_method: str = "christofides",
     seed: int = 0,
     enforce_feasibility: bool = True,
     artifacts: Optional[ApproArtifacts] = None,
     efficiency=None,
-    context: Optional[Any] = None,
+    context: Optional[PlanningContext] = None,
 ) -> ChargingSchedule:
     """Run Algorithm 1 and return the resulting charging schedule.
 
@@ -96,6 +93,8 @@ def appro_schedule(
         num_chargers: ``K`` — number of MCVs.
         charger: MCV parameters; defaults to the paper's
             (η = 2 W, γ = 2.7 m, s = 1 m/s).
+        lifetimes: accepted for the uniform planner call and ignored:
+            Appro schedules from charge deficits, not urgency.
         mis_strategy: selection order for both MIS computations (see
             :func:`repro.graphs.mis.maximal_independent_set`).
         tsp_method: backbone construction inside the K-tour subroutine.
@@ -110,70 +109,37 @@ def appro_schedule(
             model when omitted. Under a decaying model a stop must
             charge longer for sensors near its disk boundary, so
             Eq. (2)/(3) durations become stop-dependent.
-        context: optional ``repro.pipeline.PlanningContext`` (duck
-            typed — this layer cannot import the pipeline) built for
-            the same network/request-set/charger; supplies memoized
+        context: a :class:`~repro.core.context.PlanningContext` built
+            for the same network/request-set/charger, whose memoized
             graphs, MIS results, coverage sets, charge times, min-max
-            tours and the shared distance cache.
+            tours and shared distance cache steps 1–5 draw on; built
+            here when omitted.
 
     Returns:
         The :class:`~repro.core.schedule.ChargingSchedule`.
 
     Raises:
         ValueError: on an empty network reference, non-positive ``K``,
-            or request ids absent from the network.
+            request ids absent from the network, or a ``context`` built
+            for a different network, request set or charger.
     """
     if num_chargers <= 0:
         raise ValueError(f"num_chargers must be positive, got {num_chargers}")
     spec = charger if charger is not None else ChargerSpec()
-    requests = sorted(set(request_ids))
-    unknown = [r for r in requests if r not in network]
-    if unknown:
-        raise ValueError(f"request ids not in the network: {unknown}")
-
+    if context is None:
+        context = PlanningContext(network, request_ids, spec)
+    context.validate_for(network, request_ids, spec)
+    requests = context.requests
     positions = network.positions()
-    depot = network.depot.position
-    if context is not None:
-        context.validate_for(network, requests, spec)
-        charge_times = context.charge_times_for(requests)
+    charge_times = context.charge_times_for(requests)
 
-        # Steps 1-4 from the context's memos.
-        charging_graph = context.charging_graph
-        sojourn_candidates = context.sojourn_candidates(mis_strategy, seed)
-        coverage = context.coverage_for(sojourn_candidates)
-        aux_graph = context.auxiliary_graph(mis_strategy, seed)
-        core = context.conflict_free_core(mis_strategy, seed)
-    else:
-        charge_times = {
-            sid: full_charge_time(
-                network.sensor(sid).capacity_j,
-                network.sensor(sid).residual_j,
-                spec.charge_rate_w,
-            )
-            for sid in requests
-        }
-
-        # Steps 1-2: charging graph and sojourn candidates.
-        charging_graph = build_charging_graph(
-            positions, spec.charge_radius_m, nodes=requests
-        )
-        sojourn_candidates = maximal_independent_set(
-            charging_graph, strategy=mis_strategy, seed=seed
-        )
-        coverage = coverage_sets(
-            sojourn_candidates,
-            positions,
-            spec.charge_radius_m,
-            targets=requests,
-        )
-
-        # Steps 3-4: conflict graph and its conflict-free core.
-        aux_graph = build_auxiliary_graph(
-            sojourn_candidates, coverage, positions, spec.charge_radius_m
-        )
-        core = maximal_independent_set(
-            aux_graph, strategy=mis_strategy, seed=seed
-        )
+    # Steps 1-4: charging graph, sojourn candidates, conflict graph and
+    # its conflict-free core, from the context's memos.
+    charging_graph = context.charging_graph
+    sojourn_candidates = context.sojourn_candidates(mis_strategy, seed)
+    coverage = context.coverage_for(sojourn_candidates)
+    aux_graph = context.auxiliary_graph(mis_strategy, seed)
+    core = context.conflict_free_core(mis_strategy, seed)
 
     pair_time = None
     if efficiency is not None:
@@ -186,44 +152,23 @@ def appro_schedule(
         pair_time = pairwise_charge_time_fn(
             positions, deficits, spec, efficiency
         )
-    # One shared distance cache per run: the context's when planning
-    # through the pipeline, else a fresh cache threaded through both the
-    # K-min-max solve and the schedule (previously the no-context path
-    # passed None and every tours call rebuilt its own).
-    shared_dist = (
-        context.distance
-        if context is not None
-        else DistanceCache(positions, depot)
-    )
     schedule = ChargingSchedule(
-        depot=depot,
+        depot=network.depot.position,
         positions=positions,
         coverage=coverage,
         charge_times=charge_times,
         charger=spec,
         num_tours=num_chargers,
         pairwise_charge_time=pair_time,
-        distance=shared_dist,
+        distance=context.distance,
     )
 
     # Step 5: K min-max tours over the conflict-free core, with the
     # Eq. (2) upper durations τ(v) as service weights.
     tau = {v: schedule.upper_duration(v) for v in core}
-    if context is not None:
-        tours, _ = context.minmax_tours(
-            core, num_chargers, tau, tsp_method=tsp_method
-        )
-    else:
-        tours, _ = solve_k_minmax_tours(
-            core,
-            positions,
-            depot,
-            num_chargers,
-            spec.travel_speed_mps,
-            service=lambda v: tau[v],
-            tsp_method=tsp_method,
-            dist=shared_dist,
-        )
+    tours, _ = context.minmax_tours(
+        core, num_chargers, tau, tsp_method=tsp_method
+    )
     for k, tour in enumerate(tours):
         for node in tour:
             schedule.append_stop(k, node)

@@ -121,7 +121,7 @@ def conflicting_pairs(
             the pre-fault plan kept feasible; only pairs with at least
             one delayable stop are actionable.
         groups: optional pre-built sensor -> candidate-stop index (for
-            example :meth:`repro.pipeline.PlanningContext.
+            example :meth:`repro.core.context.PlanningContext.
             sensor_stop_groups`); it may mention unscheduled candidates
             (they are filtered out) but must mention every scheduled
             stop, else it is ignored and rebuilt from the schedule.

@@ -29,11 +29,12 @@ better, which gives two guarantees the property tests pin down:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.appro import appro_schedule
+from repro.core.context import PlanningContext
 from repro.core.schedule import ChargingSchedule
 from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
@@ -142,6 +143,7 @@ def metaheuristic_schedule(
     request_ids: Sequence[int],
     num_chargers: int,
     charger: Optional[ChargerSpec] = None,
+    lifetimes: Optional[Mapping[int, float]] = None,
     seed: int = 0,
     budget: int = 192,
     population_size: int = 12,
@@ -150,7 +152,7 @@ def metaheuristic_schedule(
     mutation_rate: float = 0.35,
     local_search_every: int = 4,
     enforce_feasibility: bool = True,
-    context: Optional[Any] = None,
+    context: Optional[PlanningContext] = None,
     trace: Optional[MetaheuristicTrace] = None,
 ) -> ChargingSchedule:
     """Appro-seeded anytime GA over stop permutations.
@@ -160,6 +162,9 @@ def metaheuristic_schedule(
         request_ids: the to-be-charged set ``V_s``.
         num_chargers: ``K`` — number of MCVs.
         charger: MCV parameters; the paper's defaults when omitted.
+        lifetimes: accepted for the uniform planner call and ignored:
+            the search keeps Appro's deficit-driven coverage decisions
+            and only reorders the routing.
         seed: RNG seed; the whole run is a deterministic function of
             ``(instance, seed, budget)``.
         budget: fitness-evaluation budget (anytime knob). Larger
@@ -176,8 +181,10 @@ def metaheuristic_schedule(
             still scores resolved schedules). The planner-parity
             suite uses this to re-resolve with the legacy engine and
             byte-compare.
-        context: optional ``repro.pipeline.PlanningContext`` (duck
-            typed), forwarded to the Appro seeding run.
+        context: the :class:`~repro.core.context.PlanningContext`
+            shared by both Appro runs (the seed and, when feasibility
+            is not enforced, the unresolved re-run); built here when
+            omitted.
         trace: pass a :class:`MetaheuristicTrace` shell to receive the
             anytime curve.
 
@@ -185,6 +192,8 @@ def metaheuristic_schedule(
         The champion :class:`~repro.core.schedule.ChargingSchedule` —
         never worse (by final longest delay) than the Appro seed.
     """
+    if context is None:
+        context = PlanningContext(network, request_ids, charger)
     seed_schedule = appro_schedule(
         network,
         request_ids,

@@ -78,7 +78,7 @@ def validate_schedule(
         required_sensors: the request set ``V_s`` that must be covered.
         groups: optional pre-built sensor -> stop index forwarded to
             the conflict engine (see
-            :meth:`repro.pipeline.PlanningContext.sensor_stop_groups`).
+            :meth:`repro.core.context.PlanningContext.sensor_stop_groups`).
 
     Returns:
         All violations found; an empty list means the schedule is

@@ -113,38 +113,103 @@ def wrsn_to_dict(network: WRSN) -> Dict:
     }
 
 
+def _field(obj: object, key: str, where: str = "") -> object:
+    """``obj[key]``, or a ValueError naming the field ``where + key``."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"network field {where.rstrip('.')} must be an object, "
+            f"got {_json_type(obj)}"
+        )
+    if key not in obj:
+        raise ValueError(f"network field {where}{key} is missing")
+    return obj[key]
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(obj: object, key: str, where: str = "") -> float:
+    value = _field(obj, key, where)
+    if not _is_number(value):
+        raise ValueError(
+            f"network field {where}{key} must be a number, "
+            f"got {_json_type(value)}"
+        )
+    return float(value)
+
+
+def _point(obj: object, key: str) -> Point:
+    value = _field(obj, key)
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(_is_number(v) for v in value)
+    ):
+        raise ValueError(
+            f"network field {key} must be an [x, y] pair of numbers, "
+            f"got {json.dumps(value)[:40]}"
+        )
+    return Point(float(value[0]), float(value[1]))
+
+
+def _json_type(value: object) -> str:
+    return "null" if value is None else type(value).__name__
+
+
 def wrsn_from_dict(data: Dict) -> WRSN:
     """Rebuild a WRSN instance from :func:`wrsn_to_dict` output.
 
     Raises:
-        ValueError: on a missing or unknown format tag.
+        ValueError: on a missing or unknown format tag, or a field that
+            is missing or of the wrong type (the message names it).
     """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a {WRSN_FORMAT} document must be an object, "
+            f"got {_json_type(data)}"
+        )
     if data.get("format") != WRSN_FORMAT:
         raise ValueError(
             f"not a {WRSN_FORMAT} document: format={data.get('format')!r}"
         )
-    sensors = [
-        Sensor(
-            id=int(raw["id"]),
-            position=Point(float(raw["x"]), float(raw["y"])),
-            battery=Battery(
-                capacity_j=float(raw["capacity_j"]),
-                level_j=float(raw["level_j"]),
-            ),
-            data_rate_bps=float(raw["data_rate_bps"]),
+    raw_sensors = _field(data, "sensors")
+    if not isinstance(raw_sensors, list):
+        raise ValueError(
+            f"network field sensors must be a list, "
+            f"got {_json_type(raw_sensors)}"
         )
-        for raw in data["sensors"]
-    ]
-    bs = Point(*data["base_station"])
-    depot = Point(*data["depot"])
+    sensors = []
+    for index, raw in enumerate(raw_sensors):
+        where = f"sensors[{index}]."
+        sensor_id = _field(raw, "id", where)
+        if isinstance(sensor_id, bool) or not isinstance(sensor_id, int):
+            raise ValueError(
+                f"network field {where}id must be an integer, "
+                f"got {_json_type(sensor_id)}"
+            )
+        sensors.append(
+            Sensor(
+                id=sensor_id,
+                position=Point(
+                    _number(raw, "x", where), _number(raw, "y", where)
+                ),
+                battery=Battery(
+                    capacity_j=_number(raw, "capacity_j", where),
+                    level_j=_number(raw, "level_j", where),
+                ),
+                data_rate_bps=_number(raw, "data_rate_bps", where),
+            )
+        )
+    field = _field(data, "field")
     return WRSN(
         sensors=sensors,
-        base_station=BaseStation(position=bs),
-        depot=Depot(position=depot),
-        comm_range_m=float(data["comm_range_m"]),
+        base_station=BaseStation(position=_point(data, "base_station")),
+        depot=Depot(position=_point(data, "depot")),
+        comm_range_m=_number(data, "comm_range_m"),
         field=Field(
-            width=float(data["field"]["width"]),
-            height=float(data["field"]["height"]),
+            width=_number(field, "width", "field."),
+            height=_number(field, "height", "field."),
         ),
     )
 

@@ -1,6 +1,6 @@
 """Rule R11 ``cache-mutation`` — ``PlanningContext`` memos are private.
 
-The planning daemon shares one :class:`repro.pipeline.PlanningContext`
+The planning daemon shares one :class:`repro.core.context.PlanningContext`
 per network across jobs inside each pool worker (DESIGN §12–13).
 Its memo dictionaries are written only by its own accessor methods,
 which makes the sharing story auditable: a memo is filled exactly
@@ -15,8 +15,8 @@ sanitize`` exists to catch at runtime.
 The rule flags writes (assignment, augmented assignment, ``del``,
 subscript stores, and mutating method calls such as ``.clear()`` /
 ``.update()`` / ``.pop()``) to any attribute named like a
-``PlanningContext`` memo field, in every ``repro`` module outside the
-``pipeline`` package. The field names are underscore-private and
+``PlanningContext`` memo field, in every ``repro`` module but
+:mod:`repro.core.context` itself. The field names are underscore-private and
 distinctive, so matching by name is precise in practice; a genuine
 collision can be suppressed with
 ``# repro-lint: disable=cache-mutation`` plus a comment saying what
@@ -33,7 +33,7 @@ from repro.lint.findings import Finding
 from repro.lint.registry import FileRule, register
 from repro.lint.visitor import RuleVisitor
 
-#: The memo/counter attributes of ``repro.pipeline.PlanningContext``.
+#: The memo/counter attributes of ``repro.core.context.PlanningContext``.
 MEMO_FIELDS = frozenset(
     {
         "_charge_times",
@@ -83,7 +83,7 @@ class _Visitor(RuleVisitor):
         self.report(
             attr,
             f"{how} PlanningContext memo field '.{attr.attr}' outside "
-            f"repro.pipeline; memos are filled only by the context's "
+            f"repro.core.context; memos are filled only by the context's "
             f"own accessors so cached and fresh plans stay "
             f"byte-identical across pool workers",
         )
@@ -127,12 +127,12 @@ class _Visitor(RuleVisitor):
 
 @register
 class CacheMutationRule(FileRule):
-    """R11: only ``repro.pipeline`` writes ``PlanningContext`` memos."""
+    """R11: only ``repro.core.context`` writes ``PlanningContext`` memos."""
 
     id = "cache-mutation"
     description = (
         "PlanningContext memo fields are written only inside "
-        "repro.pipeline (shared-cache integrity)"
+        "repro.core.context (shared-cache integrity)"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
@@ -140,7 +140,7 @@ class CacheMutationRule(FileRule):
             return False
         if not ctx.module_name.startswith("repro"):
             return False
-        return not ctx.module_name.startswith("repro.pipeline")
+        return ctx.module_name != "repro.core.context"
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(_Visitor(self, ctx).run())

@@ -2,7 +2,7 @@
 
 Every planner-facing distance in the pipeline must come from a
 :class:`~repro.geometry.distcache.DistanceCache` (usually the
-:class:`~repro.pipeline.context.PlanningContext`'s), so warm runs pay
+:class:`~repro.core.context.PlanningContext`'s), so warm runs pay
 one ``math.hypot`` per point pair instead of one per lookup — and so
 all layers agree bit-exactly on every leg length. A scattered
 ``euclidean()`` call re-opens the door to the ad-hoc per-module

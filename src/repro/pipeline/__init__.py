@@ -17,7 +17,7 @@ Typical use::
         print(name, result.longest_delay())
 """
 
-from repro.pipeline.context import PlanningContext, shared_distance_cache
+from repro.core.context import PlanningContext, shared_distance_cache
 from repro.pipeline.planner import (
     PlannedSchedule,
     Planner,

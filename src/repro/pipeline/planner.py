@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -31,7 +30,7 @@ from typing import (
 from repro.core.validation import ScheduleViolation, validate_schedule
 from repro.energy.charging import ChargerSpec
 from repro.network.topology import WRSN
-from repro.pipeline.context import PlanningContext
+from repro.core.context import PlanningContext
 
 
 class Planner(Protocol):
@@ -181,7 +180,7 @@ class PlannedSchedule:
         charges exactly one sensor at its own location). When the
         planning context is attached, the validator's conflict engine
         reuses its memoized per-sensor stop-group index
-        (:meth:`~repro.pipeline.PlanningContext.sensor_stop_groups`)
+        (:meth:`~repro.core.context.PlanningContext.sensor_stop_groups`)
         instead of re-inverting the coverage relation per call.
         """
         if self.multi_node:

@@ -1,191 +1,38 @@
 """The registered planners: ``Appro``, the paper's four benchmarks,
-and the ``GreedyCover`` extension.
+and the ``GreedyCover`` and ``Metaheuristic`` extensions.
 
-Each adapter normalises its algorithm's native signature to the
-uniform :class:`~repro.pipeline.planner.Planner` call. Registration
-order matters: it is the display order of every comparison surface
-(``planner_names``, the CLI, the bench harness, ``repro eval``), so
-the paper's five come first, extensions after.
+Every planner function already takes the uniform
+:class:`~repro.pipeline.planner.Planner` call — the five that do not
+rank by urgency accept ``lifetimes`` and ignore it — so the registry
+holds the functions themselves. Registration order matters: it is the
+display order of every comparison surface (``planner_names``, the CLI,
+the bench harness, ``repro eval``), so the paper's five come first,
+extensions after.
 """
 
-from __future__ import annotations
-
-from typing import Any, Mapping, Optional, Sequence
-
 from repro.baselines.aa import aa_schedule
-from repro.baselines.common import BaselineSchedule
 from repro.baselines.greedy_cover import greedy_cover_schedule
 from repro.baselines.kedf import kedf_schedule
 from repro.baselines.kminmax_baseline import kminmax_baseline_schedule
 from repro.baselines.netwrap import netwrap_schedule
 from repro.core.appro import appro_schedule
 from repro.core.metaheuristic import metaheuristic_schedule
-from repro.core.schedule import ChargingSchedule
-from repro.energy.charging import ChargerSpec
-from repro.network.topology import WRSN
-from repro.pipeline.context import PlanningContext
 from repro.pipeline.planner import PlannerInfo, register_planner
 
-
-def _appro(
-    network: WRSN,
-    request_ids: Sequence[int],
-    num_chargers: int,
-    charger: Optional[ChargerSpec] = None,
-    lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[PlanningContext] = None,
-    **kwargs: Any,
-) -> ChargingSchedule:
-    # Appro schedules from charge deficits, not lifetimes.
-    return appro_schedule(
-        network,
-        request_ids,
-        num_chargers,
-        charger=charger,
-        context=context,
-        **kwargs,
-    )
-
-
-def _kedf(
-    network: WRSN,
-    request_ids: Sequence[int],
-    num_chargers: int,
-    charger: Optional[ChargerSpec] = None,
-    lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[PlanningContext] = None,
-    **kwargs: Any,
-) -> BaselineSchedule:
-    return kedf_schedule(
-        network,
-        request_ids,
-        num_chargers,
-        charger=charger,
-        lifetimes=lifetimes,
-        context=context,
-        **kwargs,
-    )
-
-
-def _netwrap(
-    network: WRSN,
-    request_ids: Sequence[int],
-    num_chargers: int,
-    charger: Optional[ChargerSpec] = None,
-    lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[PlanningContext] = None,
-    **kwargs: Any,
-) -> BaselineSchedule:
-    return netwrap_schedule(
-        network,
-        request_ids,
-        num_chargers,
-        charger=charger,
-        lifetimes=lifetimes,
-        context=context,
-        **kwargs,
-    )
-
-
-def _aa(
-    network: WRSN,
-    request_ids: Sequence[int],
-    num_chargers: int,
-    charger: Optional[ChargerSpec] = None,
-    lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[PlanningContext] = None,
-    **kwargs: Any,
-) -> BaselineSchedule:
-    # AA clusters geometrically; lifetimes do not enter.
-    kwargs.setdefault("seed", 0)
-    return aa_schedule(
-        network,
-        request_ids,
-        num_chargers,
-        charger=charger,
-        context=context,
-        **kwargs,
-    )
-
-
-def _kminmax(
-    network: WRSN,
-    request_ids: Sequence[int],
-    num_chargers: int,
-    charger: Optional[ChargerSpec] = None,
-    lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[PlanningContext] = None,
-    **kwargs: Any,
-) -> BaselineSchedule:
-    return kminmax_baseline_schedule(
-        network,
-        request_ids,
-        num_chargers,
-        charger=charger,
-        context=context,
-        **kwargs,
-    )
-
-
-def _greedy_cover(
-    network: WRSN,
-    request_ids: Sequence[int],
-    num_chargers: int,
-    charger: Optional[ChargerSpec] = None,
-    lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[PlanningContext] = None,
-    **kwargs: Any,
-) -> ChargingSchedule:
-    return greedy_cover_schedule(
-        network,
-        request_ids,
-        num_chargers,
-        charger=charger,
-        context=context,
-        **kwargs,
-    )
-
-
-def _metaheuristic(
-    network: WRSN,
-    request_ids: Sequence[int],
-    num_chargers: int,
-    charger: Optional[ChargerSpec] = None,
-    lifetimes: Optional[Mapping[int, float]] = None,
-    context: Optional[PlanningContext] = None,
-    **kwargs: Any,
-) -> ChargingSchedule:
-    # Anytime GA seeded from Appro; lifetimes do not enter (it keeps
-    # Appro's deficit-driven coverage decisions and searches routing).
-    kwargs.setdefault("seed", 0)
-    return metaheuristic_schedule(
-        network,
-        request_ids,
-        num_chargers,
-        charger=charger,
-        context=context,
-        **kwargs,
-    )
-
-
-# The paper's five, in the paper's presentation order, then extensions.
-register_planner(PlannerInfo(name="Appro", build=_appro, multi_node=True))
-register_planner(PlannerInfo(name="K-EDF", build=_kedf, multi_node=False))
-register_planner(PlannerInfo(name="NETWRAP", build=_netwrap, multi_node=False))
-register_planner(PlannerInfo(name="AA", build=_aa, multi_node=False))
+register_planner(PlannerInfo("Appro", appro_schedule, multi_node=True))
+register_planner(PlannerInfo("K-EDF", kedf_schedule, multi_node=False))
+register_planner(PlannerInfo("NETWRAP", netwrap_schedule, multi_node=False))
+register_planner(PlannerInfo("AA", aa_schedule, multi_node=False))
 register_planner(
-    PlannerInfo(name="K-minMax", build=_kminmax, multi_node=False)
+    PlannerInfo("K-minMax", kminmax_baseline_schedule, multi_node=False)
 )
 register_planner(
     PlannerInfo(
-        name="GreedyCover", build=_greedy_cover, multi_node=True, paper=False
+        "GreedyCover", greedy_cover_schedule, multi_node=True, paper=False
     )
 )
 register_planner(
     PlannerInfo(
-        name="Metaheuristic",
-        build=_metaheuristic,
-        multi_node=True,
-        paper=False,
+        "Metaheuristic", metaheuristic_schedule, multi_node=True, paper=False
     )
 )

@@ -16,7 +16,7 @@ Many planning problems, one call::
         print(daemon.status()["counters"])
 
 Jobs about the same network geometry form a group and reuse one warm
-:class:`~repro.pipeline.PlanningContext` (and distance cache) inside
+:class:`~repro.core.context.PlanningContext` (and distance cache) inside
 whichever worker runs them; identical jobs in flight are planned once;
 failures and rejections come back as structured ``repro-result/1``
 records instead of exceptions; and for any worker count an accepted

@@ -14,9 +14,9 @@ package already trusts:
   requests about the same network — arriving minutes apart, inlined
   or referenced, from different connections, even after residual
   energies drifted — land on the same warm
-  :class:`~repro.pipeline.PlanningContext` group; the worker syncs
+  :class:`~repro.core.context.PlanningContext` group; the worker syncs
   drifted residuals onto the pinned network and calls
-  :meth:`~repro.pipeline.PlanningContext.invalidate` per changed
+  :meth:`~repro.core.context.PlanningContext.invalidate` per changed
   sensor instead of rebuilding. The
   :class:`~repro.serve.pool.SupervisedPool` keeps worker processes
   (and therefore those caches) alive across requests; with
@@ -156,12 +156,12 @@ def geometry_digest(network: WRSN) -> str:
     """Group key for a network's *geometry* — residuals excluded.
 
     Residual energies drift between requests as sensors drain, but
-    everything a :class:`~repro.pipeline.PlanningContext` memoizes
+    everything a :class:`~repro.core.context.PlanningContext` memoizes
     about geometry (distance cache, charging graph, MIS candidates,
     coverage disks, codecs) depends only on positions and capacities.
     Keying warm-context groups on this digest lets a drifted request
     land on its warm group and pay only a per-sensor
-    :meth:`~repro.pipeline.PlanningContext.invalidate` (done worker-
+    :meth:`~repro.core.context.PlanningContext.invalidate` (done worker-
     side by ``execute_plan_job``) instead of a cold rebuild.
 
     :func:`network_digest` still keys coalescing and the known-network

@@ -28,7 +28,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.io import (
     JOB_FORMAT,
@@ -241,12 +250,7 @@ class JobStreamReader:
                 f"job line {lineno}: not a {JOB_FORMAT} record: "
                 f"format={record.get('format')!r}"
             )
-        try:
-            network = self._network_of(record, lineno)
-        except (AttributeError, IndexError, OverflowError, OSError) as exc:
-            raise ValueError(
-                f"job line {lineno}: unusable network: {exc!r}"
-            ) from exc
+        network = self._network_of(record, lineno)
         requests = record.get("requests")
         if not requests:
             raise ValueError(
@@ -275,7 +279,7 @@ class JobStreamReader:
 
     def _network_of(self, record: Dict, lineno: int) -> WRSN:
         if "network" in record:
-            network = wrsn_from_dict(record["network"])
+            network = _loaded(lineno, wrsn_from_dict, record["network"])
             label = record.get("network_id")
             if label is not None:
                 self._by_label[str(label)] = network
@@ -297,12 +301,25 @@ class JobStreamReader:
                 else raw_path
             )
             if resolved not in self._by_path:
-                self._by_path[resolved] = load_wrsn(resolved)
+                self._by_path[resolved] = _loaded(
+                    lineno, load_wrsn, resolved
+                )
             return self._by_path[resolved]
         raise ValueError(
             f"job line {lineno}: needs one of 'network', "
             f"'network_ref' or 'network_path'"
         )
+
+
+def _loaded(lineno: int, load: Callable[[Any], WRSN], source: Any) -> WRSN:
+    """``load(source)``; a malformed or unreadable network is a line
+    error that names the cause."""
+    try:
+        return load(source)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(
+            f"job line {lineno}: unusable network: {exc}"
+        ) from exc
 
 
 def _is_int(value: object) -> bool:

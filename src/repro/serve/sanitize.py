@@ -170,10 +170,10 @@ def run_online_child(
     changed" and draws their new residual energies — the stand-in for
     mid-round arrivals mutating the network between replans. The
     ``cold`` variant then plans on a fresh
-    :class:`~repro.pipeline.PlanningContext`; the ``warm`` variant
+    :class:`~repro.core.context.PlanningContext`; the ``warm`` variant
     first plans on the *pre*-perturbation state to fill the context
     memos, applies the perturbation, calls
-    :meth:`~repro.pipeline.PlanningContext.invalidate` with the changed
+    :meth:`~repro.core.context.PlanningContext.invalidate` with the changed
     sensors, and replans on the same context. Delta invalidation is
     correct exactly when every warm cell is byte-identical to the cold
     baseline.
@@ -420,7 +420,7 @@ def run_matrix(
             sweep per hash seed (:func:`run_online_child`): every job's
             residuals are perturbed and replanned either on a fresh
             context or through
-            :meth:`~repro.pipeline.PlanningContext.invalidate`. These
+            :meth:`~repro.core.context.PlanningContext.invalidate`. These
             cells plan a *perturbed* corpus, so they diff against their
             own baseline (the first cold cell), not the batch one; a
             warm-vs-cold divergence means delta invalidation dropped

@@ -4,11 +4,11 @@
 over its :class:`~repro.serve.pool.SupervisedPool` (it is module-level
 and takes a single payload dict, as the pool requires). Each worker
 process keeps a small LRU of **group states** — the network plus every
-:class:`~repro.pipeline.context.PlanningContext` built on it so far —
+:class:`~repro.core.context.PlanningContext` built on it so far —
 so consecutive jobs from the same group land on a warm context instead
 of re-paying graph/MIS/coverage construction, and jobs with different
 request sets on the same network still share one distance cache
-(:func:`~repro.pipeline.context.shared_distance_cache` keys on the
+(:func:`~repro.core.context.shared_distance_cache` keys on the
 cached network *object*, which the group state pins).
 
 The cache key includes a per-daemon ``token``, so two daemons in one
@@ -22,7 +22,7 @@ Serial execution uses exactly this function in-process, so the only
 difference between ``workers=1`` and ``workers=N`` is where the cache
 lives — never what gets computed. Context memoization is
 byte-transparent by construction (see
-:mod:`repro.pipeline.context`), which is what the parity suite pins.
+:mod:`repro.core.context`), which is what the parity suite pins.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _sync_residuals(state: GroupState, incoming: WRSN) -> None:
     have drained since the group was pinned still lands here. Instead
     of rebuilding the group's contexts (the pre-PR-10 behaviour), copy
     the changed residual levels onto the pinned network and
-    :meth:`~repro.pipeline.context.PlanningContext.invalidate` exactly
+    :meth:`~repro.core.context.PlanningContext.invalidate` exactly
     those sensors on every warm context — geometry memos survive, and
     the replan is byte-identical to a cold rebuild (pinned by
     ``tests/test_daemon.py``).

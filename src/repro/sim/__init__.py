@@ -36,7 +36,6 @@ from repro.sim.mcv import MCVTrajectory, replay_schedule
 from repro.sim.metrics import SimMetrics
 from repro.sim.online import OnlineMonitoringSimulation
 from repro.sim.robustness import (
-    fault_robustness_report,
     minimum_pairwise_slack,
     perturbed_execution,
     robustness_report,
@@ -62,7 +61,6 @@ __all__ = [
     "TraceRecorder",
     "draw_round_faults",
     "execute_with_faults",
-    "fault_robustness_report",
     "get_scenario",
     "minimum_pairwise_slack",
     "perturbed_execution",

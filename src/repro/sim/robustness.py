@@ -12,11 +12,9 @@ noise on every travel leg and charging duration, recomputing each
 stop's realized interval, and reports whether the realized timeline
 still satisfies the constraint. :func:`robustness_report` aggregates
 over many noise draws into a violation probability plus the timing
-slack statistics that explain it. :func:`fault_robustness_report` is
-the fault-model counterpart: it replays the schedule under many
-seeded draws from a :class:`~repro.sim.faults.specs.FaultPlan` —
-breakdowns triggering the repair engine, droop/slowdown stretching the
-timeline — and reports violation probability, repairs and deferrals.
+slack statistics that explain it. Fault-model trials (breakdowns
+triggering the repair engine, droop/slowdown stretching the timeline)
+run through :func:`repro.eval.worker.execute_eval_cell`.
 
 Conflict detection on realized timelines is a start-time sweep
 (:func:`repro.sim.faults.timeline.overlapping_cross_pairs`), so a
@@ -30,17 +28,12 @@ built on the same per-sensor stop groups the validator sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.conflicts import minimum_pairwise_slack
-from repro.core.repair import RepairConfig
 from repro.core.schedule import ChargingSchedule
-from repro.sim.faults.executor import execute_with_faults
-from repro.sim.faults.injector import draw_round_faults
-from repro.sim.faults.scenarios import get_scenario
-from repro.sim.faults.specs import FaultPlan
 from repro.sim.faults.timeline import (
     ExecutedStop,
     overlapping_cross_pairs,
@@ -177,110 +170,10 @@ def robustness_report(
     )
 
 
-@dataclass
-class FaultRobustnessReport:
-    """Aggregate over many fault-injected replays."""
-
-    scenario: str
-    trials: int
-    violation_probability: float
-    breakdown_rate: float
-    mean_repairs: float
-    mean_deferred: float
-    degraded_rate: float
-    planned_longest_delay_s: float
-    mean_realized_delay_s: float
-
-    @property
-    def mean_extra_delay_s(self) -> float:
-        return self.mean_realized_delay_s - self.planned_longest_delay_s
-
-    def __str__(self) -> str:
-        return (
-            f"scenario={self.scenario} trials={self.trials} "
-            f"P(violation)={self.violation_probability:.3f} "
-            f"breakdowns={self.breakdown_rate:.2f} "
-            f"repairs/trial={self.mean_repairs:.1f} "
-            f"deferred/trial={self.mean_deferred:.2f} "
-            f"delay {self.planned_longest_delay_s / 3600:.2f}h -> "
-            f"{self.mean_realized_delay_s / 3600:.2f}h"
-        )
-
-
-def fault_robustness_report(
-    schedule: ChargingSchedule,
-    plan: Union[FaultPlan, str] = "breakdown",
-    trials: int = 100,
-    seed: int = 0,
-    repair_config: Optional[RepairConfig] = None,
-) -> FaultRobustnessReport:
-    """Replay a schedule under many seeded fault draws.
-
-    Each trial draws one round's faults from the plan (trial index =
-    round index, so trial ``i`` of two different algorithms under the
-    same plan faces the same failure), executes the schedule through
-    the fault-aware executor — breakdowns run the repair engine on a
-    copy — and the realized timeline is checked for
-    no-simultaneous-charging violations.
-
-    Args:
-        schedule: the planned schedule (never mutated).
-        plan: a :class:`FaultPlan` or a registered scenario name
-            (seeded with ``seed``).
-        trials: number of fault draws.
-        seed: scenario seed when ``plan`` is a name.
-        repair_config: repair tuning for breakdown trials.
-
-    Returns:
-        The :class:`FaultRobustnessReport`.
-    """
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    resolved = (
-        get_scenario(plan, seed=seed) if isinstance(plan, str) else plan
-    )
-    sensor_ids = sorted(schedule.charge_times)
-    violations = 0
-    breakdowns = 0
-    repairs = 0
-    deferred = 0
-    degraded = 0
-    realized = []
-    for trial in range(trials):
-        faults = draw_round_faults(
-            resolved, trial, schedule.num_tours, sensor_ids=sensor_ids
-        )
-        outcome = execute_with_faults(
-            schedule, faults, repair_config=repair_config
-        )
-        if outcome.violation_count:
-            violations += 1
-        if outcome.breakdown_time_s is not None:
-            breakdowns += 1
-        repairs += outcome.repairs
-        deferred += len(outcome.deferred_sensors)
-        if outcome.degraded:
-            degraded += 1
-        realized.append(outcome.realized_delay_s)
-    return FaultRobustnessReport(
-        scenario=resolved.name,
-        trials=trials,
-        violation_probability=violations / trials,
-        breakdown_rate=breakdowns / trials,
-        mean_repairs=repairs / trials,
-        mean_deferred=deferred / trials,
-        degraded_rate=degraded / trials,
-        planned_longest_delay_s=schedule.longest_delay(),
-        mean_realized_delay_s=sum(realized) / len(realized),
-    )
-
-
 __all__ = [
     "ExecutedStop",
     "ExecutionOutcome",
-    "FaultRobustnessReport",
     "RobustnessReport",
-    "fault_robustness_report",
     "minimum_pairwise_slack",
     "perturbed_execution",
     "robustness_report",

@@ -6,9 +6,9 @@ from repro.baselines.common import (
     BaselineSchedule,
     Visit,
     build_itinerary,
-    charge_times_for_requests,
     default_lifetimes,
 )
+from repro.core.context import PlanningContext
 from repro.energy.charging import ChargerSpec
 from repro.geometry.point import Point
 from repro.network.topology import random_wrsn
@@ -83,7 +83,7 @@ class TestHelpers:
         net = random_wrsn(num_sensors=5, seed=1)
         net.set_residuals({0: 10_800.0 - 2_000.0})
         spec = ChargerSpec(charge_rate_w=2.0)
-        times = charge_times_for_requests(net, [0], spec)
+        times = PlanningContext(net, [0], spec).charge_times_for([0])
         assert times[0] == pytest.approx(1_000.0)
 
     def test_default_lifetimes_passthrough(self):

@@ -194,6 +194,67 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+def _network_doc(**fields):
+    """A valid ``repro-wrsn/1`` document with ``fields`` overridden."""
+    from repro.io import wrsn_to_dict
+    from repro.network.topology import random_wrsn
+
+    doc = wrsn_to_dict(random_wrsn(num_sensors=5, seed=2))
+    doc.update(fields)
+    return doc
+
+
+#: (network document, the field its error message must name).
+MALFORMED_NETWORKS = {
+    "missing-level": (
+        {
+            "format": "repro-wrsn/1",
+            "sensors": [{"id": 0, "x": 1, "y": 1, "capacity_j": 5}],
+        },
+        "sensors[0].level_j",
+    ),
+    "sensors-not-a-list": (_network_doc(sensors=5), "sensors"),
+    "null-base-station": (_network_doc(base_station=None), "base_station"),
+    "string-coordinate": (
+        _network_doc(
+            sensors=[
+                {"id": 0, "x": "1", "y": 1, "capacity_j": 5.0,
+                 "level_j": 1.0, "data_rate_bps": 1000.0}
+            ]
+        ),
+        "sensors[0].x",
+    ),
+}
+
+
+class TestMalformedNetwork:
+    """A malformed network file is a usage error naming the field, at
+    both front doors that read one: ``plan --instance`` and ``serve``."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))
+    def test_plan_instance(self, case, tmp_path, capsys):
+        doc, field = MALFORMED_NETWORKS[case]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"network field {field} " in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))
+    def test_serve_line(self, case, tmp_path, capsys):
+        doc, field = MALFORMED_NETWORKS[case]
+        jobs = tmp_path / "jobs.jsonl"
+        record = {"format": "repro-job/1", "network": doc, "requests": [0]}
+        jobs.write_text(json.dumps(record) + "\n")
+        assert main(["serve", str(jobs)]) == 1
+        out = capsys.readouterr().out
+        (row,) = [json.loads(line) for line in out.splitlines()]
+        assert row["status"] == "error"
+        assert row["error"].startswith("job line 1: unusable network: ")
+        assert f"network field {field} " in row["error"]
+
+
 class TestFaults:
     """Planners under identical seeded fault draws: ``eval`` with its
     axis flags narrowed to one group."""

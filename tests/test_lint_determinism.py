@@ -923,17 +923,26 @@ class TestCacheMutationRule:
         )
         assert rules_of(findings) == {"cache-mutation"}
 
-    def test_pipeline_package_is_exempt(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
+    def test_core_context_module_is_exempt(self, tmp_path):
+        source = """
             def f(self, sid, value):
                 self._charge_times[sid] = value
-            """,
-            subdir="repro/pipeline",
-            select=["cache-mutation"],
-        )
-        assert findings == []
+            """
+
+        def lint_as(subdir, name):
+            return lint_snippet(
+                tmp_path, source, name=name, subdir=subdir,
+                select=["cache-mutation"],
+            )
+
+        assert lint_as("repro/core", "context.py") == []
+        # Only that module: its neighbours and the pipeline are not.
+        assert rules_of(lint_as("repro/core", "appro.py")) == {
+            "cache-mutation"
+        }
+        assert rules_of(lint_as("repro/pipeline", "context.py")) == {
+            "cache-mutation"
+        }
 
     def test_reads_are_fine(self, tmp_path):
         findings = lint_snippet(

@@ -1,4 +1,4 @@
-"""Unit tests for :mod:`repro.pipeline.context`."""
+"""Unit tests for :mod:`repro.core.context`."""
 
 import numpy as np
 import pytest
@@ -303,7 +303,7 @@ class TestRepeatedInvalidation:
                 for sid in ids
             }
         )
-        warm_ctx = PlanningContext(net, ids, share_distances=False)
+        warm_ctx = PlanningContext(net, ids)
         probe_state(warm_ctx)
         run_planner("Appro", net, ids, 2, context=warm_ctx)
 
@@ -319,16 +319,15 @@ class TestRepeatedInvalidation:
                 }
             )
             warm_ctx.invalidate(changed)
-            cold_ctx = PlanningContext(net, ids, share_distances=False)
+            # Cold rebuilds run on copies: fresh memos and a fresh
+            # distance cache.
+            cold_ctx = PlanningContext(net.copy(), ids)
             assert probe_state(warm_ctx) == probe_state(cold_ctx), (
                 f"round {round_index}: state diverged "
                 f"({len(changed)} changed)"
             )
             warm = run_planner("Appro", net, ids, 2, context=warm_ctx)
-            cold = run_planner(
-                "Appro", net, ids, 2,
-                context=PlanningContext(net, ids, share_distances=False),
-            )
+            cold = run_planner("Appro", net.copy(), ids, 2)
             assert dump_jsonl_line(
                 schedule_to_dict(warm, algorithm="Appro")
             ) == dump_jsonl_line(
@@ -343,12 +342,6 @@ class TestSharedDistances:
         b = PlanningContext(depleted_net, [3, 4, 5])
         assert a.distance is b.distance
         assert a.distance is shared_distance_cache(depleted_net)
-
-    def test_private_cache_on_request(self, depleted_net):
-        ctx = PlanningContext(
-            depleted_net, [0, 1, 2], share_distances=False
-        )
-        assert ctx.distance is not shared_distance_cache(depleted_net)
 
     def test_different_networks_get_different_caches(
         self, depleted_net, small_net

@@ -32,11 +32,7 @@ from repro.serve.sanitize import (
 BUGGY_PLUGIN_SOURCE = '''
 """Deliberately hash-order-dependent planner (sanitizer test fixture)."""
 
-from repro.baselines.common import (
-    BaselineSchedule,
-    build_itinerary,
-    charge_times_for_requests,
-)
+from repro.baselines.common import BaselineSchedule, build_itinerary
 from repro.energy.charging import ChargerSpec
 from repro.pipeline import PlannerInfo, register_planner
 
@@ -47,7 +43,7 @@ def buggy_schedule(network, request_ids, num_chargers, charger=None,
     positions = network.positions()
     depot = network.depot.position
     requests = sorted(set(request_ids))
-    charge_times = charge_times_for_requests(network, requests, spec)
+    charge_times = context.charge_times_for(requests)
     labels = {"s%d" % sid: sid for sid in requests}
     tags = {"s%d" % sid for sid in requests}
     order = [labels[name] for name in tags]  # BUG: set iteration order

@@ -199,9 +199,10 @@ class TestSharedContexts:
         cold = []
         cold_hits = 0
         for i, job in enumerate(jobs):
-            context = PlanningContext(net, requests, share_distances=False)
+            cold_net = net.copy()
+            context = PlanningContext(cold_net, requests)
             planned = run_planner(
-                job.planner, net, requests, job.num_chargers,
+                job.planner, cold_net, requests, job.num_chargers,
                 context=context,
             )
             cold_hits += context.stats()["memo_hits"]

@@ -326,6 +326,25 @@ class TestExecutor:
         assert outcome.repairs == len(outcome.repair.reassigned)
         assert outcome.violation_count == 0
 
+    def test_breakdown_draws_repair_without_violations(self, schedule):
+        """Twenty seeded breakdown rounds: every one breaks a vehicle,
+        no realized timeline violates the constraint, and the repair
+        engine re-inserts stops."""
+        plan = get_scenario("breakdown", seed=1)
+        sensor_ids = sorted(schedule.charge_times)
+        outcomes = [
+            execute_with_faults(
+                schedule,
+                draw_round_faults(
+                    plan, trial, schedule.num_tours, sensor_ids=sensor_ids
+                ),
+            )
+            for trial in range(20)
+        ]
+        assert all(o.breakdown_time_s is not None for o in outcomes)
+        assert all(o.violation_count == 0 for o in outcomes)
+        assert sum(o.repairs for o in outcomes) > 0
+
     def test_factors_stretch_realized_delay(self, schedule):
         faults = RoundFaults(charge_factor=1.3, travel_factor=1.2)
         outcome = execute_with_faults(schedule, faults)

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.appro import appro_schedule
-from repro.sim.faults.scenarios import get_scenario
 from repro.sim.robustness import (
-    fault_robustness_report,
     minimum_pairwise_slack,
     perturbed_execution,
     robustness_report,
@@ -179,33 +177,3 @@ class TestDefaultSeeds:
         b = perturbed_execution(schedule)
         assert a.longest_delay_s == b.longest_delay_s
         assert a.stops == b.stops
-
-
-class TestFaultRobustnessReport:
-    def test_breakdown_report(self, schedule):
-        report = fault_robustness_report(
-            schedule, "breakdown", trials=20, seed=1
-        )
-        assert report.scenario == "breakdown"
-        assert report.trials == 20
-        assert report.breakdown_rate == 1.0
-        assert report.violation_probability == 0.0
-        assert report.mean_repairs > 0
-        assert report.mean_extra_delay_s >= 0.0
-        assert "P(violation)" in str(report)
-
-    def test_accepts_plan_object(self, schedule):
-        plan = get_scenario("slow-roads", seed=2)
-        report = fault_robustness_report(schedule, plan, trials=5)
-        assert report.scenario == "slow-roads"
-        assert report.breakdown_rate == 0.0
-        assert report.mean_realized_delay_s > report.planned_longest_delay_s
-
-    def test_deterministic(self, schedule):
-        a = fault_robustness_report(schedule, "perfect-storm", trials=10)
-        b = fault_robustness_report(schedule, "perfect-storm", trials=10)
-        assert a == b
-
-    def test_invalid_trials(self, schedule):
-        with pytest.raises(ValueError):
-            fault_robustness_report(schedule, "none", trials=0)
