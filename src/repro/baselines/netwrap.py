@@ -71,8 +71,10 @@ def netwrap_schedule(
     life = default_lifetimes(network, requests, lifetimes)
 
     max_life = max(life.values(), default=1.0) or 1.0
+    # The field diagonal is a normalising length, not a distance
+    # between two points, so no cache or radius query applies.
     diag = (
-        math.hypot(network.field.width, network.field.height)
+        math.hypot(network.field.width, network.field.height)  # repro-lint: disable=euclidean-call
         / spec.travel_speed_mps
     )
 

@@ -288,7 +288,7 @@ def cmd_serve(args) -> int:
         print(f"wrote demo batch: {args.jobs}", file=sys.stderr)
     parsed, line_errors = load_jobs_lenient(args.jobs)
     for err in line_errors:
-        print(f"  line {err.lineno}: {err.error}", file=sys.stderr)
+        print(f"  {err.error}", file=sys.stderr)
     jobs = [job for _, job in parsed]
     config = DaemonConfig(
         workers=args.workers,

@@ -38,7 +38,6 @@ from repro.core.conflicts import (
     OVERLAP_EPS,
     ConflictResolver,
     conflicting_pairs,
-    has_conflict,
     minimum_pairwise_slack,
     stop_groups,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "conflicting_pairs",
     "delta_h_bound",
     "empirical_lower_bound",
-    "has_conflict",
     "metaheuristic_schedule",
     "minimum_pairwise_slack",
     "repair_schedule",

@@ -188,33 +188,6 @@ def conflicting_pairs(
     ]
 
 
-def has_conflict(
-    schedule: ChargingSchedule,
-    *,
-    skip_tour: Optional[int] = None,
-    eps: float = OVERLAP_EPS,
-) -> bool:
-    """Whether any cross-tour conflicting pair exists (early exit)."""
-    for members in stop_groups(schedule, skip_tour).values():
-        if len(members) < 2:
-            continue
-        entries = sorted(
-            (
-                (*schedule.stop_interval(node), schedule.tour_of[node], node)
-                for node in members
-            ),
-            key=lambda e: (e[0], e[3]),
-        )
-        active: List[Tuple[float, float, int, int]] = []
-        for start, finish, tour, _node in entries:
-            active = [a for a in active if a[1] - start > eps]
-            for _, a_finish, a_tour, _a in active:
-                if a_tour != tour and min(a_finish, finish) - start > eps:
-                    return True
-            active.append((start, finish, tour, _node))
-    return False
-
-
 def minimum_pairwise_slack(schedule: ChargingSchedule) -> float:
     """Smallest time gap between any two conflicting-disk stops on
     different tours in the *planned* timeline.
@@ -436,7 +409,6 @@ __all__ = [
     "ConflictPair",
     "ConflictResolver",
     "conflicting_pairs",
-    "has_conflict",
     "minimum_pairwise_slack",
     "stop_groups",
 ]

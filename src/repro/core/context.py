@@ -220,12 +220,11 @@ class PlanningContext:
 
     @property
     def grid_index(self) -> GridIndex:
-        """Grid index over the request positions, cell = ``γ``."""
+        """Spatial index over the request positions."""
         if self._grid_index is None:
             self.memo_misses += 1
             self._grid_index = GridIndex(
-                {t: self.positions[t] for t in self.requests},
-                cell_size=self.charger.charge_radius_m,
+                {t: self.positions[t] for t in self.requests}
             )
         else:
             self.memo_hits += 1
@@ -270,8 +269,7 @@ class PlanningContext:
                 fresh.append(cand)
         if fresh:
             # All uncached candidates in one bulk query against the
-            # memoized index's cached KD-tree; membership is the
-            # np.hypot rule of coverage_sets, not grid_index.within().
+            # memoized index's cached KD-tree, as in coverage_sets.
             rows = self.grid_index.within_bulk(
                 [self.positions[cand] for cand in fresh], radius_m
             )

@@ -3,8 +3,8 @@
 Provides the 2-D primitives the rest of the library builds on: points
 and Euclidean distances (:mod:`repro.geometry.point`,
 :mod:`repro.geometry.distance`), random sensor deployments over a
-rectangular field (:mod:`repro.geometry.deployment`) and a uniform grid
-spatial index for fast fixed-radius neighbour queries
+rectangular field (:mod:`repro.geometry.deployment`) and the KD-tree
+index behind every fixed-radius neighbour query
 (:mod:`repro.geometry.grid_index`).
 """
 
@@ -16,7 +16,6 @@ from repro.geometry.deployment import (
 )
 from repro.geometry.distance import (
     euclidean,
-    pairwise_distances,
     path_length,
     tour_length,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "clustered_deployment",
     "euclidean",
     "grid_deployment",
-    "pairwise_distances",
     "path_length",
     "tour_length",
     "uniform_deployment",

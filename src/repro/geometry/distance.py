@@ -10,29 +10,19 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from repro.geometry.point import PointLike
 
 
 def euclidean(a: PointLike, b: PointLike) -> float:
-    """Euclidean distance between two planar points."""
+    """Euclidean distance between two planar points.
+
+    ``math.hypot`` of the coordinate differences — the repo's one
+    distance rule: every cached distance, tour leg and "within ``r``"
+    membership test (:mod:`repro.geometry.grid_index`) is this float.
+    """
     ax, ay = a
     bx, by = b
     return math.hypot(ax - bx, ay - by)
-
-
-def pairwise_distances(points: Sequence[PointLike]) -> np.ndarray:
-    """Dense ``n x n`` matrix of pairwise Euclidean distances.
-
-    Vectorised with numpy; used by tour construction over candidate
-    sojourn locations where ``n`` stays small (hundreds).
-    """
-    coords = np.asarray([(p[0], p[1]) for p in points], dtype=float)
-    if coords.size == 0:
-        return np.zeros((0, 0))
-    deltas = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((deltas**2).sum(axis=2))
 
 
 def path_length(points: Sequence[PointLike]) -> float:

@@ -1,12 +1,14 @@
-"""Uniform grid spatial index for fixed-radius neighbour queries.
+"""Fixed-radius neighbour queries: the one "within ``r``" of the repo.
 
 Building the charging graph ``G_c`` requires, for each of up to
 several thousand sensors, all other sensors within the charging radius
-``γ``. A naive all-pairs scan is O(n²); the :class:`GridIndex` buckets
-points into square cells of side ``cell_size`` so a radius-``r`` query
-only visits the O((r / cell_size + 1)²) cells around the query point,
-and answers many queries at once from a KD-tree over the same points
-(:meth:`GridIndex.pairs_within`).
+``γ``; the auxiliary graph ``H``, the data graph and the coverage sets
+``N_c⁺(v)`` ask the same question at other radii. A naive all-pairs
+scan is O(n²); :meth:`GridIndex.pairs_within` answers every query of a
+batch at once from a KD-tree, and decides membership with the repo's
+one distance rule, ``math.hypot`` (:func:`repro.geometry.distance.
+euclidean`, :meth:`repro.geometry.point.Point.distance_to`). So a pair
+is within ``r`` here exactly when its ``distance_to`` is ``<= r``.
 
 The index is immutable after construction, matching its use: WRSN
 deployments are static for the lifetime of a scheduling instance.
@@ -20,57 +22,40 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.geometry.distance import euclidean
 from repro.geometry.point import PointLike
-
-_Cell = Tuple[int, int]
 
 #: Relative and absolute slack on the KD-tree query radius in
 #: :meth:`GridIndex.pairs_within`. The tree measures distance with its
 #: own arithmetic, which may round a boundary pair a few ulps above
-#: ``np.hypot``; the slack makes its hits a strict superset, and the
-#: exact ``np.hypot`` filter then decides membership.
+#: ``math.hypot``; the slack makes its hits a strict superset, and the
+#: exact ``math.hypot`` filter then decides membership.
 _TREE_REL_SLACK = 1e-9
 _TREE_ABS_SLACK = 1e-12
 
 
 class GridIndex:
-    """Bucket-grid over labelled planar points.
+    """KD-tree index over labelled planar points.
 
     Args:
         points: mapping from an arbitrary hashable label (typically a
-            sensor id) to its ``(x, y)`` position.
-        cell_size: side length of a grid cell in metres. A good choice
-            is the most common query radius; queries with other radii
-            remain correct, only the constant factor changes.
+            sensor id) to its ``(x, y)`` position. The mapping's order
+            is the index's label order.
     """
 
-    def __init__(self, points: Mapping[Hashable, PointLike], cell_size: float):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        self._cell_size = float(cell_size)
-        self._positions: Dict[Hashable, Tuple[float, float]] = {}
-        self._cells: Dict[_Cell, List[Hashable]] = {}
-        for label, pos in points.items():
-            x, y = pos
-            self._positions[label] = (float(x), float(y))
-            self._cells.setdefault(self._cell_of(x, y), []).append(label)
+    def __init__(self, points: Mapping[Hashable, PointLike]):
+        self._positions: Dict[Hashable, Tuple[float, float]] = {
+            label: (float(pos[0]), float(pos[1]))
+            for label, pos in points.items()
+        }
         # Label list, coordinate array and KD-tree for pairs_within,
         # built on first use.
         self._bulk: Optional[Tuple[List[Hashable], np.ndarray, cKDTree]] = None
-
-    def _cell_of(self, x: float, y: float) -> _Cell:
-        return (math.floor(x / self._cell_size), math.floor(y / self._cell_size))
 
     def __len__(self) -> int:
         return len(self._positions)
 
     def __contains__(self, label: Hashable) -> bool:
         return label in self._positions
-
-    @property
-    def cell_size(self) -> float:
-        return self._cell_size
 
     def position(self, label: Hashable) -> Tuple[float, float]:
         """Stored position of ``label``."""
@@ -79,32 +64,6 @@ class GridIndex:
     def labels(self) -> Iterable[Hashable]:
         """All labels in the index."""
         return self._positions.keys()
-
-    def within(self, center: PointLike, radius_m: float) -> List[Hashable]:
-        """All labels whose point lies within ``radius_m`` of ``center``.
-
-        The boundary is inclusive (``d <= radius_m``), matching the
-        paper's coverage definition ``d(u, v) <= γ``, with ``d`` from
-        ``math.hypot`` — which can round an ulp away from the
-        ``np.hypot`` of :meth:`pairs_within`.
-        """
-        if radius_m < 0:
-            raise ValueError(f"radius must be non-negative, got {radius_m}")
-        cx, cy = center
-        # Minimal ring count: any point within r of the centre has each
-        # coordinate within r, and |floor((c ± r)/cell) - floor(c/cell)|
-        # <= ceil(r/cell) — the extra ring the old "+ 1" scanned could
-        # never contain a hit, even for d == radius on a cell edge.
-        span = int(math.ceil(radius_m / self._cell_size))
-        base = self._cell_of(cx, cy)
-        found: List[Hashable] = []
-        for dx in range(-span, span + 1):
-            for dy in range(-span, span + 1):
-                cell = (base[0] + dx, base[1] + dy)
-                for label in self._cells.get(cell, ()):
-                    if euclidean(self._positions[label], (cx, cy)) <= radius_m:
-                        found.append(label)
-        return found
 
     def _bulk_view(self) -> Tuple[List[Hashable], np.ndarray, cKDTree]:
         """Label list, coordinate array and KD-tree, built on first use."""
@@ -123,12 +82,9 @@ class GridIndex:
 
         A KD-tree query at a slightly inflated radius yields a superset
         of the hits; each candidate pair is then kept iff
-        ``np.hypot(cx - px, cy - py) <= radius_m`` — the rule that
-        defines membership, so the slack never adds a pair. This is
-        *not* always :meth:`within`'s rule: ``math.hypot`` and
-        ``np.hypot`` can differ by an ulp, so a pair at distance
-        ``≈ radius_m`` may be a hit here and a miss there
-        (``tests/test_geometry_boundary.py`` pins one such pair).
+        ``math.hypot(cx - px, cy - py) <= radius_m`` — the boundary is
+        inclusive, matching the paper's ``d(u, v) <= γ``, and the rule
+        is :meth:`Point.distance_to`'s, so the slack never adds a pair.
 
         Returns:
             ``(center_index, label_index)`` integer arrays of equal
@@ -148,10 +104,11 @@ class GridIndex:
         )
         center_idx = hits["i"].astype(np.intp)
         label_idx = hits["j"].astype(np.intp)
-        keep = np.hypot(
-            centers_arr[center_idx, 0] - coords[label_idx, 0],
-            centers_arr[center_idx, 1] - coords[label_idx, 1],
-        ) <= radius_m
+        # numpy float64 subtraction rounds exactly as Python's does, so
+        # these are the differences euclidean() would form, and each
+        # distance is the math.hypot float itself.
+        dx, dy = (centers_arr[center_idx] - coords[label_idx]).T.tolist()
+        keep = np.array(list(map(math.hypot, dx, dy))) <= radius_m
         center_idx, label_idx = center_idx[keep], label_idx[keep]
         order = np.lexsort((label_idx, center_idx))
         return center_idx[order], label_idx[order]
@@ -161,8 +118,7 @@ class GridIndex:
     ) -> List[List[Hashable]]:
         """One label list per center, from :meth:`pairs_within`.
 
-        Each list holds the labels in index insertion order; its
-        membership follows :meth:`pairs_within`'s ``np.hypot`` rule.
+        Each list holds the labels in index insertion order.
 
         Returns:
             One label list per center, in ``centers`` order.
@@ -176,8 +132,3 @@ class GridIndex:
         return [
             row_hits[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-
-    def neighbors_of(self, label: Hashable, radius_m: float) -> List[Hashable]:
-        """Labels within ``radius_m`` of ``label``'s point, excluding itself."""
-        center = self._positions[label]
-        return [other for other in self.within(center, radius_m) if other != label]

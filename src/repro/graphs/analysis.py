@@ -40,14 +40,11 @@ def disk_occupancy(
     """For each requested sensor: how many requested sensors (itself
     included) lie within its charging disk."""
     requests = sorted(set(request_ids))
-    index = GridIndex(
-        {sid: network.position_of(sid) for sid in requests},
-        cell_size=radius_m,
+    positions = {sid: network.position_of(sid) for sid in requests}
+    rows = GridIndex(positions).within_bulk(
+        list(positions.values()), radius_m
     )
-    return {
-        sid: len(index.within(network.position_of(sid), radius_m))
-        for sid in requests
-    }
+    return {sid: len(row) for sid, row in zip(requests, rows)}
 
 
 def mean_disk_occupancy(

@@ -52,12 +52,16 @@ def build_auxiliary_graph(
     candidates = sorted(sojourn_candidates)
     graph = nx.Graph()
     graph.add_nodes_from(candidates)
-    index = GridIndex({c: positions[c] for c in candidates}, cell_size=radius_m)
-    for cand in candidates:
-        # Disk intersection requires centre distance <= 2γ.
-        for other in index.neighbors_of(cand, 2.0 * radius_m):
-            if other > cand and coverage[cand] & coverage[other]:
-                graph.add_edge(cand, other)
+    # Disk intersection requires centre distance <= 2γ: one pair query
+    # yields every such pair, in (cand, other) index order.
+    index = GridIndex({c: positions[c] for c in candidates})
+    rows, cols = index.pairs_within(
+        [positions[c] for c in candidates], 2.0 * radius_m
+    )
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        cand, other = candidates[i], candidates[j]
+        if other > cand and coverage[cand] & coverage[other]:
+            graph.add_edge(cand, other)
     return graph
 
 

@@ -38,13 +38,8 @@ def coverage_sets(
     if radius_m <= 0:
         raise ValueError(f"charging radius must be positive, got {radius_m}")
     target_ids = set(positions) if targets is None else set(targets)
-    index = GridIndex(
-        {t: positions[t] for t in sorted(target_ids)}, cell_size=radius_m
-    )
-    # One bulk query for all candidates. Membership is the np.hypot
-    # rule of GridIndex.pairs_within, not the math.hypot of
-    # index.within(): the two can disagree by an ulp at d ≈ γ
-    # (tests/test_geometry_boundary.py pins such a pair).
+    index = GridIndex({t: positions[t] for t in sorted(target_ids)})
+    # One bulk query for all candidates.
     cand_list = list(candidates)
     rows = index.within_bulk(
         [positions[cand] for cand in cand_list], radius_m

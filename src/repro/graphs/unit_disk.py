@@ -7,11 +7,9 @@ attributes so downstream code can stay graph-centric.
 
 Construction takes its edges from one KD-tree pair query
 (:meth:`repro.geometry.grid_index.GridIndex.pairs_within`), so it is
-O(n log n + |E|) instead of O(n²). Membership is decided by
-``np.hypot(Δx, Δy) <= γ``, which can differ by an ulp from the
-``math.hypot`` of :meth:`Point.distance_to`, so an edge at distance
-``≈ γ`` may join a pair whose ``distance_to`` is just above ``γ``.
-Edges carry no weight: nothing downstream reads one.
+O(n log n + |E|) instead of O(n²). Membership is
+``u.distance_to(v) <= γ`` exactly, the rule of every other "within γ"
+in the repo. Edges carry no weight: nothing downstream reads one.
 """
 
 from __future__ import annotations
@@ -48,14 +46,11 @@ def build_charging_graph(
     graph = nx.Graph()
     for node in node_list:
         graph.add_node(node, pos=positions[node])
-    index = GridIndex({n: positions[n] for n in node_list}, cell_size=radius_m)
+    index = GridIndex({n: positions[n] for n in node_list})
     # One pair query over all nodes. Labels were inserted in node_list
     # order, so label index == node_list index and ``i < j`` is
     # ``u < v``; the pairs come sorted by (i, j), which fixes the edge
     # insertion order and with it every adjacency order downstream.
-    # Membership is the np.hypot rule of pairs_within, which can
-    # disagree by an ulp with the math.hypot of neighbors_of()
-    # (tests/test_geometry_boundary.py pins a pair).
     rows, cols = index.pairs_within(
         [positions[n] for n in node_list], radius_m
     )

@@ -8,11 +8,15 @@ all layers agree bit-exactly on every leg length. A scattered
 ``euclidean()`` call re-opens the door to the ad-hoc per-module
 distance closures the pipeline refactor removed.
 
-The rule flags calls to ``euclidean`` (bare name or attribute) in any
-``repro`` module outside :mod:`repro.geometry` — where the primitive
-and its cache live — and :mod:`repro.pipeline`, which owns the cache
-instances. Point-based public APIs that legitimately measure one
-segment (e.g. ``ChargerSpec.travel_time``) suppress with
+The rule flags calls to ``euclidean`` and to ``hypot`` (``math.hypot``,
+``np.hypot`` or a bare ``hypot``, by name or attribute) in any
+``repro`` module outside :mod:`repro.geometry`, where the primitive,
+its cache and the one "within ``r``" query live. A ``hypot`` elsewhere
+is a second distance rule: ``np.hypot`` rounds differently from
+``math.hypot`` on ~0.6% of pairs, and a disk test built on it can
+disagree with :meth:`Point.distance_to` at ``d ≈ r``. Point-based
+public APIs that legitimately measure one segment (e.g.
+``ChargerSpec.travel_time``) suppress with
 ``# repro-lint: disable=euclidean-call``.
 """
 
@@ -27,7 +31,7 @@ from repro.lint.registry import FileRule, register
 from repro.lint.visitor import RuleVisitor
 
 #: Packages allowed to call the primitive directly.
-_ALLOWED_PACKAGES = frozenset({"geometry", "pipeline"})
+_ALLOWED_PACKAGES = frozenset({"geometry"})
 
 
 def _package_key(module_name: str) -> str:
@@ -43,25 +47,25 @@ class _Visitor(RuleVisitor):
             name = func.id
         elif isinstance(func, ast.Attribute):
             name = func.attr
-        if name == "euclidean":
+        if name in ("euclidean", "hypot"):
             self.report(
                 node,
-                "direct euclidean() call outside repro.geometry/"
-                "repro.pipeline; route distances through a "
-                "DistanceCache (e.g. PlanningContext.distance) so "
-                "lookups are shared and memoized",
+                f"direct {name}() call outside repro.geometry; route "
+                "distances through a DistanceCache (e.g. "
+                "PlanningContext.distance) so lookups are shared and "
+                "memoized, and radius queries through GridIndex",
             )
         self.generic_visit(node)
 
 
 @register
 class EuclideanCallRule(FileRule):
-    """R7: no raw ``euclidean()`` outside the geometry/pipeline layers."""
+    """R7: no raw ``euclidean()``/``hypot()`` outside the geometry layer."""
 
     id = "euclidean-call"
     description = (
-        "distances outside repro.geometry/repro.pipeline go through "
-        "a DistanceCache, not raw euclidean() calls"
+        "distances outside repro.geometry go through a DistanceCache, "
+        "not raw euclidean() or hypot() calls"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:

@@ -96,10 +96,6 @@ class WRSN:
         """Mapping of sensor id to position."""
         return {i: s.position for i, s in self._sensors.items()}
 
-    def spatial_index(self, cell_size: float) -> GridIndex:
-        """A fresh grid index over all sensor positions."""
-        return GridIndex(self.positions(), cell_size=cell_size)
-
     # ------------------------------------------------------------------
     # Data-collection graph
     # ------------------------------------------------------------------
@@ -113,14 +109,17 @@ class WRSN:
         if self._comm_graph is None:
             graph = nx.Graph()
             graph.add_nodes_from(self._sensors)
-            index = self.spatial_index(self.comm_range_m)
-            for sid, sensor in self._sensors.items():
-                for other in index.neighbors_of(sid, self.comm_range_m):
-                    if other > sid:
-                        dist = sensor.position.distance_to(
-                            self._sensors[other].position
-                        )
-                        graph.add_edge(sid, other, weight=dist)
+            positions = self.positions()
+            labels = list(positions)
+            rows, cols = GridIndex(positions).pairs_within(
+                list(positions.values()), self.comm_range_m
+            )
+            ids = np.asarray(labels)
+            upper = ids[cols] > ids[rows]  # other > sid
+            for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+                sid, other = labels[i], labels[j]
+                dist = positions[sid].distance_to(positions[other])
+                graph.add_edge(sid, other, weight=dist)
             self._comm_graph = graph
         return self._comm_graph
 

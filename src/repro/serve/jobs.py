@@ -383,7 +383,7 @@ class JobLineError:
     Attributes:
         lineno: 1-based line number in the source stream.
         error: what was wrong with it (JSON damage or a record-level
-            validation failure).
+            validation failure), prefixed ``job line <lineno>:``.
     """
 
     lineno: int
@@ -441,7 +441,9 @@ def jobs_from_lines(
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:
             errors.append(
-                JobLineError(lineno, f"malformed JSON: {exc}")
+                JobLineError(
+                    lineno, f"job line {lineno}: malformed JSON: {exc}"
+                )
             )
             continue
         try:

@@ -93,7 +93,7 @@ class DaemonSession:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:
             return JobLineError(
-                lineno, f"malformed JSON: {exc}"
+                lineno, f"job line {lineno}: malformed JSON: {exc}"
             ).to_result_dict()
         if isinstance(record, dict) and "op" in record:
             return self._control(record, lineno)
@@ -109,7 +109,9 @@ class DaemonSession:
         if op == "status":
             return self.daemon.status()
         return JobLineError(
-            lineno, f"unknown op {op!r}; supported: {', '.join(OPS)}"
+            lineno,
+            f"job line {lineno}: unknown op {op!r}; "
+            f"supported: {', '.join(OPS)}",
         ).to_result_dict()
 
     def _flush_ready(self) -> Iterator[str]:

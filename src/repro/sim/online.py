@@ -201,8 +201,7 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
             else None
         )
         self.edf_batch = edf_batch
-        self._disk_index: Optional[GridIndex] = None
-        self._disk_cache: Dict[int, FrozenSet[int]] = {}
+        self._disks: Optional[Dict[int, FrozenSet[int]]] = None
         self.audit = audit
         #: Conflicting settled stop pairs found by the end-of-run
         #: audit sweep (empty unless ``audit=True`` found a bug).
@@ -218,21 +217,18 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         sensor within the charging radius, plus the location itself.
         Cross-dispatch conflict candidates come from disk intersection
         over the whole population (the paper's Definition 1 reading),
-        not just over each dispatch's claimed sensors."""
-        cached = self._disk_cache.get(node)
-        if cached is None:
-            if self._disk_index is None:
-                self._disk_index = GridIndex(
-                    self.network.positions(),
-                    cell_size=self.charger.charge_radius_m,
-                )
-            members = self._disk_index.within(
-                self.network.position_of(node),
-                self.charger.charge_radius_m,
+        not just over each dispatch's claimed sensors. Every sensor's
+        disk comes from one bulk query, on first use."""
+        if self._disks is None:
+            positions = self.network.positions()
+            rows = GridIndex(positions).within_bulk(
+                list(positions.values()), self.charger.charge_radius_m
             )
-            cached = frozenset(members) | {node}
-            self._disk_cache[node] = cached
-        return cached
+            self._disks = {
+                sid: frozenset(row) | {sid}
+                for sid, row in zip(positions, rows)
+            }
+        return self._disks[node]
 
     def _pick_batch(
         self,

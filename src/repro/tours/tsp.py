@@ -15,8 +15,9 @@ real nodes, starting with the first one after leaving the depot:
   implementation (min-weight matching on odd-degree MST nodes,
   :func:`christofides_tour`).
 
-The two graph-based constructions run in a label space where the depot
-is the sentinel :data:`DEPOT`.
+Christofides runs in a label space where the depot is the sentinel
+:data:`DEPOT`; the other three run on the cache's dense matrix
+(:class:`repro.tours.arrays.ArrayDistance`), depot last.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import networkx as nx
+import numpy as np
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
@@ -82,32 +85,33 @@ def double_mst_tour(
     """The MST-doubling 2-approximation: preorder walk of a minimum
     spanning tree rooted at ``start``.
 
-    ``dist`` is accepted for interface uniformity but unused: the MST
-    runs on a vectorised dense matrix, not pairwise lookups.
-
     The MST is computed with scipy's sparse-graph routine on the dense
-    distance matrix — O(n²) memory but far faster than building a
-    complete ``networkx`` graph for the hundreds-of-nodes instances the
-    simulator produces.
+    matrix of ``dist`` lookups (a :class:`DistanceCache` over
+    ``positions`` when omitted) — O(n²) memory but far faster than
+    building a complete ``networkx`` graph for the hundreds-of-nodes
+    instances the simulator produces.
     """
     all_nodes = list(dict.fromkeys(list(nodes) + [start]))
     if len(all_nodes) <= 2:
         return all_nodes if all_nodes[0] == start else all_nodes[::-1]
-    import numpy as np
-    from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
+    dist = _distance_lookup(positions, dist)
+    matrix = np.zeros((len(all_nodes), len(all_nodes)))
+    for i, a in enumerate(all_nodes):
+        matrix[i, i + 1:] = [dist(a, b) for b in all_nodes[i + 1:]]
+    matrix += matrix.T
+    order_idx = _mst_preorder(matrix, all_nodes.index(start))
+    return [all_nodes[i] for i in order_idx]
 
-    coords = np.asarray(
-        [(positions[n][0], positions[n][1]) for n in all_nodes], dtype=float
-    )
-    deltas = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((deltas**2).sum(axis=2))
-    mst_matrix = _scipy_mst(dist).tocoo()
+
+def _mst_preorder(matrix: np.ndarray, root: int) -> List[int]:
+    """Preorder walk from ``root`` of the minimum spanning tree of a
+    dense symmetric distance matrix (zero entries are no edge)."""
+    mst_matrix = minimum_spanning_tree(matrix).tocoo()
     mst = nx.Graph()
-    mst.add_nodes_from(range(len(all_nodes)))
+    mst.add_nodes_from(range(len(matrix)))
     for i, j in zip(mst_matrix.row, mst_matrix.col):
         mst.add_edge(int(i), int(j))
-    order_idx = nx.dfs_preorder_nodes(mst, source=all_nodes.index(start))
-    return [all_nodes[i] for i in order_idx]
+    return list(nx.dfs_preorder_nodes(mst, source=root))
 
 
 def christofides_tour(
@@ -124,7 +128,7 @@ def christofides_tour(
     """
     all_nodes = list(dict.fromkeys(list(nodes) + [start]))
     if len(all_nodes) <= 3:
-        return double_mst_tour(nodes, positions, start)
+        return double_mst_tour(nodes, positions, start, dist)
     cycle = nx.approximation.christofides(
         _complete_graph(all_nodes, positions, dist)
     )
@@ -147,8 +151,8 @@ def build_tsp_order(
     starting with the first node after leaving the depot.
 
     ``dist`` is a depot-carrying cache (``None`` label = depot), built
-    from ``positions`` and ``depot`` when omitted; the graph-based
-    constructions see it translated to the :data:`DEPOT` sentinel.
+    from ``positions`` and ``depot`` when omitted; Christofides sees it
+    translated to the :data:`DEPOT` sentinel.
 
     Raises:
         ValueError: on an unknown method, a depot-less ``dist`` or
@@ -165,10 +169,14 @@ def build_tsp_order(
         return node_list
     if dist is None:
         dist = DistanceCache(positions, depot)
-    if method in ("nearest_neighbor", "greedy_edge"):
+    if method != "christofides":
         # The codec indexes the nodes in positional order, depot last;
-        # greedy-edge breaks distance ties by that (i, j) order.
+        # greedy-edge breaks distance ties by that (i, j) order, and the
+        # MST walk is double_mst_tour's over node_list + [DEPOT].
         dense = ArrayDistance.from_cache(dist, node_list)
+        if method == "double_mst":
+            walk = _mst_preorder(dense.matrix, dense.codec.depot_index)
+            return dense.codec.decode(walk[1:])
         kernel = {
             "nearest_neighbor": nearest_neighbor_indices,
             "greedy_edge": greedy_edge_indices,
@@ -176,10 +184,8 @@ def build_tsp_order(
         return dense.codec.decode(kernel(dense))
     pos: Dict[Hashable, PointLike] = {n: positions[n] for n in node_list}
     pos[DEPOT] = depot
-    builder = {
-        "double_mst": double_mst_tour,
-        "christofides": christofides_tour,
-    }[method]
-    cycle = builder(node_list + [DEPOT], pos, DEPOT, _translate_depot(dist))
+    cycle = christofides_tour(
+        node_list + [DEPOT], pos, DEPOT, _translate_depot(dist)
+    )
     assert cycle[0] == DEPOT
     return cycle[1:]

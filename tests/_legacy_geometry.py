@@ -1,10 +1,12 @@
 """Retired dense-broadcast neighbour queries, kept as test oracles.
 
 ``GridIndex.within_bulk`` used to broadcast every block of centers
-against every indexed point — O(centers × points) ``np.hypot`` calls —
-and ``build_charging_graph`` scanned those rows in Python for its
+against every indexed point — O(centers × points) distance evaluations
+— and ``build_charging_graph`` scanned those rows in Python for its
 ``u < v`` edges. Both now come from the KD-tree pair query
-(:meth:`repro.geometry.grid_index.GridIndex.pairs_within`).
+(:meth:`repro.geometry.grid_index.GridIndex.pairs_within`). The
+oracle's membership rule is the repo's one rule, ``math.hypot``: the
+broadcast only shortlists, and ``math.hypot`` decides.
 ``tests/test_geometry_bulk_oracle.py`` pins the new path against the
 loops below: identical rows in identical order, and an identical
 ``G_c`` edge list.
@@ -15,6 +17,7 @@ this module.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, List, Mapping, Optional, Sequence
 
 import networkx as nx
@@ -27,12 +30,19 @@ from repro.geometry.point import Point, PointLike
 #: matrix to a few MB.
 _BULK_CHUNK = 512
 
+#: Relative shortlist margin of the broadcast. ``np.hypot`` and
+#: ``math.hypot`` differ by at most an ulp (~2e-16 relative), so every
+#: pair within ``r`` by ``math.hypot`` is within ``r·(1 + 1e-9)`` by
+#: ``np.hypot``.
+_SHORTLIST_REL = 1e-9
+
 
 def legacy_within_bulk(
     index: GridIndex, centers: Sequence[PointLike], radius_m: float
 ) -> List[List[Hashable]]:
     """The retired ``GridIndex.within_bulk``: one dense broadcast per
-    block of centers; rows in index insertion order."""
+    block of centers, each shortlisted pair decided by ``math.hypot``;
+    rows in index insertion order."""
     if radius_m < 0:
         raise ValueError(f"radius must be non-negative, got {radius_m}")
     labels = list(index.labels())
@@ -42,6 +52,7 @@ def legacy_within_bulk(
     centers_arr = np.asarray(
         [(float(c[0]), float(c[1])) for c in centers], dtype=float
     ).reshape(-1, 2)
+    xy = coords.tolist()
     out: List[List[Hashable]] = []
     if len(labels) == 0:
         return [[] for _ in range(len(centers_arr))]
@@ -51,8 +62,14 @@ def legacy_within_bulk(
             block[:, 0, None] - coords[None, :, 0],
             block[:, 1, None] - coords[None, :, 1],
         )
-        for row in dists <= radius_m:
-            out.append([labels[i] for i in np.nonzero(row)[0]])
+        shortlist = dists <= radius_m * (1.0 + _SHORTLIST_REL)
+        for (cx, cy), row in zip(block.tolist(), shortlist):
+            out.append([
+                labels[i]
+                for i in np.nonzero(row)[0].tolist()
+                if math.hypot(cx - xy[i][0], cy - xy[i][1])
+                <= radius_m
+            ])
     return out
 
 
@@ -69,7 +86,7 @@ def legacy_build_charging_graph(
     graph = nx.Graph()
     for node in node_list:
         graph.add_node(node, pos=positions[node])
-    index = GridIndex({n: positions[n] for n in node_list}, cell_size=radius_m)
+    index = GridIndex({n: positions[n] for n in node_list})
     rows = legacy_within_bulk(
         index, [positions[n] for n in node_list], radius_m
     )

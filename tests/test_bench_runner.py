@@ -21,6 +21,7 @@ from repro.bench.runner import (
     simulate_once,
 )
 from repro.bench.workloads import PaperParams
+from tests._golden_env import env_note
 
 TINY = PaperParams(num_sensors=40, num_chargers=1)
 SHORT = 5 * 86400.0
@@ -121,7 +122,9 @@ class TestFigureGolden:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_series_float_identical(self, workers):
         golden = json.loads(GOLDEN.read_text())
-        assert _golden_series(workers, golden) == golden["figures"]
+        assert _golden_series(workers, golden) == golden["figures"], (
+            env_note()
+        )
 
     def test_unknown_figure(self):
         with pytest.raises(KeyError):

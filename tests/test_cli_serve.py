@@ -136,6 +136,31 @@ class TestCmdServe:
         assert "line 2" in captured.err
         assert "2 malformed input lines" in captured.err
 
+    def test_stderr_names_each_bad_line_once(self, tmp_path, capsys):
+        no_level = {
+            "format": "repro-wrsn/1",
+            "sensors": [{"id": 0, "x": 1, "y": 1, "capacity_j": 5}],
+        }
+        jobs = tmp_path / "bad.jsonl"
+        jobs.write_text(
+            json.dumps(
+                {"format": JOB_FORMAT, "network": no_level, "requests": [0]}
+            )
+            + '\n{"format": "repro-job/1", "bro\n'
+        )
+        assert main(["serve", str(jobs)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert any(
+            line.startswith("  job line 1: unusable network: ")
+            for line in err
+        )
+        assert any(
+            line.startswith("  job line 2: malformed JSON: ")
+            for line in err
+        )
+        assert all(line.count("job line") <= 1 for line in err)
+        assert not any(line.startswith("  line ") for line in err)
+
     def test_demo_generates_then_runs(self, tmp_path, capsys):
         jobs_path = tmp_path / "demo.jsonl"
         code = main(

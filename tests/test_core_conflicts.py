@@ -29,7 +29,6 @@ from repro.core.conflicts import (
     OVERLAP_EPS,
     ConflictResolver,
     conflicting_pairs,
-    has_conflict,
     minimum_pairwise_slack,
     stop_groups,
 )
@@ -380,15 +379,6 @@ class TestEngineSurface:
         assert banned  # fixture sanity
         for members in groups.values():
             assert not banned & set(members)
-
-    def test_has_conflict_agrees_with_pairs(self):
-        hits = 0
-        for seed in range(30):
-            schedule = random_schedule(seed, num_stops=10)
-            expected = bool(conflicting_pairs(schedule))
-            assert has_conflict(schedule) == expected
-            hits += expected
-        assert 0 < hits < 30  # both outcomes exercised
 
     def test_frozen_before_drops_fully_frozen_pairs(self):
         schedule = random_schedule(2)

@@ -1,32 +1,39 @@
 """Byte-parity of the vectorised coverage path against the loop path.
 
 ``GridIndex.within_bulk`` (a KD-tree pair query with an exact
-``np.hypot`` filter) replaced per-candidate ``within`` loops in
+``math.hypot`` filter) replaced per-candidate loops in
 ``graphs.coverage.coverage_sets`` and ``PlanningContext.coverage_for``.
-These tests pin that the replacement changed nothing observable on
-seeded random deployments, on exact-boundary integer cases, and
-through the context memo. The two rules can still disagree by an ulp
-at ``d ≈ γ``; ``tests/test_geometry_boundary.py`` pins such a pair.
+These tests pin that it agrees with a brute-force :func:`euclidean`
+scan — the repo's one distance rule — on seeded random deployments,
+on exact-boundary integer cases, and through the context memo.
 """
 
 import numpy as np
 import pytest
 
+from repro.geometry.distance import euclidean
 from repro.geometry.grid_index import GridIndex
 from repro.graphs.coverage import coverage_sets
 from repro.network.topology import random_wrsn
 from repro.pipeline import PlanningContext
 
 
+def _within(points, center, radius_m):
+    """Brute-force reference: every label within ``radius_m``."""
+    return [
+        label
+        for label, pos in points.items()
+        if euclidean(pos, center) <= radius_m
+    ]
+
+
 def _loop_coverage_sets(candidates, positions, radius_m, targets=None):
-    """The pre-vectorisation reference: one ``within`` call per candidate."""
+    """The loop reference: one brute-force scan per candidate."""
     target_ids = set(positions) if targets is None else set(targets)
-    index = GridIndex(
-        {t: positions[t] for t in target_ids}, cell_size=radius_m
-    )
+    points = {t: positions[t] for t in target_ids}
     result = {}
     for cand in candidates:
-        covered = set(index.within(positions[cand], radius_m))
+        covered = set(_within(points, positions[cand], radius_m))
         covered.add(cand)
         result[cand] = frozenset(covered)
     return result
@@ -40,39 +47,40 @@ class TestWithinBulk:
                 i: (float(x), float(y))
                 for i, (x, y) in enumerate(rng.uniform(0, 50, size=(80, 2)))
             }
-            index = GridIndex(points, cell_size=2.7)
+            index = GridIndex(points)
             centers = [points[i] for i in sorted(points)]
             bulk = index.within_bulk(centers, 2.7)
             for center, row in zip(centers, bulk):
-                assert sorted(row) == sorted(index.within(center, 2.7))
+                assert sorted(row) == sorted(_within(points, center, 2.7))
 
     def test_exact_boundary_is_inclusive(self):
-        # (0,0) -> (3,4) is exactly 5 in both math.hypot and np.hypot.
-        index = GridIndex({0: (0.0, 0.0), 1: (3.0, 4.0)}, cell_size=5.0)
+        # (0,0) -> (3,4) is exactly 5.
+        points = {0: (0.0, 0.0), 1: (3.0, 4.0)}
+        index = GridIndex(points)
         [row] = index.within_bulk([(0.0, 0.0)], 5.0)
         assert sorted(row) == [0, 1]
-        assert sorted(index.within((0.0, 0.0), 5.0)) == [0, 1]
+        assert sorted(_within(points, (0.0, 0.0), 5.0)) == [0, 1]
 
     def test_empty_index_and_empty_centers(self):
-        index = GridIndex({}, cell_size=1.0)
+        index = GridIndex({})
         assert index.within_bulk([(0.0, 0.0)], 2.0) == [[]]
-        full = GridIndex({0: (0.0, 0.0)}, cell_size=1.0)
+        full = GridIndex({0: (0.0, 0.0)})
         assert full.within_bulk([], 2.0) == []
 
     def test_negative_radius_rejected(self):
-        index = GridIndex({0: (0.0, 0.0)}, cell_size=1.0)
+        index = GridIndex({0: (0.0, 0.0)})
         with pytest.raises(ValueError, match="non-negative"):
             index.within_bulk([(0.0, 0.0)], -1.0)
 
     def test_chunking_covers_all_centers(self):
         # Hundreds of centers in one query; first, middle and last rows.
         points = {i: (float(i % 40), float(i // 40)) for i in range(700)}
-        index = GridIndex(points, cell_size=3.0)
+        index = GridIndex(points)
         centers = [points[i] for i in range(700)]
         bulk = index.within_bulk(centers, 3.0)
         assert len(bulk) == 700
         for i in (0, 511, 512, 699):
-            assert sorted(bulk[i]) == sorted(index.within(centers[i], 3.0))
+            assert sorted(bulk[i]) == sorted(_within(points, centers[i], 3.0))
 
 
 class TestCoverageSetsParity:

@@ -1,12 +1,12 @@
-"""Pins today's two "within γ" rules on a pair where they disagree.
+"""Pins the one "within γ" rule on a pair where the two hypots disagree.
 
-``G_c`` and the coverage sets ``N_c⁺(v)`` decide membership with
-``np.hypot`` (:meth:`GridIndex.pairs_within`); ``GridIndex.within`` /
-``neighbors_of`` and ``Point.distance_to`` use ``math.hypot``. The two
-round differently on the pair below at γ = 2.7: ``np.hypot`` gives
-exactly 2.7 (inside), ``math.hypot`` gives 2.7000000000000006
-(outside). Which rule is right is an open decision; until it is made,
-these tests keep either side from drifting silently.
+``np.hypot`` and CPython's ``math.hypot`` round differently on the pair
+below: at γ = 2.7, ``np.hypot`` gives exactly 2.7 (inside) and
+``math.hypot`` gives 2.7000000000000006 (outside). Every membership
+test in the repo — ``G_c``, the coverage sets ``N_c⁺(v)``, the context
+memo and :meth:`GridIndex.within_bulk` — follows ``math.hypot``, the
+rule of :meth:`Point.distance_to`, so the pair is outside under every
+query.
 """
 
 import math
@@ -34,20 +34,20 @@ def test_the_two_hypots_disagree_on_the_pair():
     assert math.hypot(ORIGIN.x - EDGE.x, ORIGIN.y - EDGE.y) > GAMMA
 
 
-def test_charging_graph_has_the_edge_with_weight_above_gamma():
+def test_charging_graph_lacks_the_edge_whose_distance_exceeds_gamma():
     graph = build_charging_graph(POSITIONS, radius_m=GAMMA)
-    assert graph.has_edge(0, 1)
+    assert not graph.has_edge(0, 1)
     distance = POSITIONS[0].distance_to(POSITIONS[1])
     assert distance == 2.7000000000000006  # repro-lint: disable=float-eq
     assert distance > GAMMA
 
 
-def test_coverage_sets_include_the_sensor():
+def test_coverage_sets_exclude_the_sensor():
     coverage = coverage_sets([0, 1], POSITIONS, radius_m=GAMMA)
-    assert coverage == {0: frozenset({0, 1}), 1: frozenset({0, 1})}
+    assert coverage == {0: frozenset({0}), 1: frozenset({1})}
 
 
-def test_context_coverage_for_includes_the_sensor():
+def test_context_coverage_for_excludes_the_sensor():
     center = Point(50.0, 50.0)
     net = WRSN(
         sensors=[
@@ -59,14 +59,13 @@ def test_context_coverage_for_includes_the_sensor():
     )
     ctx = PlanningContext(net, [0, 1], ChargerSpec(charge_radius_m=GAMMA))
     assert ctx.coverage_for([0, 1]) == {
-        0: frozenset({0, 1}),
-        1: frozenset({0, 1}),
+        0: frozenset({0}),
+        1: frozenset({1}),
     }
 
 
 def test_grid_index_within_excludes_the_sensor():
-    index = GridIndex(POSITIONS, cell_size=GAMMA)
-    assert index.within(ORIGIN, GAMMA) == [0]
-    assert index.neighbors_of(0, GAMMA) == []
-    # The bulk query on the same index follows the np.hypot rule.
-    assert index.within_bulk([ORIGIN], GAMMA) == [[0, 1]]
+    index = GridIndex(POSITIONS)
+    assert index.within_bulk([ORIGIN, EDGE], GAMMA) == [[0], [1]]
+    rows, cols = index.pairs_within([ORIGIN], GAMMA)
+    assert rows.tolist() == [0] and cols.tolist() == [0]

@@ -1,10 +1,10 @@
 """The KD-tree bulk query against the retired dense broadcast.
 
 ``GridIndex.within_bulk`` must return exactly the rows of the dense
-``np.hypot`` broadcast it replaced (``tests/_legacy_geometry.py``):
-same members, same order. Lattice-quantised points make exact-boundary
-ties common, so the query radius slack and the exact filter are
-exercised where they matter.
+broadcast it replaced (``tests/_legacy_geometry.py``), whose members
+are decided by ``math.hypot``: same members, same order.
+Lattice-quantised points make exact-boundary ties common, so the query
+radius slack and the exact filter are exercised where they matter.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ _points = st.lists(st.tuples(_coord, _coord), max_size=60)
 
 
 def _rows_match(points, centers, radius_m):
-    index = GridIndex(dict(enumerate(points)), cell_size=max(radius_m, 1.0))
+    index = GridIndex(dict(enumerate(points)))
     expected = legacy_within_bulk(index, centers, radius_m)
     assert index.within_bulk(centers, radius_m) == expected
     return expected
@@ -100,9 +100,7 @@ def test_dense_paper_instance_matches_oracle():
     ctx = PlanningContext(net, requests, params.charger())
     candidates = ctx.sojourn_candidates()
     coverage = ctx.coverage_for(candidates)
-    index = GridIndex(
-        {t: positions[t] for t in ctx.requests}, cell_size=radius_m
-    )
+    index = GridIndex({t: positions[t] for t in ctx.requests})
     rows = legacy_within_bulk(
         index, [positions[c] for c in candidates], radius_m
     )
@@ -111,7 +109,7 @@ def test_dense_paper_instance_matches_oracle():
 
 
 def test_negative_radius_rejected_like_oracle():
-    index = GridIndex({0: (0.0, 0.0)}, cell_size=1.0)
+    index = GridIndex({0: (0.0, 0.0)})
     with pytest.raises(ValueError, match="non-negative"):
         index.pairs_within([(0.0, 0.0)], -1.0)
 

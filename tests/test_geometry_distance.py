@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geometry.distance import (
-    euclidean,
-    pairwise_distances,
-    path_length,
-    tour_length,
-)
+from repro.geometry.distance import euclidean, path_length, tour_length
+from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import Point
 
 
@@ -24,23 +20,34 @@ class TestEuclidean:
 
 
 class TestPairwiseDistances:
+    """The dense pairwise matrix, :meth:`DistanceCache.dense_matrix`
+    (labels first, the depot last): every entry is :func:`euclidean`."""
+
+    @staticmethod
+    def _matrix(points):
+        labels = list(range(len(points)))
+        cache = DistanceCache(dict(zip(labels, points)), depot=(0.0, 0.0))
+        return cache.dense_matrix(labels)
+
     def test_shape(self):
-        pts = [Point(0, 0), Point(1, 0), Point(0, 1)]
-        mat = pairwise_distances(pts)
-        assert mat.shape == (3, 3)
+        mat = self._matrix([Point(0, 0), Point(1, 0), Point(0, 1)])
+        assert mat.shape == (4, 4)
 
     def test_symmetry_and_diagonal(self):
-        pts = [Point(0, 0), Point(3, 4), Point(-1, 2)]
-        mat = pairwise_distances(pts)
-        assert np.allclose(mat, mat.T)
-        assert np.allclose(np.diag(mat), 0.0)
+        mat = self._matrix([Point(0, 0), Point(3, 4), Point(-1, 2)])
+        assert (mat == mat.T).all()
+        assert (np.diag(mat) == 0.0).all()  # repro-lint: disable=float-eq
 
     def test_values(self):
-        mat = pairwise_distances([Point(0, 0), Point(3, 4)])
-        assert mat[0, 1] == pytest.approx(5.0)
+        pts = [Point(1.2908828103117176, 2.3714176287701254), Point(3, 4)]
+        mat = self._matrix(pts)
+        assert mat[0, 1] == pytest.approx(2.3608, abs=1e-4)
+        for i, a in enumerate(pts + [Point(0, 0)]):
+            for j, b in enumerate(pts + [Point(0, 0)]):
+                assert mat[i, j] == euclidean(a, b)  # repro-lint: disable=float-eq
 
     def test_empty(self):
-        assert pairwise_distances([]).shape == (0, 0)
+        assert self._matrix([]).shape == (1, 1)
 
 
 class TestPathLength:

@@ -1,4 +1,9 @@
-"""Unit tests for :mod:`repro.geometry.grid_index`."""
+"""Unit tests for :mod:`repro.geometry.grid_index`.
+
+Every query goes through :meth:`GridIndex.within_bulk`, the one
+"within ``r``" of the repo, and is checked against a brute-force
+:func:`euclidean` reference.
+"""
 
 import numpy as np
 import pytest
@@ -17,50 +22,48 @@ def random_points():
     }
 
 
+def _within(index, center, radius):
+    [row] = index.within_bulk([center], radius)
+    return row
+
+
 class TestGridIndex:
     def test_len_and_contains(self, random_points):
-        index = GridIndex(random_points, cell_size=5.0)
+        index = GridIndex(random_points)
         assert len(index) == 300
         assert 0 in index
         assert 999 not in index
 
     def test_position_roundtrip(self, random_points):
-        index = GridIndex(random_points, cell_size=5.0)
+        index = GridIndex(random_points)
         assert index.position(17) == random_points[17].as_tuple()
 
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            GridIndex({}, cell_size=0.0)
-
     def test_negative_radius_raises(self, random_points):
-        index = GridIndex(random_points, cell_size=5.0)
+        index = GridIndex(random_points)
         with pytest.raises(ValueError):
-            index.within((0, 0), -1.0)
+            index.within_bulk([(0, 0)], -1.0)
 
     @pytest.mark.parametrize("radius", [0.5, 2.7, 5.4, 20.0])
     def test_within_matches_brute_force(self, random_points, radius):
-        index = GridIndex(random_points, cell_size=2.7)
+        index = GridIndex(random_points)
         center = (50.0, 50.0)
         expected = {
             i
             for i, p in random_points.items()
             if euclidean(p, center) <= radius
         }
-        assert set(index.within(center, radius)) == expected
+        assert set(_within(index, center, radius)) == expected
 
     def test_boundary_inclusive(self):
-        index = GridIndex({0: Point(0, 0), 1: Point(0, 3)}, cell_size=3.0)
-        assert set(index.within((0, 0), 3.0)) == {0, 1}
-
-    def test_neighbors_excludes_self(self, random_points):
-        index = GridIndex(random_points, cell_size=2.7)
-        for label in list(random_points)[:20]:
-            assert label not in index.neighbors_of(label, 10.0)
+        index = GridIndex({0: Point(0, 0), 1: Point(0, 3)})
+        assert set(_within(index, (0, 0), 3.0)) == {0, 1}
 
     def test_neighbors_matches_brute_force(self, random_points):
-        index = GridIndex(random_points, cell_size=2.7)
-        for label in list(random_points)[:10]:
-            got = set(index.neighbors_of(label, 8.0))
+        index = GridIndex(random_points)
+        labels = list(random_points)[:10]
+        rows = index.within_bulk([random_points[lab] for lab in labels], 8.0)
+        for label, row in zip(labels, rows):
+            got = set(row) - {label}
             expected = {
                 j
                 for j, p in random_points.items()
@@ -71,66 +74,58 @@ class TestGridIndex:
 
     def test_query_radius_larger_than_cell(self):
         pts = {i: Point(float(i), 0.0) for i in range(50)}
-        index = GridIndex(pts, cell_size=1.0)
-        got = set(index.within((0, 0), 25.0))
+        index = GridIndex(pts)
+        got = set(_within(index, (0, 0), 25.0))
         assert got == set(range(26))
 
     def test_empty_index(self):
-        index = GridIndex({}, cell_size=1.0)
-        assert index.within((0, 0), 100.0) == []
+        index = GridIndex({})
+        assert _within(index, (0, 0), 100.0) == []
 
 
 class TestMinimalSpan:
-    """The span was tightened from ``ceil(r/cell) + 1`` to
-    ``ceil(r/cell)``; these pin the cases where the dropped ring would
-    have mattered if the proof were wrong — hits at exactly
-    ``d == radius`` landing on cell edges."""
+    """Hits at exactly ``d == radius``: each must survive both the
+    KD-tree superset query (its slack) and the ``math.hypot`` filter."""
 
     def test_hit_at_exact_radius_on_cell_edge(self):
-        # Query from a cell corner; the hit sits exactly radius away on
-        # a grid line, in the outermost cell the minimal span scans.
-        index = GridIndex({0: Point(6.0, 0.0)}, cell_size=3.0)
-        assert index.within((0.0, 0.0), 6.0) == [0]
+        # An axis-aligned hit exactly radius away.
+        index = GridIndex({0: Point(6.0, 0.0)})
+        assert _within(index, (0.0, 0.0), 6.0) == [0]
 
     def test_hit_at_exact_radius_diagonal_cell_corner(self):
-        # Both coordinates on cell edges, center mid-cell: the hit's
-        # cell offset is exactly ceil(r/cell) in each axis.
-        index = GridIndex({0: Point(9.0, 9.0)}, cell_size=3.0)
+        # A diagonal hit exactly radius away.
+        index = GridIndex({0: Point(9.0, 9.0)})
         center = (4.5, 4.5)
         radius = ((9.0 - 4.5) ** 2 * 2) ** 0.5
-        assert index.within(center, radius) == [0]
+        assert _within(index, center, radius) == [0]
 
     def test_radius_exact_multiple_of_cell_size(self):
-        # r an exact multiple of the cell size: ceil(r/cell) has no
-        # slack at all, the edge hit is in the very last scanned cell.
+        # Unit-spaced points; the last hit sits exactly on the radius.
         pts = {i: Point(float(i), 0.0) for i in range(20)}
-        index = GridIndex(pts, cell_size=2.0)
-        got = set(index.within((0.0, 0.0), 10.0))
+        index = GridIndex(pts)
+        got = set(_within(index, (0.0, 0.0), 10.0))
         assert got == set(range(11))
 
-    def test_zero_radius_scans_only_own_cell(self):
-        # span = ceil(0/cell) = 0: only the query's own cell, and the
-        # d <= 0 filter keeps co-located points only.
-        index = GridIndex(
-            {0: Point(1.0, 1.0), 1: Point(1.5, 1.0)}, cell_size=3.0
-        )
-        assert index.within((1.0, 1.0), 0.0) == [0]
+    def test_zero_radius_keeps_only_coincident_points(self):
+        # The d <= 0 filter keeps co-located points only.
+        index = GridIndex({0: Point(1.0, 1.0), 1: Point(1.5, 1.0)})
+        assert _within(index, (1.0, 1.0), 0.0) == [0]
 
     def test_negative_coordinates_cell_edges(self):
-        # floor() arithmetic must stay minimal on the negative side.
-        index = GridIndex({0: Point(-6.0, 0.0)}, cell_size=3.0)
-        assert index.within((0.0, 0.0), 6.0) == [0]
+        # The axis-aligned case on the negative side.
+        index = GridIndex({0: Point(-6.0, 0.0)})
+        assert _within(index, (0.0, 0.0), 6.0) == [0]
 
     @pytest.mark.parametrize("cell", [0.7, 1.0, 2.7, 9.0])
     def test_edge_grid_matches_brute_force(self, cell):
-        # Points planted *on* grid lines everywhere, queried with radii
-        # that land hits exactly on the boundary.
+        # Points planted on a lattice of spacing ``cell``, queried with
+        # radii that land hits exactly on the boundary.
         pts = {
             i * 10 + j: Point(i * cell, j * cell)
             for i in range(-3, 4)
             for j in range(-3, 4)
         }
-        index = GridIndex(pts, cell_size=cell)
+        index = GridIndex(pts)
         for radius in (0.0, cell, 2 * cell, 2.5 * cell):
             for center in ((0.0, 0.0), (cell / 2, cell / 2)):
                 expected = {
@@ -138,5 +133,5 @@ class TestMinimalSpan:
                     for lbl, p in pts.items()
                     if euclidean(p, center) <= radius
                 }
-                got = set(index.within(center, radius))
+                got = set(_within(index, center, radius))
                 assert got == expected, (cell, radius, center)

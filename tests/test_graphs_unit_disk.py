@@ -55,29 +55,26 @@ class TestBuildChargingGraph:
 
 
 class TestBulkParity:
-    """The within_bulk construction is byte-identical to the loop one.
+    """The pair-query construction is byte-identical to the loop one.
 
-    The loop reference below is the pre-vectorisation implementation
-    (per-node ``neighbors_of`` scans); it is kept here, not in the
-    library, purely as the parity oracle.
+    The loop reference below tests every ``u < v`` pair with
+    :func:`euclidean`, the repo's one distance rule; it is kept here,
+    not in the library, purely as the parity oracle.
     """
 
     @staticmethod
     def _loop_reference(positions, radius_m, nodes=None):
         import networkx as nx
 
-        from repro.geometry.grid_index import GridIndex
-
         node_list = sorted(positions) if nodes is None else sorted(nodes)
         graph = nx.Graph()
         for node in node_list:
             graph.add_node(node, pos=positions[node])
-        index = GridIndex(
-            {n: positions[n] for n in node_list}, cell_size=radius_m
-        )
         for node in node_list:
-            for other in index.neighbors_of(node, radius_m):
-                if other > node:
+            for other in node_list:
+                if other > node and (
+                    euclidean(positions[node], positions[other]) <= radius_m
+                ):
                     graph.add_edge(node, other)
         return graph
 

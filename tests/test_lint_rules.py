@@ -446,19 +446,60 @@ class TestEuclideanCall:
         )
         assert rules_of(findings) == {"euclidean-call"}
 
-    def test_geometry_and_pipeline_are_exempt(self, tmp_path):
+    def test_only_geometry_is_exempt(self, tmp_path):
         source = """
             from repro.geometry.distance import euclidean
 
             def leg(a, b):
                 return euclidean(a, b)
             """
-        for subdir in ("repro/geometry", "repro/pipeline"):
-            findings = lint_snippet(
-                tmp_path, source, subdir=subdir, name="ok.py",
-                select=["euclidean-call"],
-            )
-            assert findings == []
+        findings = lint_snippet(
+            tmp_path, source, subdir="repro/geometry", name="ok.py",
+            select=["euclidean-call"],
+        )
+        assert findings == []
+        findings = lint_snippet(
+            tmp_path, source, subdir="repro/pipeline", name="bad.py",
+            select=["euclidean-call"],
+        )
+        assert rules_of(findings) == {"euclidean-call"}
+
+    @pytest.mark.parametrize(
+        "call", ["np.hypot(dx, dy)", "math.hypot(dx, dy)", "hypot(dx, dy)"]
+    )
+    def test_flags_hypot_outside_geometry(self, tmp_path, call):
+        findings = lint_snippet(
+            tmp_path,
+            f"""
+            import math
+            from math import hypot
+
+            import numpy as np
+
+            def leg(dx, dy):
+                return {call}
+            """,
+            subdir="repro/tours",
+            name="bad.py",
+            select=["euclidean-call"],
+        )
+        assert rules_of(findings) == {"euclidean-call"}
+        assert "hypot()" in findings[0].message
+
+    def test_hypot_in_geometry_is_exempt(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            import math
+
+            def norm(dx, dy):
+                return math.hypot(dx, dy)
+            """,
+            subdir="repro/geometry",
+            name="ok.py",
+            select=["euclidean-call"],
+        )
+        assert findings == []
 
     def test_files_outside_repro_are_skipped(self, tmp_path):
         findings = lint_snippet(

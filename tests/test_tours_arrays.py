@@ -39,6 +39,7 @@ from repro.tours.improve import or_opt, two_opt
 from repro.tours.kminmax import solve_k_minmax_tours
 from repro.tours.splitting import greedy_split_with_bound, split_tour_min_max
 from repro.tours.tsp import build_tsp_order
+from tests._golden_env import env_note
 from tests._legacy_tours import (
     legacy_build_tsp_order,
     legacy_greedy_split_with_bound,
@@ -291,7 +292,7 @@ class TestPlannerParity:
 
     @pytest.mark.parametrize("seed", range(PARITY_SEEDS))
     def test_all_planners(self, seed, golden):
-        assert planner_case(seed) == golden[seed]
+        assert planner_case(seed) == golden[seed], env_note()
 
 
 def write_golden(path=GOLDEN):
