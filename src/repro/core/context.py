@@ -32,8 +32,8 @@ from weakref import WeakKeyDictionary
 import networkx as nx
 
 from repro.energy.charging import ChargerSpec, full_charge_time
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.distcache import DistanceCache
-from repro.geometry.grid_index import GridIndex
 from repro.graphs.auxiliary import build_auxiliary_graph
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.unit_disk import build_charging_graph
@@ -89,7 +89,7 @@ class PlanningContext:
         self.invalidations = 0
         self._charge_times: Dict[int, float] = {}
         self._charging_graph: Optional[nx.Graph] = None
-        self._grid_index: Optional[GridIndex] = None
+        self._disk_index: Optional[DiskIndex] = None
         self._coverage: Dict[int, FrozenSet[int]] = {}
         self._mis: Dict[Tuple[str, int], List[int]] = {}
         self._stop_groups: Dict[
@@ -138,7 +138,7 @@ class PlanningContext:
         Eq. (1) charge times of the changed sensors, every memoized
         coverage set whose disk touches a changed sensor, and every
         ``sensor_stop_groups`` table that mentions one — and leaves the
-        geometry intact: the distance cache, ``G_c``, the grid index
+        geometry intact: the distance cache, ``G_c``, the disk index
         and the MIS / auxiliary-graph / core memos are all
         position-derived and survive untouched.
 
@@ -219,16 +219,16 @@ class PlanningContext:
         return self._charging_graph
 
     @property
-    def grid_index(self) -> GridIndex:
+    def disk_index(self) -> DiskIndex:
         """Spatial index over the request positions."""
-        if self._grid_index is None:
+        if self._disk_index is None:
             self.memo_misses += 1
-            self._grid_index = GridIndex(
+            self._disk_index = DiskIndex(
                 {t: self.positions[t] for t in self.requests}
             )
         else:
             self.memo_hits += 1
-        return self._grid_index
+        return self._disk_index
 
     def sojourn_candidates(
         self, mis_strategy: str = "min_degree", seed: int = 0
@@ -270,7 +270,7 @@ class PlanningContext:
         if fresh:
             # All uncached candidates in one bulk query against the
             # memoized index's cached KD-tree, as in coverage_sets.
-            rows = self.grid_index.within_bulk(
+            rows = self.disk_index.within_bulk(
                 [self.positions[cand] for cand in fresh], radius_m
             )
             for cand, row in zip(fresh, rows):

@@ -5,7 +5,7 @@ and Euclidean distances (:mod:`repro.geometry.point`,
 :mod:`repro.geometry.distance`), random sensor deployments over a
 rectangular field (:mod:`repro.geometry.deployment`) and the KD-tree
 index behind every fixed-radius neighbour query
-(:mod:`repro.geometry.grid_index`).
+(:mod:`repro.geometry.disk_index`).
 """
 
 from repro.geometry.deployment import (
@@ -14,19 +14,19 @@ from repro.geometry.deployment import (
     grid_deployment,
     uniform_deployment,
 )
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.distance import (
     euclidean,
     path_length,
     tour_length,
 )
 from repro.geometry.distcache import DistanceCache
-from repro.geometry.grid_index import GridIndex
 from repro.geometry.point import Point, as_point, centroid
 
 __all__ = [
+    "DiskIndex",
     "DistanceCache",
     "Field",
-    "GridIndex",
     "Point",
     "as_point",
     "centroid",

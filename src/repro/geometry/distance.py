@@ -18,7 +18,7 @@ def euclidean(a: PointLike, b: PointLike) -> float:
 
     ``math.hypot`` of the coordinate differences — the repo's one
     distance rule: every cached distance, tour leg and "within ``r``"
-    membership test (:mod:`repro.geometry.grid_index`) is this float.
+    membership test (:mod:`repro.geometry.disk_index`) is this float.
     """
     ax, ay = a
     bx, by = b

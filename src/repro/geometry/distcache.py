@@ -14,10 +14,9 @@ Because the cached value *is* the ``euclidean()`` result (``math.hypot``
 code path cannot change any computed float: schedules built through a
 cache are byte-identical to the pre-cache code paths.
 
-The cache is deliberately label-agnostic: tour code uses its ``"DEPOT"``
-sentinel, schedule code uses ``None``, and both may share one cache as
-long as they agree on the depot convention (``None`` here; callers with
-other sentinels wrap the cache, see ``repro.tours.tsp.build_tsp_order``).
+The cache is deliberately label-agnostic: any hashable labels work,
+and ``None`` is the depot. Tour code reads it through
+:meth:`DistanceCache.dense_matrix`, which puts the depot last.
 """
 
 from __future__ import annotations

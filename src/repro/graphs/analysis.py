@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.energy.charging import ChargerSpec
 from repro.energy.consumption import RadioModel, sensor_power_draw
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.graphs.auxiliary import auxiliary_max_degree, build_auxiliary_graph
 from repro.graphs.coverage import coverage_sets
 from repro.graphs.mis import maximal_independent_set
@@ -41,7 +41,7 @@ def disk_occupancy(
     included) lie within its charging disk."""
     requests = sorted(set(request_ids))
     positions = {sid: network.position_of(sid) for sid in requests}
-    rows = GridIndex(positions).within_bulk(
+    rows = DiskIndex(positions).within_bulk(
         list(positions.values()), radius_m
     )
     return {sid: len(row) for sid, row in zip(requests, rows)}

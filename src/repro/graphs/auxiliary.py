@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping
 
 import networkx as nx
 
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
 
 
@@ -54,7 +54,7 @@ def build_auxiliary_graph(
     graph.add_nodes_from(candidates)
     # Disk intersection requires centre distance <= 2γ: one pair query
     # yields every such pair, in (cand, other) index order.
-    index = GridIndex({c: positions[c] for c in candidates})
+    index = DiskIndex({c: positions[c] for c in candidates})
     rows, cols = index.pairs_within(
         [positions[c] for c in candidates], 2.0 * radius_m
     )

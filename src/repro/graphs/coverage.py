@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
 
 
@@ -38,7 +38,7 @@ def coverage_sets(
     if radius_m <= 0:
         raise ValueError(f"charging radius must be positive, got {radius_m}")
     target_ids = set(positions) if targets is None else set(targets)
-    index = GridIndex({t: positions[t] for t in sorted(target_ids)})
+    index = DiskIndex({t: positions[t] for t in sorted(target_ids)})
     # One bulk query for all candidates.
     cand_list = list(candidates)
     rows = index.within_bulk(

@@ -6,7 +6,7 @@ of each other — a unit-disk graph. Node positions are attached as node
 attributes so downstream code can stay graph-centric.
 
 Construction takes its edges from one KD-tree pair query
-(:meth:`repro.geometry.grid_index.GridIndex.pairs_within`), so it is
+(:meth:`repro.geometry.disk_index.DiskIndex.pairs_within`), so it is
 O(n log n + |E|) instead of O(n²). Membership is
 ``u.distance_to(v) <= γ`` exactly, the rule of every other "within γ"
 in the repo. Edges carry no weight: nothing downstream reads one.
@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional
 
 import networkx as nx
 
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
 
 
@@ -46,7 +46,7 @@ def build_charging_graph(
     graph = nx.Graph()
     for node in node_list:
         graph.add_node(node, pos=positions[node])
-    index = GridIndex({n: positions[n] for n in node_list})
+    index = DiskIndex({n: positions[n] for n in node_list})
     # One pair query over all nodes. Labels were inserted in node_list
     # order, so label index == node_list index and ``i < j`` is
     # ``u < v``; the pairs come sorted by (i, j), which fixes the edge

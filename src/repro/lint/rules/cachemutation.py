@@ -38,7 +38,7 @@ MEMO_FIELDS = frozenset(
     {
         "_charge_times",
         "_charging_graph",
-        "_grid_index",
+        "_disk_index",
         "_coverage",
         "_mis",
         "_stop_groups",

@@ -53,7 +53,7 @@ class _Visitor(RuleVisitor):
                 f"direct {name}() call outside repro.geometry; route "
                 "distances through a DistanceCache (e.g. "
                 "PlanningContext.distance) so lookups are shared and "
-                "memoized, and radius queries through GridIndex",
+                "memoized, and radius queries through DiskIndex",
             )
         self.generic_visit(node)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.energy.battery import DEFAULT_CAPACITY_J, Battery
 from repro.geometry.deployment import Field, uniform_deployment
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
 from repro.network.nodes import BaseStation, Depot
 from repro.network.sensor import Sensor
@@ -29,6 +29,10 @@ DEFAULT_COMM_RANGE_M = 20.0
 #: Paper defaults for the sensing-rate interval (Section VI-A), in bps.
 DEFAULT_B_MIN_BPS = 1_000.0
 DEFAULT_B_MAX_BPS = 50_000.0
+
+#: Candidate pairs turned into Python ints per slice of the comm-graph
+#: build.
+_EDGE_SLICE = 4096
 
 
 class WRSN:
@@ -111,15 +115,22 @@ class WRSN:
             graph.add_nodes_from(self._sensors)
             positions = self.positions()
             labels = list(positions)
-            rows, cols = GridIndex(positions).pairs_within(
+            rows, cols = DiskIndex(positions).pairs_within(
                 list(positions.values()), self.comm_range_m
             )
             ids = np.asarray(labels)
             upper = ids[cols] > ids[rows]  # other > sid
-            for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
-                sid, other = labels[i], labels[j]
-                dist = positions[sid].distance_to(positions[other])
-                graph.add_edge(sid, other, weight=dist)
+            rows, cols = rows[upper], cols[upper]
+            # Slices bound the Python ints alive at once; the edge
+            # order (hence Dijkstra's tie-breaks) is the one-shot order.
+            for start in range(0, len(rows), _EDGE_SLICE):
+                stop = start + _EDGE_SLICE
+                for i, j in zip(
+                    rows[start:stop].tolist(), cols[start:stop].tolist()
+                ):
+                    sid, other = labels[i], labels[j]
+                    dist = positions[sid].distance_to(positions[other])
+                    graph.add_edge(sid, other, weight=dist)
             self._comm_graph = graph
         return self._comm_graph
 

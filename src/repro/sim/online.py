@@ -65,7 +65,7 @@ from repro.core.schedule import ChargingSchedule
 from repro.energy.battery import DEFAULT_REQUEST_THRESHOLD
 from repro.energy.charging import ChargerSpec
 from repro.energy.consumption import RadioModel
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.network.topology import WRSN
 from repro.sim.deadline import DeadlinePolicy, ServiceTimeEstimator
 from repro.sim.events import EventQueue
@@ -221,7 +221,7 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         disk comes from one bulk query, on first use."""
         if self._disks is None:
             positions = self.network.positions()
-            rows = GridIndex(positions).within_bulk(
+            rows = DiskIndex(positions).within_bulk(
                 list(positions.values()), self.charger.charge_radius_m
             )
             self._disks = {

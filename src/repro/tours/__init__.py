@@ -4,6 +4,8 @@
   visit sequence rooted at the depot) and its delay arithmetic.
 * :mod:`repro.tours.tsp` — TSP tour constructions (nearest-neighbour,
   greedy-edge, double-MST, Christofides) behind ``build_tsp_order``.
+* :mod:`repro.tours.christofides` — Christofides' construction over a
+  dense matrix, with its blossom matching.
 * :mod:`repro.tours.improve` — 2-opt / Or-opt local search.
 * :mod:`repro.tours.splitting` — rooted min-max splitting of one tour
   into ``K`` segments with node service weights (Frederickson-style).
@@ -38,11 +40,7 @@ from repro.tours.minchargers import (
 )
 from repro.tours.splitting import greedy_split_with_bound, split_tour_min_max
 from repro.tours.tour import Tour, tour_delay
-from repro.tours.tsp import (
-    build_tsp_order,
-    christofides_tour,
-    double_mst_tour,
-)
+from repro.tours.tsp import build_tsp_order
 
 __all__ = [
     "ArrayDistance",
@@ -53,8 +51,6 @@ __all__ = [
     "Tour",
     "TourPlan",
     "build_tsp_order",
-    "christofides_tour",
-    "double_mst_tour",
     "exact_k_minmax",
     "greedy_split_with_bound",
     "held_karp_tsp",

@@ -32,7 +32,7 @@ in ``tests/_legacy_tours.py``. Two rules make that possible:
    correctly-rounded algorithm (not libm), and ``np.hypot`` disagrees
    with it in the last ulp on ~0.6% of random pairs on x86-64 Linux —
    measured, not hypothetical. It is the repo's one distance rule: the
-   disk queries of :mod:`repro.geometry.grid_index` decide membership
+   disk queries of :mod:`repro.geometry.disk_index` decide membership
    with it too, and ``DistanceCache.dense_matrix`` fills the matrix
    with ``euclidean`` values; numpy only *gathers* and *combines* them.
 2. **Numpy combines floats in the scalar evaluation order.** Elementwise

@@ -1,10 +1,10 @@
 """Retired dense-broadcast neighbour queries, kept as test oracles.
 
-``GridIndex.within_bulk`` used to broadcast every block of centers
+``DiskIndex.within_bulk`` used to broadcast every block of centers
 against every indexed point — O(centers × points) distance evaluations
 — and ``build_charging_graph`` scanned those rows in Python for its
 ``u < v`` edges. Both now come from the KD-tree pair query
-(:meth:`repro.geometry.grid_index.GridIndex.pairs_within`). The
+(:meth:`repro.geometry.disk_index.DiskIndex.pairs_within`). The
 oracle's membership rule is the repo's one rule, ``math.hypot``: the
 broadcast only shortlists, and ``math.hypot`` decides.
 ``tests/test_geometry_bulk_oracle.py`` pins the new path against the
@@ -23,7 +23,7 @@ from typing import Hashable, Iterable, List, Mapping, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point, PointLike
 
 #: Centers per broadcast block — bounds the (centers × points) distance
@@ -38,9 +38,9 @@ _SHORTLIST_REL = 1e-9
 
 
 def legacy_within_bulk(
-    index: GridIndex, centers: Sequence[PointLike], radius_m: float
+    index: DiskIndex, centers: Sequence[PointLike], radius_m: float
 ) -> List[List[Hashable]]:
-    """The retired ``GridIndex.within_bulk``: one dense broadcast per
+    """The retired ``DiskIndex.within_bulk``: one dense broadcast per
     block of centers, each shortlisted pair decided by ``math.hypot``;
     rows in index insertion order."""
     if radius_m < 0:
@@ -86,7 +86,7 @@ def legacy_build_charging_graph(
     graph = nx.Graph()
     for node in node_list:
         graph.add_node(node, pos=positions[node])
-    index = GridIndex({n: positions[n] for n in node_list})
+    index = DiskIndex({n: positions[n] for n in node_list})
     rows = legacy_within_bulk(
         index, [positions[n] for n in node_list], radius_m
     )

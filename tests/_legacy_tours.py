@@ -2,10 +2,12 @@
 
 These are the label-space loops that ``repro.tours.{tsp,improve,
 splitting,energy_budget}`` ran before the array kernels of
-:mod:`repro.tours.arrays` became the only implementation:
-nearest-neighbour and greedy-edge construction, first-improvement
-2-opt, Or-opt, the greedy split, the binary-searched min-max split and
-the energy-constrained dual split. The loop bodies are verbatim; only
+:mod:`repro.tours.arrays` and :mod:`repro.tours.christofides` became
+the only implementation: nearest-neighbour, greedy-edge, double-MST
+and Christofides construction (the last two through networkx, in a
+:data:`DEPOT`-sentinel label space), first-improvement 2-opt, Or-opt,
+the greedy split, the binary-searched min-max split and the
+energy-constrained dual split. The loop bodies are verbatim; only
 the kernel fast paths that used to precede them are gone, and functions
 whose production name survives carry a ``legacy_`` prefix.
 ``tests/test_tours_arrays.py`` pins every kernel against them, byte for
@@ -20,11 +22,18 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+import networkx as nx
+import numpy as np
+from scipy.sparse.csgraph import minimum_spanning_tree
+
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
 from repro.tours.energy_budget import MCVEnergyModel
 from repro.tours.splitting import segment_cost
-from repro.tours.tsp import DEPOT, christofides_tour, double_mst_tour
+
+#: Sentinel id for the depot inside the label-space constructions.
+#: Sensor ids are non-negative integers, so it can never collide.
+DEPOT: Hashable = "DEPOT"
 
 #: Pairwise distance lookup over node labels.
 DistanceFn = Callable[[Hashable, Hashable], float]
@@ -56,6 +65,75 @@ def _translate_depot(dist: DistanceFn) -> DistanceFn:
         return dist(None if a == DEPOT else a, None if b == DEPOT else b)
 
     return inner
+
+
+def _complete_graph(
+    nodes: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    dist: Optional[DistanceFn] = None,
+) -> nx.Graph:
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    dist = _distance_lookup(positions, dist)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            graph.add_edge(a, b, weight=dist(a, b))
+    return graph
+
+
+def double_mst_tour(
+    nodes: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    start: Hashable,
+    dist: Optional[DistanceFn] = None,
+) -> List[Hashable]:
+    """The MST-doubling 2-approximation: networkx's preorder walk of
+    scipy's minimum spanning tree rooted at ``start``."""
+    all_nodes = list(dict.fromkeys(list(nodes) + [start]))
+    if len(all_nodes) <= 2:
+        return all_nodes if all_nodes[0] == start else all_nodes[::-1]
+    dist = _distance_lookup(positions, dist)
+    matrix = np.zeros((len(all_nodes), len(all_nodes)))
+    for i, a in enumerate(all_nodes):
+        matrix[i, i + 1:] = [dist(a, b) for b in all_nodes[i + 1:]]
+    matrix += matrix.T
+    order_idx = nx_mst_preorder(matrix, all_nodes.index(start))
+    return [all_nodes[i] for i in order_idx]
+
+
+def nx_mst_preorder(matrix: np.ndarray, root: int) -> List[int]:
+    """``nx.dfs_preorder_nodes`` over scipy's minimum spanning tree of
+    a dense symmetric distance matrix (zero entries are no edge)."""
+    mst_matrix = minimum_spanning_tree(matrix).tocoo()
+    mst = nx.Graph()
+    mst.add_nodes_from(range(len(matrix)))
+    for i, j in zip(mst_matrix.row, mst_matrix.col):
+        mst.add_edge(int(i), int(j))
+    return list(nx.dfs_preorder_nodes(mst, source=root))
+
+
+def christofides_tour(
+    nodes: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    start: Hashable,
+    dist: Optional[DistanceFn] = None,
+) -> List[Hashable]:
+    """Christofides' 1.5-approximation (``nx.approximation.christofides``
+    on the complete graph), rotated to begin with ``start``.
+
+    Falls back to :func:`double_mst_tour` for instances too small for
+    the matching step.
+    """
+    all_nodes = list(dict.fromkeys(list(nodes) + [start]))
+    if len(all_nodes) <= 3:
+        return double_mst_tour(nodes, positions, start, dist)
+    cycle = nx.approximation.christofides(
+        _complete_graph(all_nodes, positions, dist)
+    )
+    # networkx returns a closed walk with the first node repeated last.
+    order = cycle[:-1]
+    pivot = order.index(start)
+    return order[pivot:] + order[:pivot]
 
 
 def nearest_neighbor_tour(

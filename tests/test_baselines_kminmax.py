@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.kminmax_baseline import kminmax_baseline_schedule
+from repro.network.topology import random_wrsn
 
 
 class TestKminmaxBaseline:
@@ -45,3 +46,10 @@ class TestKminmaxBaseline:
             medium_depleted_net, requests, 2, tsp_method="christofides"
         )
         assert sorted(sched.visited_sensors()) == sorted(requests)
+
+    def test_double_mst_path_bytes_pinned(self):
+        """600 requests take the double-MST walk; its longest delay is
+        pinned to the bits the networkx preorder walk produced."""
+        net = random_wrsn(600, seed=5, initial_fraction=0.15)
+        sched = kminmax_baseline_schedule(net, net.all_sensor_ids(), 2)
+        assert sched.longest_delay().hex() == "0x1.50701a5b79ecdp+20"

@@ -1,6 +1,6 @@
 """Byte-parity of the vectorised coverage path against the loop path.
 
-``GridIndex.within_bulk`` (a KD-tree pair query with an exact
+``DiskIndex.within_bulk`` (a KD-tree pair query with an exact
 ``math.hypot`` filter) replaced per-candidate loops in
 ``graphs.coverage.coverage_sets`` and ``PlanningContext.coverage_for``.
 These tests pin that it agrees with a brute-force :func:`euclidean`
@@ -11,8 +11,8 @@ on exact-boundary integer cases, and through the context memo.
 import numpy as np
 import pytest
 
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.distance import euclidean
-from repro.geometry.grid_index import GridIndex
 from repro.graphs.coverage import coverage_sets
 from repro.network.topology import random_wrsn
 from repro.pipeline import PlanningContext
@@ -47,7 +47,7 @@ class TestWithinBulk:
                 i: (float(x), float(y))
                 for i, (x, y) in enumerate(rng.uniform(0, 50, size=(80, 2)))
             }
-            index = GridIndex(points)
+            index = DiskIndex(points)
             centers = [points[i] for i in sorted(points)]
             bulk = index.within_bulk(centers, 2.7)
             for center, row in zip(centers, bulk):
@@ -56,26 +56,26 @@ class TestWithinBulk:
     def test_exact_boundary_is_inclusive(self):
         # (0,0) -> (3,4) is exactly 5.
         points = {0: (0.0, 0.0), 1: (3.0, 4.0)}
-        index = GridIndex(points)
+        index = DiskIndex(points)
         [row] = index.within_bulk([(0.0, 0.0)], 5.0)
         assert sorted(row) == [0, 1]
         assert sorted(_within(points, (0.0, 0.0), 5.0)) == [0, 1]
 
     def test_empty_index_and_empty_centers(self):
-        index = GridIndex({})
+        index = DiskIndex({})
         assert index.within_bulk([(0.0, 0.0)], 2.0) == [[]]
-        full = GridIndex({0: (0.0, 0.0)})
+        full = DiskIndex({0: (0.0, 0.0)})
         assert full.within_bulk([], 2.0) == []
 
     def test_negative_radius_rejected(self):
-        index = GridIndex({0: (0.0, 0.0)})
+        index = DiskIndex({0: (0.0, 0.0)})
         with pytest.raises(ValueError, match="non-negative"):
             index.within_bulk([(0.0, 0.0)], -1.0)
 
     def test_chunking_covers_all_centers(self):
         # Hundreds of centers in one query; first, middle and last rows.
         points = {i: (float(i % 40), float(i // 40)) for i in range(700)}
-        index = GridIndex(points)
+        index = DiskIndex(points)
         centers = [points[i] for i in range(700)]
         bulk = index.within_bulk(centers, 3.0)
         assert len(bulk) == 700

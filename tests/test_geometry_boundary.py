@@ -4,7 +4,7 @@
 below: at γ = 2.7, ``np.hypot`` gives exactly 2.7 (inside) and
 ``math.hypot`` gives 2.7000000000000006 (outside). Every membership
 test in the repo — ``G_c``, the coverage sets ``N_c⁺(v)``, the context
-memo and :meth:`GridIndex.within_bulk` — follows ``math.hypot``, the
+memo and :meth:`DiskIndex.within_bulk` — follows ``math.hypot``, the
 rule of :meth:`Point.distance_to`, so the pair is outside under every
 query.
 """
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from repro.energy.charging import ChargerSpec
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
 from repro.graphs.coverage import coverage_sets
 from repro.graphs.unit_disk import build_charging_graph
@@ -65,7 +65,7 @@ def test_context_coverage_for_excludes_the_sensor():
 
 
 def test_grid_index_within_excludes_the_sensor():
-    index = GridIndex(POSITIONS)
+    index = DiskIndex(POSITIONS)
     assert index.within_bulk([ORIGIN, EDGE], GAMMA) == [[0], [1]]
     rows, cols = index.pairs_within([ORIGIN], GAMMA)
     assert rows.tolist() == [0] and cols.tolist() == [0]

@@ -1,6 +1,6 @@
 """The KD-tree bulk query against the retired dense broadcast.
 
-``GridIndex.within_bulk`` must return exactly the rows of the dense
+``DiskIndex.within_bulk`` must return exactly the rows of the dense
 broadcast it replaced (``tests/_legacy_geometry.py``), whose members
 are decided by ``math.hypot``: same members, same order.
 Lattice-quantised points make exact-boundary ties common, so the query
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import PaperParams, make_instance
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
 from repro.graphs.unit_disk import build_charging_graph
 from repro.pipeline import PlanningContext
@@ -34,7 +34,7 @@ _points = st.lists(st.tuples(_coord, _coord), max_size=60)
 
 
 def _rows_match(points, centers, radius_m):
-    index = GridIndex(dict(enumerate(points)))
+    index = DiskIndex(dict(enumerate(points)))
     expected = legacy_within_bulk(index, centers, radius_m)
     assert index.within_bulk(centers, radius_m) == expected
     return expected
@@ -100,7 +100,7 @@ def test_dense_paper_instance_matches_oracle():
     ctx = PlanningContext(net, requests, params.charger())
     candidates = ctx.sojourn_candidates()
     coverage = ctx.coverage_for(candidates)
-    index = GridIndex({t: positions[t] for t in ctx.requests})
+    index = DiskIndex({t: positions[t] for t in ctx.requests})
     rows = legacy_within_bulk(
         index, [positions[c] for c in candidates], radius_m
     )
@@ -109,7 +109,7 @@ def test_dense_paper_instance_matches_oracle():
 
 
 def test_negative_radius_rejected_like_oracle():
-    index = GridIndex({0: (0.0, 0.0)})
+    index = DiskIndex({0: (0.0, 0.0)})
     with pytest.raises(ValueError, match="non-negative"):
         index.pairs_within([(0.0, 0.0)], -1.0)
 

@@ -1,6 +1,6 @@
-"""Unit tests for :mod:`repro.geometry.grid_index`.
+"""Unit tests for :mod:`repro.geometry.disk_index`.
 
-Every query goes through :meth:`GridIndex.within_bulk`, the one
+Every query goes through :meth:`DiskIndex.within_bulk`, the one
 "within ``r``" of the repo, and is checked against a brute-force
 :func:`euclidean` reference.
 """
@@ -8,8 +8,8 @@ Every query goes through :meth:`GridIndex.within_bulk`, the one
 import numpy as np
 import pytest
 
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.distance import euclidean
-from repro.geometry.grid_index import GridIndex
 from repro.geometry.point import Point
 
 
@@ -29,23 +29,23 @@ def _within(index, center, radius):
 
 class TestGridIndex:
     def test_len_and_contains(self, random_points):
-        index = GridIndex(random_points)
+        index = DiskIndex(random_points)
         assert len(index) == 300
         assert 0 in index
         assert 999 not in index
 
     def test_position_roundtrip(self, random_points):
-        index = GridIndex(random_points)
+        index = DiskIndex(random_points)
         assert index.position(17) == random_points[17].as_tuple()
 
     def test_negative_radius_raises(self, random_points):
-        index = GridIndex(random_points)
+        index = DiskIndex(random_points)
         with pytest.raises(ValueError):
             index.within_bulk([(0, 0)], -1.0)
 
     @pytest.mark.parametrize("radius", [0.5, 2.7, 5.4, 20.0])
     def test_within_matches_brute_force(self, random_points, radius):
-        index = GridIndex(random_points)
+        index = DiskIndex(random_points)
         center = (50.0, 50.0)
         expected = {
             i
@@ -55,11 +55,11 @@ class TestGridIndex:
         assert set(_within(index, center, radius)) == expected
 
     def test_boundary_inclusive(self):
-        index = GridIndex({0: Point(0, 0), 1: Point(0, 3)})
+        index = DiskIndex({0: Point(0, 0), 1: Point(0, 3)})
         assert set(_within(index, (0, 0), 3.0)) == {0, 1}
 
     def test_neighbors_matches_brute_force(self, random_points):
-        index = GridIndex(random_points)
+        index = DiskIndex(random_points)
         labels = list(random_points)[:10]
         rows = index.within_bulk([random_points[lab] for lab in labels], 8.0)
         for label, row in zip(labels, rows):
@@ -74,12 +74,12 @@ class TestGridIndex:
 
     def test_query_radius_larger_than_cell(self):
         pts = {i: Point(float(i), 0.0) for i in range(50)}
-        index = GridIndex(pts)
+        index = DiskIndex(pts)
         got = set(_within(index, (0, 0), 25.0))
         assert got == set(range(26))
 
     def test_empty_index(self):
-        index = GridIndex({})
+        index = DiskIndex({})
         assert _within(index, (0, 0), 100.0) == []
 
 
@@ -89,12 +89,12 @@ class TestMinimalSpan:
 
     def test_hit_at_exact_radius_on_cell_edge(self):
         # An axis-aligned hit exactly radius away.
-        index = GridIndex({0: Point(6.0, 0.0)})
+        index = DiskIndex({0: Point(6.0, 0.0)})
         assert _within(index, (0.0, 0.0), 6.0) == [0]
 
     def test_hit_at_exact_radius_diagonal_cell_corner(self):
         # A diagonal hit exactly radius away.
-        index = GridIndex({0: Point(9.0, 9.0)})
+        index = DiskIndex({0: Point(9.0, 9.0)})
         center = (4.5, 4.5)
         radius = ((9.0 - 4.5) ** 2 * 2) ** 0.5
         assert _within(index, center, radius) == [0]
@@ -102,18 +102,18 @@ class TestMinimalSpan:
     def test_radius_exact_multiple_of_cell_size(self):
         # Unit-spaced points; the last hit sits exactly on the radius.
         pts = {i: Point(float(i), 0.0) for i in range(20)}
-        index = GridIndex(pts)
+        index = DiskIndex(pts)
         got = set(_within(index, (0.0, 0.0), 10.0))
         assert got == set(range(11))
 
     def test_zero_radius_keeps_only_coincident_points(self):
         # The d <= 0 filter keeps co-located points only.
-        index = GridIndex({0: Point(1.0, 1.0), 1: Point(1.5, 1.0)})
+        index = DiskIndex({0: Point(1.0, 1.0), 1: Point(1.5, 1.0)})
         assert _within(index, (1.0, 1.0), 0.0) == [0]
 
     def test_negative_coordinates_cell_edges(self):
         # The axis-aligned case on the negative side.
-        index = GridIndex({0: Point(-6.0, 0.0)})
+        index = DiskIndex({0: Point(-6.0, 0.0)})
         assert _within(index, (0.0, 0.0), 6.0) == [0]
 
     @pytest.mark.parametrize("cell", [0.7, 1.0, 2.7, 9.0])
@@ -125,7 +125,7 @@ class TestMinimalSpan:
             for i in range(-3, 4)
             for j in range(-3, 4)
         }
-        index = GridIndex(pts)
+        index = DiskIndex(pts)
         for radius in (0.0, cell, 2 * cell, 2.5 * cell):
             for center in ((0.0, 0.0), (cell / 2, cell / 2)):
                 expected = {

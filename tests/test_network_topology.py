@@ -1,13 +1,16 @@
 """Unit tests for :mod:`repro.network.topology`."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.energy.battery import Battery
 from repro.geometry.deployment import Field
+from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
 from repro.network.nodes import BaseStation, Depot
 from repro.network.sensor import Sensor
-from repro.network.topology import WRSN, random_wrsn
+from repro.network.topology import _EDGE_SLICE, WRSN, random_wrsn
 
 
 def tiny_wrsn():
@@ -69,6 +72,28 @@ class TestWRSN:
     def test_comm_graph_cached(self):
         net = tiny_wrsn()
         assert net.comm_graph() is net.comm_graph()
+
+    def test_comm_graph_slices_keep_the_one_shot_edge_order(self):
+        """The sliced build inserts every edge, with its weight, in the
+        order one pass over all candidate pairs gives."""
+        net = random_wrsn(1000, seed=1)
+        positions = net.positions()
+        labels = list(positions)
+        rows, cols = DiskIndex(positions).pairs_within(
+            list(positions.values()), net.comm_range_m
+        )
+        ids = np.asarray(labels)
+        upper = ids[cols] > ids[rows]
+        reference = nx.Graph()
+        reference.add_nodes_from(labels)
+        for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+            reference.add_edge(
+                labels[i], labels[j],
+                weight=positions[labels[i]].distance_to(positions[labels[j]]),
+            )
+        got = list(net.comm_graph().edges(data="weight"))
+        assert len(got) > _EDGE_SLICE
+        assert got == list(reference.edges(data="weight"))
 
     def test_set_residuals(self):
         net = tiny_wrsn()

@@ -201,11 +201,11 @@ class TestInvalidate:
     def test_geometry_memos_survive(self, depleted_net):
         ctx = PlanningContext(depleted_net, depleted_net.all_sensor_ids())
         graph = ctx.charging_graph
-        grid = ctx.grid_index
+        grid = ctx.disk_index
         mis = ctx.sojourn_candidates()
         ctx.invalidate(list(ctx.requests))
         assert ctx.charging_graph is graph
-        assert ctx.grid_index is grid
+        assert ctx.disk_index is grid
         misses = ctx.memo_misses
         assert ctx.sojourn_candidates() == mis
         assert ctx.memo_misses == misses  # served from the memo

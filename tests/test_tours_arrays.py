@@ -231,7 +231,9 @@ class TestKernelParity:
         _, order, positions, depot, _, dist = random_instance(
             seed, max_nodes=30
         )
-        for method in ("nearest_neighbor", "greedy_edge"):
+        for method in (
+            "nearest_neighbor", "greedy_edge", "double_mst", "christofides"
+        ):
             legacy = legacy_build_tsp_order(
                 order, positions, depot, method=method, dist=dist
             )

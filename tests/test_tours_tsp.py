@@ -1,17 +1,21 @@
 """Unit tests for :mod:`repro.tours.tsp`."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.geometry.point import Point
 from repro.tours.improve import cycle_travel_length
-from repro.tours.tsp import (
+from repro.tours.tsp import build_tsp_order
+from tests._legacy_tours import (
     DEPOT,
-    build_tsp_order,
     christofides_tour,
     double_mst_tour,
+    greedy_edge_tour,
+    nearest_neighbor_tour,
 )
-from tests._legacy_tours import greedy_edge_tour, nearest_neighbor_tour
 
 METHODS = ["nearest_neighbor", "greedy_edge", "double_mst", "christofides"]
 
@@ -80,6 +84,9 @@ class TestBuildTspOrder:
 
 
 class TestIndividualConstructions:
+    """The label-space constructions kept as the oracle in
+    ``tests/_legacy_tours.py``."""
+
     def test_nearest_neighbor_starts_at_start(self):
         positions = random_instance(seed=4, n=10)
         positions["s"] = Point(0, 0)
@@ -119,3 +126,22 @@ class TestIndividualConstructions:
         positions = {1: Point(0, 1), 2: Point(1, 0)}
         cycle = christofides_tour([1, 2], positions, 1)
         assert cycle[0] == 1
+
+
+def test_tours_package_does_not_import_networkx():
+    """Every construction runs on the dense matrix; networkx is only
+    the test oracle."""
+    tours = Path(__file__).parents[1] / "src" / "repro" / "tours"
+    sources = sorted(tours.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(
+                name.split(".")[0] == "networkx" for name in names
+            ), path.name
