@@ -103,12 +103,19 @@ def extend_schedule(
     fully covered, and otherwise inserts it after its latest-finishing
     scheduled neighbour.
 
-    ``f_N`` is kept in a lazy min-heap of ``(f_N, node, stamp)``
-    entries; an entry is live while its stamp is the node's latest.
-    An insertion at position ``i`` of a tour changes only the finish
-    times of ``tour[i:]`` (the inserted stop among them), so only the
-    pending H-neighbours of those stops get a fresh entry — the same
-    pick a rescan of every pending candidate would make.
+    ``best[node]`` holds each pending candidate's current ``f_N`` and a
+    min-heap holds ``(f_N, node)`` entries that may lag behind it; an
+    entry found below ``best[node]`` at the top is replaced by the
+    current value (a lazy increase-key). An insertion at position ``i``
+    of a tour changes only the finish times of ``tour[i:]``. When the
+    stop it displaced finishes no earlier than before, every later
+    finish is no earlier either (the recursion after it is unchanged
+    and IEEE addition is monotone), so ``f_N`` only rises: each pending
+    H-neighbour of ``tour[i:]`` takes the max of its ``best`` and that
+    stop's finish. When that finish went down (a zero-``τ'`` stop on a
+    near-collinear leg can lower it by one ulp), the pending
+    H-neighbours of ``tour[i:]`` are rescanned instead. Either way the
+    pick is the one a rescan of every pending candidate would make.
 
     Candidates with *no* scheduled neighbour are deferred; if at some
     point every remaining candidate is deferred and uncovered (possible
@@ -123,29 +130,50 @@ def extend_schedule(
     """
     pending: Set[int] = set(remaining)
     outcome: Dict[int, str] = {}
-    heap: List[Tuple[float, int, int]] = []
-    stamp: Dict[int, int] = {}
+    best: Dict[int, float] = {}
+    heap: List[Tuple[float, int]] = []
+    adjacency = aux_graph.adj
+    finish = schedule.finish
 
-    def refresh(node: int) -> None:
-        finish = latest_neighbor_finish(node, aux_graph, schedule)
-        stamp[node] = stamp.get(node, 0) + 1
-        if finish is not None:
-            heapq.heappush(heap, (finish, node, stamp[node]))
+    def rescan(node: int) -> None:
+        value = latest_neighbor_finish(node, aux_graph, schedule)
+        if value is None:
+            return
+        old = best.get(node)
+        if old is None or value < old:
+            heapq.heappush(heap, (value, node))
+        best[node] = value
 
-    def refresh_after(tour_index: int, first: int) -> None:
+    def raise_after(stops: List[int]) -> None:
+        for stop in stops:
+            value = finish[stop]
+            for node in adjacency.get(stop, ()):
+                if node in pending:
+                    old = best.get(node)
+                    if old is None:
+                        best[node] = value
+                        heapq.heappush(heap, (value, node))
+                    elif value > old:
+                        best[node] = value
+
+    def rescan_after(stops: List[int]) -> None:
         touched: Set[int] = set()
-        for stop in schedule.tours[tour_index][first:]:
-            touched.update(aux_graph.adj.get(stop, ()))
+        for stop in stops:
+            touched.update(adjacency.get(stop, ()))
         for node in sorted(touched & pending):
-            refresh(node)
+            rescan(node)
 
     for node in sorted(pending):
-        refresh(node)
+        rescan(node)
     while pending:
-        while heap and (
-            heap[0][1] not in pending or heap[0][2] != stamp[heap[0][1]]
-        ):
-            heapq.heappop(heap)
+        while heap:
+            value, node = heap[0]
+            if node not in pending:
+                heapq.heappop(heap)
+            elif value != best[node]:
+                heapq.heapreplace(heap, (best[node], node))
+            else:
+                break
         if heap:
             node = heapq.heappop(heap)[1]
         else:
@@ -160,7 +188,7 @@ def extend_schedule(
                 )
                 schedule.append_stop(shortest, node)
                 outcome[node] = "appended"
-                refresh_after(shortest, len(schedule.tours[shortest]) - 1)
+                raise_after([node])
             continue
         pending.discard(node)
         if schedule.fully_covered(node):
@@ -168,7 +196,14 @@ def extend_schedule(
             continue
         case = insertion_case(node, aux_graph, schedule)
         tour_index, anchor = choose_insertion_anchor(node, aux_graph, schedule)
+        tour = schedule.tours[tour_index]
+        position = tour.index(anchor) + 1
+        displaced = tour[position] if position < len(tour) else None
+        before = finish[displaced] if displaced is not None else 0.0
         schedule.insert_stop_after(tour_index, anchor, node)
         outcome[node] = f"case{case}"
-        refresh_after(tour_index, schedule.tours[tour_index].index(node))
+        if displaced is not None and finish[displaced] < before:
+            rescan_after(tour[position:])
+        else:
+            raise_after(tour[position:])
     return outcome

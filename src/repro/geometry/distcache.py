@@ -21,6 +21,7 @@ and ``None`` is the depot. Tour code reads it through
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,15 +96,17 @@ class DistanceCache:
         tour engine canonicalises the order, so all kernels over one
         node set share a single build) and must not be mutated.
 
-        Every entry is produced by :func:`repro.geometry.distance.
-        euclidean` — ``math.hypot``, evaluated pairwise in a Python
-        loop, **not** a numpy broadcast. CPython's ``math.hypot`` is a
-        correctly-rounded algorithm that disagrees with ``np.hypot`` in
-        the last ulp on ~0.6% of pairs (measured on this platform), and
-        the array tour engine's byte-parity contract requires the cached
-        scalar value and the matrix entry to be the same float. The
-        build is O(n^2/2) ``hypot`` calls (symmetry halves it), a
-        one-time cost amortised across every kernel call on the set.
+        Every entry is the float :func:`repro.geometry.distance.
+        euclidean` returns — ``math.hypot`` of the same coordinate
+        differences, evaluated pairwise in a Python loop over the
+        coordinates read once into two lists, **not** a numpy
+        broadcast. CPython's ``math.hypot`` is a correctly-rounded
+        algorithm that disagrees with ``np.hypot`` in the last ulp on
+        ~0.6% of pairs (measured on x86-64 Linux), and the array tour
+        engine's byte-parity contract requires the cached scalar value
+        and the matrix entry to be the same float. The build is
+        O(n^2/2) ``hypot`` calls (symmetry halves it), a one-time cost
+        amortised across every kernel call on the set.
 
         Raises:
             ValueError: on a depot-less cache (the matrix layout
@@ -121,13 +124,16 @@ class DistanceCache:
         self.misses += 1
         points = [self.position_of(label) for label in key]
         points.append(self._depot)
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
         size = len(points)
         matrix = np.zeros((size, size), dtype=np.float64)
-        hypot = euclidean
+        hypot = math.hypot
         for i in range(size - 1):
-            origin = points[i]
+            ox, oy = xs[i], ys[i]
             matrix[i, i + 1 :] = [
-                hypot(origin, other) for other in points[i + 1 :]
+                hypot(ox - x, oy - y)
+                for x, y in zip(xs[i + 1 :], ys[i + 1 :])
             ]
         matrix += matrix.T
         matrix.flags.writeable = False

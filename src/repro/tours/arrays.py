@@ -68,6 +68,8 @@ from repro.geometry.distcache import DistanceCache
 #: Binary-search stopping rule of the min-max and dual splits.
 _BINARY_SEARCH_REL_TOL = 1e-9
 _BINARY_SEARCH_MAX_ITER = 100
+#: Segment positions :func:`or_opt_indices` scores per numpy gather.
+_OR_OPT_BLOCK = 64
 
 
 def canonical_labels(labels: Sequence[Hashable]) -> Tuple[Hashable, ...]:
@@ -324,53 +326,70 @@ def or_opt_indices(
     """Or-opt segment relocation; parity with the scalar oracle
     ``legacy_or_opt``.
 
-    The legacy insertion scan keeps the *first* position attaining the
-    running strict minimum below ``-min_gain``; ``np.argmin`` returns
-    the first occurrence of the minimum, so the accepted move is
-    identical.
+    Up to :data:`_OR_OPT_BLOCK` segment positions are scored at once:
+    row ``r`` holds, for every edge ``(pred, succ)`` of the current
+    tour, ``(D[pred, first] + D[last, succ] - D[pred, succ]) -
+    removal_gain`` — the legacy expression in the legacy order. The
+    edges touching the segment are masked to ``inf`` except the first,
+    which becomes the bridge ``(before, after)`` the removal leaves; its
+    delta is ``removal_gain - removal_gain == 0``. Edge order is the
+    legacy insertion-position order, so ``np.argmin`` (first occurrence
+    of the minimum) picks the position the scalar scan keeps. Rows
+    before the first one whose minimum is below ``-min_gain`` make no
+    move, so that row's move is the one the sequential scan makes; it is
+    applied and the next block starts at that row.
     """
     current = [int(x) for x in np.asarray(order).tolist()]
+    n = len(current)
+    block = np.arange(_OR_OPT_BLOCK)
+    # Per row of a block: the columns of the edges inside the segment
+    # and the one leaving it, relative to the block's first row.
+    passes = [
+        (seg_len, block[:, None] + np.arange(1, seg_len + 1))
+        for seg_len in segment_lengths
+        if n > seg_len
+    ]
+    ext = heads = tails = edges = None
     for _ in range(max_rounds):
         improved = False
-        for seg_len in segment_lengths:
-            n = len(current)
-            if n <= seg_len:
-                continue
+        for seg_len, masked in passes:
+            rows = n - seg_len + 1
             i = 0
-            while i + seg_len <= len(current):
-                seg_first = current[i]
-                seg_last = current[i + seg_len - 1]
-                rest = current[:i] + current[i + seg_len:]
-                before = current[i - 1] if i > 0 else depot_index
-                after = (
-                    current[i + seg_len]
-                    if i + seg_len < len(current)
-                    else depot_index
-                )
+            while i < rows:
+                if ext is None:
+                    ext = np.array(
+                        [depot_index, *current, depot_index], dtype=np.intp
+                    )
+                    heads, tails = ext[:-1], ext[1:]
+                    edges = matrix[heads, tails]
+                count = min(_OR_OPT_BLOCK, rows - i)
+                befores = ext[i : i + count]
+                firsts = ext[i + 1 : i + 1 + count]
+                lasts = ext[i + seg_len : i + seg_len + count]
+                afters = ext[i + seg_len + 1 : i + seg_len + 1 + count]
                 removal_gain = (
-                    matrix[before, seg_first]
-                    + matrix[seg_last, after]
-                    - matrix[before, after]
-                )
-                rest_arr = np.fromiter(rest, dtype=np.int32, count=len(rest))
-                pred = np.empty(len(rest) + 1, dtype=np.int32)
-                pred[0] = depot_index
-                pred[1:] = rest_arr
-                succ = np.empty(len(rest) + 1, dtype=np.int32)
-                succ[:-1] = rest_arr
-                succ[-1] = depot_index
+                    matrix[befores, firsts] + matrix[lasts, afters]
+                ) - matrix[befores, afters]
                 delta = (
-                    matrix[pred, seg_first]
-                    + matrix[seg_last, succ]
-                    - matrix[pred, succ]
-                ) - removal_gain
-                pos = int(np.argmin(delta))
-                if delta[pos] < -min_gain:
-                    segment = current[i : i + seg_len]
-                    current = rest[:pos] + segment + rest[pos:]
-                    improved = True
-                else:
-                    i += 1
+                    matrix[heads, firsts[:, None]]
+                    + matrix[lasts[:, None], tails]
+                    - edges
+                ) - removal_gain[:, None]
+                local = block[:count]
+                delta[local[:, None], i + masked[:count]] = np.inf
+                delta[local, i + local] = 0.0
+                hits = np.flatnonzero(delta.min(axis=1) < -min_gain)
+                if not hits.size:
+                    i += count
+                    continue
+                i += int(hits[0])
+                edge = int(np.argmin(delta[hits[0]]))
+                pos = edge if edge <= i else edge - seg_len
+                segment = current[i : i + seg_len]
+                rest = current[:i] + current[i + seg_len :]
+                current = rest[:pos] + segment + rest[pos:]
+                ext = None
+                improved = True
         if not improved:
             break
     return np.asarray(current, dtype=np.int32)

@@ -19,7 +19,9 @@ real nodes, starting with the first one after leaving the depot:
 All four run on the cache's dense matrix
 (:class:`repro.tours.arrays.ArrayDistance`), depot last, and return
 byte for byte the tours of the NetworkX-based constructions kept as
-the oracle in ``tests/_legacy_tours.py``.
+the oracle in ``tests/_legacy_tours.py`` — except the double-MST walk
+where points coincide, whose zero-length edges the oracle's tree
+drops (:func:`_mst_preorder`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from typing import Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.geometry.distcache import DistanceCache
@@ -43,13 +46,22 @@ _METHODS = ("nearest_neighbor", "greedy_edge", "double_mst", "christofides")
 
 def _mst_preorder(matrix: np.ndarray, root: int) -> List[int]:
     """Preorder walk from ``root`` of the minimum spanning tree of a
-    dense symmetric distance matrix (zero entries are no edge).
+    dense symmetric distance matrix.
 
-    Neighbours are visited in the order the tree's COO edges list them,
-    the order NetworkX's ``dfs_preorder_nodes`` takes over a graph built
-    from those edges.
+    scipy reads a zero entry as "no edge" (and a dense entry within
+    1e-8 of zero too), so the zero-length edges between coincident
+    points (sensors on one spot, or on the depot) get the smallest
+    positive float instead, and the matrix goes in as a sparse one,
+    which scipy takes as it is. The tree is then a true minimum
+    spanning tree, which the 2-approximation needs, and it always
+    spans; without coincident points it is the one the dense matrix
+    gives. Neighbours are visited in the order the tree's COO edges
+    list them, the order NetworkX's ``dfs_preorder_nodes`` takes over a
+    graph built from those edges.
     """
-    mst = minimum_spanning_tree(matrix).tocoo()
+    weights = np.where(matrix > 0.0, matrix, np.nextafter(0.0, 1.0))
+    np.fill_diagonal(weights, 0.0)
+    mst = minimum_spanning_tree(csr_matrix(weights)).tocoo()
     adjacency: List[List[int]] = [[] for _ in range(len(matrix))]
     for i, j in zip(mst.row.tolist(), mst.col.tolist()):
         adjacency[i].append(j)

@@ -1,11 +1,13 @@
 """The retired full-rescan extension loop, kept as a test oracle.
 
 ``repro.core.insertion.extend_schedule`` used to recompute Eq. (8)'s
-``f_N`` for every pending candidate on every iteration. It now keeps a
-lazy heap refreshed only around each insertion;
-``tests/test_core_insertion_oracle.py`` pins it against the loop below
-— identical outcome maps in identical processing order, and
-byte-identical schedules.
+``f_N`` for every pending candidate on every iteration. It now keeps
+each candidate's current ``f_N`` in a map and a lazily raised min-heap
+over it; an insertion only raises the values of the pending
+H-neighbours of the stops it delays, and rescans them only when it
+moved a later stop earlier. ``tests/test_core_insertion_oracle.py``
+pins it against the loop below — identical outcome maps in identical
+processing order, and byte-identical schedules.
 
 It exists *only* as a reference; production code must never import
 this module.

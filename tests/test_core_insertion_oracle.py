@@ -7,6 +7,7 @@ every pick. They must process the same candidates in the same order
 with the same outcomes, and leave byte-identical schedules.
 """
 
+import random
 from unittest import mock
 
 import networkx as nx
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import appro
+from repro.core import appro, insertion
 from repro.core.appro import appro_schedule_with_artifacts
 from repro.core.insertion import extend_schedule
 from repro.core.schedule import ChargingSchedule
@@ -201,3 +202,76 @@ def test_disconnected_h_appends_then_extends_from_the_appended_stop():
     assert list(outcome.items()) == list(oracle.items())
     assert sched.tours == [[10, 15], [30, 35]]
     assert _bytes(sched) == _bytes(oracle_sched)
+
+
+def _lowered_finish_case(seed=0):
+    """A zero-``τ'`` insertion that moves a later stop *earlier*.
+
+    Tour 0 is ``[1, 3]``; candidate 2 lies on the segment between them
+    and charges only a sensor with a zero charge time, and its one
+    H-neighbour is 1. Inserting it gives 3 the finish
+    ``f(1) + t(1, 2) + 0 + t(2, 3) + τ(3)``, which a seeded search over
+    collinear triples picks one ulp *below* ``f(1) + t(1, 3) + τ(3)``.
+    Candidate 4's only H-neighbour is 3; candidate 6's is stop 5 on
+    tour 1, whose finish is made exactly 3's lowered one. So 4 and 6
+    tie on ``f_N`` only once 4's value has come down, and the tie goes
+    to 4.
+    """
+    rng = random.Random(seed)
+    coverage = {v: frozenset({10 + v}) for v in range(1, 7)}
+    aux = nx.Graph([(1, 2), (3, 4), (5, 6)])
+    while True:
+        px, py = rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)
+        ux, uy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        s1, s2, s3 = sorted(rng.uniform(1.0, 50.0) for _ in range(3))
+        positions = {
+            v: Point(px + s * ux, py + s * uy)
+            for v, s in ((1, s1), (2, s2), (3, s3))
+        }
+        positions.update(
+            {4: Point(px, py), 5: Point(3.0, 4.0), 6: Point(3.0, 5.0)}
+        )
+        charge_times = {11: 30.0, 12: 0.0, 13: 40.0, 14: 20.0, 16: 20.0}
+        probe = ChargingSchedule(
+            Point(0.0, 0.0), positions, coverage, charge_times,
+            ChargerSpec(), 1,
+        )
+        probe.append_stop(0, 1)
+        probe.append_stop(0, 3)
+        before = probe.finish[3]
+        probe.insert_stop_after(0, 1, 2)
+        lowered = probe.finish[3]
+        if not lowered < before:
+            continue
+        charge_times[15] = lowered - probe.travel_time(None, 5)
+        schedule = ChargingSchedule(
+            Point(0.0, 0.0), positions, coverage, charge_times,
+            ChargerSpec(), 2,
+        )
+        schedule.append_stop(0, 1)
+        schedule.append_stop(0, 3)
+        schedule.append_stop(1, 5)
+        if schedule.finish[5] == lowered:
+            return schedule, aux
+
+
+def test_lowered_finish_falls_back_to_rescan():
+    schedule, aux = _lowered_finish_case()
+    oracle_sched = schedule.copy()
+    before = schedule.finish[3]
+    with mock.patch.object(
+        insertion,
+        "latest_neighbor_finish",
+        wraps=insertion.latest_neighbor_finish,
+    ) as spy:
+        outcome = extend_schedule(schedule, [2, 4, 6], aux)
+    assert schedule.finish[3] < before
+    # Three initial values plus the fallback's rescan of 4; the
+    # raise-only path never rescans.
+    assert spy.call_count == 4
+    oracle = rescan_extend_schedule(oracle_sched, [2, 4, 6], aux)
+    assert list(outcome.items()) == list(oracle.items())
+    assert list(outcome.items()) == [
+        (2, "case1"), (4, "case1"), (6, "case1")
+    ]
+    assert _bytes(schedule) == _bytes(oracle_sched)

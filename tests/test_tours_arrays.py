@@ -26,6 +26,7 @@ from repro.geometry.distcache import DistanceCache
 from repro.network.topology import random_wrsn
 from repro.pipeline.planner import planner_names, run_planner
 from repro.tours.arrays import (
+    _OR_OPT_BLOCK,
     ArrayDistance,
     ArrayTour,
     NodeIndexCodec,
@@ -260,6 +261,97 @@ class TestKernelParity:
                 tsp_method=method, dist=dist,
             )
             assert fast == legacy, method
+
+
+def lattice_instance(seed, n, spacing_m=5.0):
+    """``n`` distinct cells of a ``spacing_m`` lattice, depot on a cell:
+    many legs and insertion costs tie exactly."""
+    rng = random.Random(seed)
+    side = int(n**0.5) + 2
+    cells = [
+        (spacing_m * a, spacing_m * b)
+        for a in range(side)
+        for b in range(side)
+    ]
+    picked = rng.sample(cells, n + 1)
+    positions = dict(enumerate(picked[:n]))
+    return rng, positions, picked[n], DistanceCache(positions, picked[n])
+
+
+class TestOrOptBlocks:
+    """Or-opt on tours longer than one scoring block of
+    ``_OR_OPT_BLOCK`` segment positions, and on the shortest tours,
+    against the scalar oracle ``legacy_or_opt``."""
+
+    @pytest.mark.parametrize(
+        "n,construction",
+        [(100, None), (160, None), (240, "nearest_neighbor"),
+         (400, "nearest_neighbor")],
+    )
+    def test_uniform_fields(self, n, construction):
+        rng = random.Random(n)
+        positions = {
+            i: (rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0))
+            for i in range(n)
+        }
+        depot = (rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0))
+        dist = DistanceCache(positions, depot)
+        order = list(positions)
+        rng.shuffle(order)
+        if construction is not None:
+            order = build_tsp_order(
+                order, positions, depot, construction, dist=dist
+            )
+        fast = or_opt(order, positions, depot, dist=dist)
+        assert fast == legacy_or_opt(order, positions, depot, dist=dist)
+        assert fast != order
+
+    @pytest.mark.parametrize(
+        "n,construction", [(130, None), (200, "nearest_neighbor")]
+    )
+    def test_lattices_with_tied_distances(self, n, construction):
+        rng, positions, depot, dist = lattice_instance(n, n)
+        order = list(positions)
+        rng.shuffle(order)
+        if construction is not None:
+            order = build_tsp_order(
+                order, positions, depot, construction, dist=dist
+            )
+        fast = or_opt(order, positions, depot, dist=dist)
+        assert fast == legacy_or_opt(order, positions, depot, dist=dist)
+
+    def test_moves_in_the_middle_of_a_block(self):
+        """Nodes on a ray from the depot, visited outward, with two
+        neighbouring pairs swapped. Every other removal gains exactly
+        0, so the first move is at row ``1.5 * _OR_OPT_BLOCK`` of the
+        first pass and the second in the middle of the block restarted
+        at that row."""
+        n = 3 * _OR_OPT_BLOCK
+        first = _OR_OPT_BLOCK + _OR_OPT_BLOCK // 2
+        second = first + _OR_OPT_BLOCK // 2 + 3
+        positions = {k: (5.0 * k, 0.0) for k in range(1, n + 1)}
+        depot = (0.0, 0.0)
+        order = list(range(1, n + 1))
+        for row in (first, second):
+            order[row], order[row + 1] = order[row + 1], order[row]
+        dist = DistanceCache(positions, depot)
+        fast = or_opt(order, positions, depot, dist=dist)
+        assert fast == legacy_or_opt(order, positions, depot, dist=dist)
+        assert fast == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tiny_tours(self, n, seed):
+        _, order, positions, depot, _, dist = random_instance(
+            seed, max_nodes=n, min_nodes=n
+        )
+        fast = or_opt(order, positions, depot, dist=dist)
+        assert fast == legacy_or_opt(order, positions, depot, dist=dist)
+        rng, positions, depot, dist = lattice_instance(seed, n, 1.0)
+        order = list(positions)
+        rng.shuffle(order)
+        fast = or_opt(order, positions, depot, dist=dist)
+        assert fast == legacy_or_opt(order, positions, depot, dist=dist)
 
 
 def planner_case(seed):

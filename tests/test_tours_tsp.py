@@ -69,6 +69,33 @@ class TestBuildTspOrder:
         )
         assert sorted(order) == list(range(1, 8))
 
+    @pytest.mark.parametrize("method", ["double_mst", "christofides"])
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_points_stacked_on_the_depot_are_all_visited(
+        self, method, count
+    ):
+        """With every point at one spot the distance matrix is all
+        zeros, which scipy's MST reads as no edge at all; the walk must
+        still visit every node."""
+        nodes = list(range(1, count + 1))
+        positions = {v: Point(9.0, 9.0) for v in nodes}
+        order = build_tsp_order(nodes, positions, Point(9.0, 9.0), method)
+        assert sorted(order) == nodes
+
+    def test_double_mst_keeps_zero_length_edges(self):
+        """Two points on the depot and two on one spot: without the
+        zero-length edges the tree is not minimal, and the walk came
+        out 10 m long against a 4 m optimum, past the factor 2."""
+        positions = {
+            0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0),
+            3: (2.0, 0.0), 4: (0.0, 0.0),
+        }
+        order = build_tsp_order(
+            [0, 1, 2, 4, 3], positions, (0.0, 0.0), "double_mst"
+        )
+        assert sorted(order) == [0, 1, 2, 3, 4]
+        assert cycle_travel_length(order, positions, (0.0, 0.0)) == 4.0
+
     def test_tour_quality_sane(self):
         """All constructions stay within a small factor of the best
         construction found (sanity, not a strict approximation test)."""
