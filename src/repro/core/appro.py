@@ -32,13 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-import networkx as nx
-
 from repro.core.context import PlanningContext
 from repro.core.insertion import extend_schedule
 from repro.core.schedule import ChargingSchedule
 from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
+from repro.graphs.adjacency import NeighborRows
 from repro.graphs.auxiliary import auxiliary_max_degree
 from repro.network.topology import WRSN
 
@@ -61,9 +60,9 @@ class ApproArtifacts:
             (0 when the paper's construction was already feasible).
     """
 
-    charging_graph: nx.Graph
+    charging_graph: NeighborRows
     sojourn_candidates: List[int]
-    aux_graph: nx.Graph
+    aux_graph: NeighborRows
     conflict_free_core: List[int]
     delta_h: int
     initial_longest_delay_s: float
@@ -204,9 +203,9 @@ def appro_schedule_with_artifacts(
     """Like :func:`appro_schedule` but also returns the intermediate
     structures of the run."""
     shell = ApproArtifacts(
-        charging_graph=nx.Graph(),
+        charging_graph=NeighborRows({}),
         sojourn_candidates=[],
-        aux_graph=nx.Graph(),
+        aux_graph=NeighborRows({}),
         conflict_free_core=[],
         delta_h=0,
         initial_longest_delay_s=0.0,

@@ -26,14 +26,14 @@ context on ``network.copy()``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
-
-import networkx as nx
 
 from repro.energy.charging import ChargerSpec, full_charge_time
 from repro.geometry.disk_index import DiskIndex
 from repro.geometry.distcache import DistanceCache
+from repro.graphs.adjacency import NeighborRows
 from repro.graphs.auxiliary import build_auxiliary_graph
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.unit_disk import build_charging_graph
@@ -88,14 +88,14 @@ class PlanningContext:
         self.memo_misses = 0
         self.invalidations = 0
         self._charge_times: Dict[int, float] = {}
-        self._charging_graph: Optional[nx.Graph] = None
+        self._charging_graph: Optional[NeighborRows] = None
         self._disk_index: Optional[DiskIndex] = None
         self._coverage: Dict[int, FrozenSet[int]] = {}
         self._mis: Dict[Tuple[str, int], List[int]] = {}
         self._stop_groups: Dict[
             Tuple[int, ...], Dict[int, Tuple[int, ...]]
         ] = {}
-        self._aux: Dict[Tuple[str, int], nx.Graph] = {}
+        self._aux: Dict[Tuple[str, int], NeighborRows] = {}
         self._core: Dict[Tuple[str, int], List[int]] = {}
         self._minmax: Dict[Any, Tuple[List[List[int]], float]] = {}
 
@@ -205,7 +205,7 @@ class PlanningContext:
     # ------------------------------------------------------------------
 
     @property
-    def charging_graph(self) -> nx.Graph:
+    def charging_graph(self) -> NeighborRows:
         """``G_c``: the unit-disk charging graph over the request set."""
         if self._charging_graph is None:
             self.memo_misses += 1
@@ -254,10 +254,13 @@ class PlanningContext:
         Matches :func:`repro.graphs.coverage.coverage_sets` with the
         request set as targets: the requested sensors within the
         charging radius of the candidate's disk, plus the candidate
-        itself.
+        itself. A requested candidate's set is its ``G_c`` row — the
+        same ``math.hypot <= γ`` test on the same floats — with the
+        candidate put back in its place, so the set is built in the
+        order the index query would give; any other candidate asks
+        the disk index.
         """
         out: Dict[int, FrozenSet[int]] = {}
-        radius_m = self.charger.charge_radius_m
         fresh: List[int] = []
         for cand in candidates:
             cached = self._coverage.get(cand)
@@ -268,12 +271,21 @@ class PlanningContext:
                 self.memo_misses += 1
                 fresh.append(cand)
         if fresh:
-            # All uncached candidates in one bulk query against the
-            # memoized index's cached KD-tree, as in coverage_sets.
-            rows = self.disk_index.within_bulk(
-                [self.positions[cand] for cand in fresh], radius_m
-            )
-            for cand, row in zip(fresh, rows):
+            graph = self.charging_graph
+            others = [cand for cand in fresh if cand not in graph]
+            queried: Dict[int, List[int]] = {}
+            if others:
+                rows = self.disk_index.within_bulk(
+                    [self.positions[cand] for cand in others],
+                    self.charger.charge_radius_m,
+                )
+                queried = dict(zip(others, rows))
+            for cand in fresh:
+                row = queried.get(cand)
+                if row is None:
+                    nbrs = graph.neighbors(cand)
+                    at = bisect_left(nbrs, cand)
+                    row = [*nbrs[:at], cand, *nbrs[at:]]
                 covered = set(row)
                 covered.add(cand)
                 frozen = frozenset(covered)
@@ -316,7 +328,7 @@ class PlanningContext:
 
     def auxiliary_graph(
         self, mis_strategy: str = "min_degree", seed: int = 0
-    ) -> nx.Graph:
+    ) -> NeighborRows:
         """The conflict graph ``H`` over ``S_I`` (memoized)."""
         key = (mis_strategy, seed)
         cached = self._aux.get(key)

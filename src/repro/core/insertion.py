@@ -24,13 +24,12 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.schedule import ChargingSchedule
+from repro.graphs.adjacency import NeighborRows
 
 
 def scheduled_neighbors(
-    node: int, aux_graph: nx.Graph, schedule: ChargingSchedule
+    node: int, aux_graph: NeighborRows, schedule: ChargingSchedule
 ) -> List[int]:
     """``N'_H(node)`` — the node's H-neighbours already on some tour."""
     return [
@@ -39,7 +38,7 @@ def scheduled_neighbors(
 
 
 def latest_neighbor_finish(
-    node: int, aux_graph: nx.Graph, schedule: ChargingSchedule
+    node: int, aux_graph: NeighborRows, schedule: ChargingSchedule
 ) -> Optional[float]:
     """Eq. (8): ``f_N(node)``, or ``None`` when no neighbour is
     scheduled yet (cannot happen for the first candidate processed, by
@@ -52,7 +51,7 @@ def latest_neighbor_finish(
 
 
 def choose_insertion_anchor(
-    node: int, aux_graph: nx.Graph, schedule: ChargingSchedule
+    node: int, aux_graph: NeighborRows, schedule: ChargingSchedule
 ) -> Tuple[int, int]:
     """Eqs. (9)/(13): the scheduled neighbour with maximum finish time.
 
@@ -73,7 +72,7 @@ def choose_insertion_anchor(
 
 
 def insertion_case(
-    node: int, aux_graph: nx.Graph, schedule: ChargingSchedule
+    node: int, aux_graph: NeighborRows, schedule: ChargingSchedule
 ) -> int:
     """Which case of Algorithm 1 applies to ``node``.
 
@@ -93,7 +92,7 @@ def insertion_case(
 def extend_schedule(
     schedule: ChargingSchedule,
     remaining: Iterable[int],
-    aux_graph: nx.Graph,
+    aux_graph: NeighborRows,
 ) -> Dict[int, str]:
     """Run the full extension loop of Algorithm 1 (lines 7–24).
 
@@ -132,8 +131,10 @@ def extend_schedule(
     outcome: Dict[int, str] = {}
     best: Dict[int, float] = {}
     heap: List[Tuple[float, int]] = []
-    adjacency = aux_graph.adj
     finish = schedule.finish
+
+    def neighbors(stop: int) -> Iterable[int]:
+        return aux_graph.neighbors(stop) if stop in aux_graph else ()
 
     def rescan(node: int) -> None:
         value = latest_neighbor_finish(node, aux_graph, schedule)
@@ -147,7 +148,7 @@ def extend_schedule(
     def raise_after(stops: List[int]) -> None:
         for stop in stops:
             value = finish[stop]
-            for node in adjacency.get(stop, ()):
+            for node in neighbors(stop):
                 if node in pending:
                     old = best.get(node)
                     if old is None:
@@ -159,7 +160,7 @@ def extend_schedule(
     def rescan_after(stops: List[int]) -> None:
         touched: Set[int] = set()
         for stop in stops:
-            touched.update(adjacency.get(stop, ()))
+            touched.update(neighbors(stop))
         for node in sorted(touched & pending):
             rescan(node)
 

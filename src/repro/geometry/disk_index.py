@@ -32,6 +32,18 @@ from repro.geometry.point import PointLike
 _TREE_REL_SLACK = 1e-9
 _TREE_ABS_SLACK = 1e-12
 
+#: Relative half-width of the band around ``r²`` inside which
+#: :meth:`DiskIndex.pairs_within` asks ``math.hypot``. numpy's
+#: ``dx·dx + dy·dy`` is within ~3e-16 relative of the exact square and
+#: ``math.hypot`` within an ulp of the exact distance, so a squared
+#: distance outside the band gets the verdict ``math.hypot`` would.
+_HYPOT_BAND_REL = 1e-9
+
+#: Range of ``r²`` over which the squared-distance verdict is sound:
+#: far from underflow, where the relative bound above fails, and from
+#: overflow. Outside it every pair goes through ``math.hypot``.
+_SQ_RANGE = (1e-200, 1e200)
+
 
 class DiskIndex:
     """KD-tree index over labelled planar points.
@@ -85,6 +97,9 @@ class DiskIndex:
         ``math.hypot(cx - px, cy - py) <= radius_m`` — the boundary is
         inclusive, matching the paper's ``d(u, v) <= γ``, and the rule
         is :meth:`Point.distance_to`'s, so the slack never adds a pair.
+        Only pairs whose squared distance lies within a relative
+        ``1e-9`` of ``radius_m²`` call ``math.hypot``; the squared
+        distance decides the rest, with the same verdict.
 
         Returns:
             ``(center_index, label_index)`` integer arrays of equal
@@ -105,12 +120,23 @@ class DiskIndex:
         center_idx = hits["i"].astype(np.intp)
         label_idx = hits["j"].astype(np.intp)
         # numpy float64 subtraction rounds exactly as Python's does, so
-        # these are the differences euclidean() would form, and each
-        # distance is the math.hypot float itself.
-        dx, dy = (centers_arr[center_idx] - coords[label_idx]).T.tolist()
-        keep = np.array(list(map(math.hypot, dx, dy))) <= radius_m
+        # these are the differences euclidean() would form.
+        diff = centers_arr[center_idx] - coords[label_idx]
+        r_sq = radius_m * radius_m
+        if _SQ_RANGE[0] <= r_sq <= _SQ_RANGE[1]:
+            sq = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+            keep = sq <= r_sq * (1.0 - _HYPOT_BAND_REL)
+            band = np.flatnonzero(
+                ~keep & ~(sq > r_sq * (1.0 + _HYPOT_BAND_REL))
+            )
+        else:
+            keep = np.zeros(len(diff), dtype=bool)
+            band = np.arange(len(diff))
+        # In the band (NaN included), the math.hypot float decides.
+        dx, dy = diff[band].T.tolist()
+        keep[band] = np.array(list(map(math.hypot, dx, dy))) <= radius_m
         center_idx, label_idx = center_idx[keep], label_idx[keep]
-        order = np.lexsort((label_idx, center_idx))
+        order = np.argsort(center_idx * len(coords) + label_idx)
         return center_idx[order], label_idx[order]
 
     def within_bulk(

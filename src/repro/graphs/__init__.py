@@ -1,5 +1,7 @@
 """Graph machinery of Algorithm 1.
 
+* :mod:`repro.graphs.adjacency` — :class:`NeighborRows`, the immutable
+  sorted-neighbour-rows graph that ``G_c`` and ``H`` are built as.
 * :mod:`repro.graphs.unit_disk` — the charging graph ``G_c``: an edge
   joins two to-be-charged sensors within the charging radius ``γ``.
 * :mod:`repro.graphs.mis` — greedy maximal-independent-set algorithms
@@ -11,6 +13,7 @@
   whose edges mark sojourn-location pairs with intersecting disks.
 """
 
+from repro.graphs.adjacency import NeighborRows
 from repro.graphs.analysis import (
     disk_occupancy,
     load_factor,
@@ -32,6 +35,7 @@ from repro.graphs.mis import (
 from repro.graphs.unit_disk import build_charging_graph
 
 __all__ = [
+    "NeighborRows",
     "auxiliary_max_degree",
     "build_auxiliary_graph",
     "build_charging_graph",

@@ -19,12 +19,11 @@ paper's definition is set-intersection.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterable, List, Mapping
 
 from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
+from repro.graphs.adjacency import NeighborRows
 
 
 def build_auxiliary_graph(
@@ -32,7 +31,7 @@ def build_auxiliary_graph(
     coverage: Mapping[int, FrozenSet[int]],
     positions: Mapping[int, Point],
     radius_m: float,
-) -> nx.Graph:
+) -> NeighborRows:
     """Build ``H`` over the candidate sojourn locations.
 
     Args:
@@ -44,51 +43,61 @@ def build_auxiliary_graph(
         radius_m: the charging radius ``γ``.
 
     Returns:
-        ``networkx.Graph`` with an edge wherever two candidates' disks
-        share at least one sensor.
+        :class:`~repro.graphs.adjacency.NeighborRows` with an edge
+        wherever two candidates' disks share at least one sensor.
     """
     if radius_m <= 0:
         raise ValueError(f"charging radius must be positive, got {radius_m}")
-    candidates = sorted(sojourn_candidates)
-    graph = nx.Graph()
-    graph.add_nodes_from(candidates)
+    candidates = sorted(set(sojourn_candidates))
     # Disk intersection requires centre distance <= 2γ: one pair query
-    # yields every such pair, in (cand, other) index order.
+    # yields every such pair, in (cand, other) index order, so
+    # appending both ways keeps every row ascending.
     index = DiskIndex({c: positions[c] for c in candidates})
     rows, cols = index.pairs_within(
         [positions[c] for c in candidates], 2.0 * radius_m
     )
+    adjacency: Dict[int, List[int]] = {c: [] for c in candidates}
     for i, j in zip(rows.tolist(), cols.tolist()):
-        cand, other = candidates[i], candidates[j]
-        if other > cand and coverage[cand] & coverage[other]:
-            graph.add_edge(cand, other)
-    return graph
+        if j > i:
+            cand, other = candidates[i], candidates[j]
+            if not coverage[cand].isdisjoint(coverage[other]):
+                adjacency[cand].append(other)
+                adjacency[other].append(cand)
+    return NeighborRows({c: tuple(row) for c, row in adjacency.items()})
 
 
-def auxiliary_max_degree(aux_graph: nx.Graph) -> int:
+def auxiliary_max_degree(aux_graph: NeighborRows) -> int:
     """``Δ_H`` — the maximum degree of the auxiliary graph.
 
     Appears in the approximation ratio (Theorem 1); Lemma 2 proves it
     is at most ``⌈8π⌉ = 26`` for any instance.
     """
-    if aux_graph.number_of_nodes() == 0:
-        return 0
-    return max(dict(aux_graph.degree).values())
+    return max(map(aux_graph.degree, aux_graph.nodes), default=0)
 
 
 def conflict_free_components(
-    aux_graph: nx.Graph, chosen: Iterable[int]
+    aux_graph: NeighborRows, chosen: Iterable[int]
 ) -> Dict[int, int]:
     """Map each chosen node to a conflict-component id.
 
-    Two chosen sojourn locations in different components can never
-    overcharge a shared sensor regardless of timing; useful for
+    Components are those of ``H`` restricted to the chosen nodes (ids
+    not in ``H`` are ignored), numbered in order of their smallest
+    member. Two chosen sojourn locations in different components can
+    never overcharge a shared sensor regardless of timing; useful for
     diagnostics and for the validator's fast path.
     """
-    chosen_set = set(chosen)
-    sub = aux_graph.subgraph(chosen_set)
+    chosen_set = {node for node in chosen if node in aux_graph}
     component_of: Dict[int, int] = {}
-    for comp_id, comp in enumerate(nx.connected_components(sub)):
-        for node in comp:
-            component_of[node] = comp_id
+    comp_id = -1
+    for start in sorted(chosen_set):
+        if start in component_of:
+            continue
+        comp_id += 1
+        component_of[start] = comp_id
+        stack = [start]
+        while stack:
+            for nbr in aux_graph.neighbors(stack.pop()):
+                if nbr in chosen_set and nbr not in component_of:
+                    component_of[nbr] = comp_id
+                    stack.append(nbr)
     return component_of

@@ -19,14 +19,15 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Set
 
-import networkx as nx
 import numpy as np
+
+from repro.graphs.adjacency import NeighborRows
 
 _STRATEGIES = ("min_degree", "lexicographic", "random")
 
 
 def maximal_independent_set(
-    graph: nx.Graph,
+    graph: NeighborRows,
     strategy: str = "min_degree",
     seed: int = 0,
 ) -> List[int]:
@@ -59,7 +60,7 @@ def maximal_independent_set(
     return _greedy_in_order(graph, order)
 
 
-def _greedy_in_order(graph: nx.Graph, order: Iterable[int]) -> List[int]:
+def _greedy_in_order(graph: NeighborRows, order: Iterable[int]) -> List[int]:
     chosen: List[int] = []
     blocked: Set[int] = set()
     for node in order:
@@ -71,7 +72,7 @@ def _greedy_in_order(graph: nx.Graph, order: Iterable[int]) -> List[int]:
     return sorted(chosen)
 
 
-def _greedy_min_degree(graph: nx.Graph) -> List[int]:
+def _greedy_min_degree(graph: NeighborRows) -> List[int]:
     """Greedy MIS selecting the minimum-residual-degree node each step.
 
     Implemented with a lazy heap: entries are re-pushed when their
@@ -102,18 +103,17 @@ def _greedy_min_degree(graph: nx.Graph) -> List[int]:
     return sorted(chosen)
 
 
-def is_independent_set(graph: nx.Graph, nodes: Iterable[int]) -> bool:
+def is_independent_set(graph: NeighborRows, nodes: Iterable[int]) -> bool:
     """Whether ``nodes`` is an independent set of ``graph``."""
     node_set = set(nodes)
-    if not node_set <= set(graph.nodes):
+    if not all(node in graph for node in node_set):
         return False
     return not any(
-        graph.has_edge(u, v) for u in node_set for v in graph.neighbors(u)
-        if v in node_set
+        v in node_set for u in node_set for v in graph.neighbors(u)
     )
 
 
-def is_maximal_independent_set(graph: nx.Graph, nodes: Iterable[int]) -> bool:
+def is_maximal_independent_set(graph: NeighborRows, nodes: Iterable[int]) -> bool:
     """Whether ``nodes`` is independent *and* maximal (no node outside
     the set could be added without breaking independence)."""
     node_set = set(nodes)

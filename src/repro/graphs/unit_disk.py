@@ -2,8 +2,7 @@
 
 Section IV constructs ``G_c = (V_s, E)`` over the to-be-charged sensors
 with an edge wherever two sensors are within the charging radius ``γ``
-of each other — a unit-disk graph. Node positions are attached as node
-attributes so downstream code can stay graph-centric.
+of each other — a unit-disk graph.
 
 Construction takes its edges from one KD-tree pair query
 (:meth:`repro.geometry.disk_index.DiskIndex.pairs_within`), so it is
@@ -16,17 +15,16 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-import networkx as nx
-
 from repro.geometry.disk_index import DiskIndex
 from repro.geometry.point import Point
+from repro.graphs.adjacency import NeighborRows
 
 
 def build_charging_graph(
     positions: Mapping[int, Point],
     radius_m: float,
     nodes: Optional[Iterable[int]] = None,
-) -> nx.Graph:
+) -> NeighborRows:
     """Build the unit-disk charging graph.
 
     Args:
@@ -38,25 +36,17 @@ def build_charging_graph(
             of ``positions``.
 
     Returns:
-        ``networkx.Graph`` whose nodes carry a ``pos`` attribute.
+        :class:`~repro.graphs.adjacency.NeighborRows` over the sorted
+        nodes, each row ascending.
     """
     if radius_m <= 0:
         raise ValueError(f"charging radius must be positive, got {radius_m}")
     node_list = sorted(positions) if nodes is None else sorted(set(nodes))
-    graph = nx.Graph()
-    for node in node_list:
-        graph.add_node(node, pos=positions[node])
     index = DiskIndex({n: positions[n] for n in node_list})
     # One pair query over all nodes. Labels were inserted in node_list
-    # order, so label index == node_list index and ``i < j`` is
-    # ``u < v``; the pairs come sorted by (i, j), which fixes the edge
-    # insertion order and with it every adjacency order downstream.
+    # order, so label index == node_list index, and the pairs come
+    # sorted by (i, j): each row is ascending.
     rows, cols = index.pairs_within(
         [positions[n] for n in node_list], radius_m
     )
-    upper = rows < cols
-    graph.add_edges_from(
-        (node_list[i], node_list[j])
-        for i, j in zip(rows[upper].tolist(), cols[upper].tolist())
-    )
-    return graph
+    return NeighborRows.from_pairs(node_list, rows, cols)

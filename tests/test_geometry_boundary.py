@@ -36,7 +36,8 @@ def test_the_two_hypots_disagree_on_the_pair():
 
 def test_charging_graph_lacks_the_edge_whose_distance_exceeds_gamma():
     graph = build_charging_graph(POSITIONS, radius_m=GAMMA)
-    assert not graph.has_edge(0, 1)
+    assert graph.neighbors(0) == ()
+    assert graph.neighbors(1) == ()
     distance = POSITIONS[0].distance_to(POSITIONS[1])
     assert distance == 2.7000000000000006  # repro-lint: disable=float-eq
     assert distance > GAMMA
@@ -69,3 +70,114 @@ def test_grid_index_within_excludes_the_sensor():
     assert index.within_bulk([ORIGIN, EDGE], GAMMA) == [[0], [1]]
     rows, cols = index.pairs_within([ORIGIN], GAMMA)
     assert rows.tolist() == [0] and cols.tolist() == [0]
+
+
+# ---------------------------------------------------------------------
+# The band filter of DiskIndex.pairs_within
+#
+# pairs_within decides a pair by numpy's squared distance unless it
+# lies within a relative 1e-9 of r², and asks math.hypot only there.
+# Each case below must give exactly the pairs a per-pair math.hypot
+# scan gives, in (center, label) order.
+# ---------------------------------------------------------------------
+
+
+def _hypot_reference(points, centers, radius_m):
+    rows, cols = [], []
+    for i, (cx, cy) in enumerate(centers):
+        for j, (px, py) in enumerate(points):
+            if math.hypot(cx - px, cy - py) <= radius_m:
+                rows.append(i)
+                cols.append(j)
+    return rows, cols
+
+
+def _assert_pairs_match_reference(points, centers, radius_m):
+    index = DiskIndex(dict(enumerate(points)))
+    rows, cols = index.pairs_within(centers, radius_m)
+    expected = _hypot_reference(points, centers, radius_m)
+    assert (rows.tolist(), cols.tolist()) == expected
+    return len(expected[0])
+
+
+def _lattice(step, offset, side=12):
+    return [
+        (offset + i * step, offset - j * step)
+        for i in range(side)
+        for j in range(side)
+    ]
+
+
+def _ring(center, radius_m, factors, spokes=16):
+    cx, cy = center
+    return [
+        (
+            cx + radius_m * f * math.cos(2 * math.pi * k / spokes),
+            cy + radius_m * f * math.sin(2 * math.pi * k / spokes),
+        )
+        for f in factors
+        for k in range(spokes)
+    ]
+
+
+_RELATIVE = [1e-16, 3e-16, 1e-15, 1e-14, 1e-13, 1e-12]
+_FACTORS = [1.0] + [1.0 + s * e for e in _RELATIVE for s in (1, -1)]
+_OFFSETS = [0.0, 0.1, 1e3, 123456.789, 1e6, -1e6]
+
+
+def test_exact_radius_lattices_match_hypot():
+    """3-4-5 and 5-12-13 lattice distances sit on the boundary."""
+    kept = 0
+    for offset in _OFFSETS:
+        for step, radius_m in [
+            (0.3, 1.5), (0.54, 2.7), (0.54, 7.02), (0.2, 2.6), (1.0, 5.0)
+        ]:
+            pts = _lattice(step, offset)
+            kept += _assert_pairs_match_reference(pts, pts, radius_m)
+    assert kept > 0
+
+
+def test_points_a_few_ulps_off_the_radius_match_hypot():
+    for offset in _OFFSETS:
+        for radius_m in (2.7, 5.4, 0.3, 1e-3, 1234.5):
+            center = (offset, offset / 3.0)
+            pts = _ring(center, radius_m, _FACTORS)
+            for direction in (math.inf, -math.inf):
+                edge = math.nextafter(radius_m, direction)
+                pts += _ring(center, edge, [1.0], spokes=8)
+                pts.append((center[0] + edge, center[1]))
+                pts.append((center[0], center[1] - edge))
+            pts.append((center[0] + radius_m, center[1]))
+            _assert_pairs_match_reference(pts, [center] + pts[:8], radius_m)
+
+
+def test_the_two_hypots_pair_decided_by_math_hypot():
+    # np.hypot calls this pair inside; the band must send it to
+    # math.hypot, which calls it outside.
+    pts = [(ORIGIN.x, ORIGIN.y), (EDGE.x, EDGE.y)]
+    assert _assert_pairs_match_reference(pts, pts, GAMMA) == 2
+    for offset in (1.0, 1e3, 1e6):
+        shifted = [(x + offset, y + offset) for x, y in pts]
+        _assert_pairs_match_reference(shifted, shifted, GAMMA)
+
+
+def test_coincident_points_and_radius_zero():
+    pts = [(0.3, -0.6)] * 4 + [(0.3, -0.6 + 5e-324), (1e6, 1e6)] * 2
+    for radius_m in (0.0, 5e-324, 1e-300, 1.0):
+        assert _assert_pairs_match_reference(pts, pts, radius_m) >= 16
+
+
+def test_subnormal_and_tiny_radii_fall_back_to_hypot():
+    tiny = 5e-324
+    for radius_m in (tiny, 3 * tiny, 1e-310, 1e-160, 2.5e-150):
+        pts = [(k * radius_m / 2.0, 0.0) for k in range(6)]
+        pts += [(0.0, radius_m), (radius_m, radius_m)]
+        pts += _ring((0.0, 0.0), radius_m, [1.0, 1.0 + 1e-15], spokes=4)
+        _assert_pairs_match_reference(pts, pts, radius_m)
+
+
+def test_huge_coordinates_and_radii_fall_back_to_hypot():
+    for radius_m in (1e99, 1e101, 1e150):
+        pts = _ring((radius_m, -radius_m), radius_m, _FACTORS, spokes=6)
+        pts.append((radius_m, -radius_m))
+        _assert_pairs_match_reference(pts, pts[-8:], radius_m)

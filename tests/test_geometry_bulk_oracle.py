@@ -21,6 +21,7 @@ from tests._legacy_geometry import (
     legacy_build_charging_graph,
     legacy_within_bulk,
 )
+from tests._legacy_graphs import assert_same_rows
 
 LATTICE_M = 0.3
 #: Lattice distances (3-4-5 and 5-12-13 multiples, axis steps) that
@@ -92,8 +93,7 @@ def test_dense_paper_instance_matches_oracle():
     radius_m = params.charger().charge_radius_m
     graph = build_charging_graph(positions, radius_m)
     oracle = legacy_build_charging_graph(positions, radius_m)
-    assert list(graph.nodes) == list(oracle.nodes)
-    assert list(graph.edges) == list(oracle.edges)
+    assert_same_rows(graph, oracle)
     assert graph.number_of_edges() > 10_000
 
     requests = net.all_sensor_ids()
@@ -123,5 +123,4 @@ def test_duplicate_node_subset_matches_oracle():
     nodes = [5, 3, 5, 40, 3, 12, 7, 7, 59]
     graph = build_charging_graph(positions, 2.7, nodes=nodes)
     oracle = legacy_build_charging_graph(positions, 2.7, nodes=nodes)
-    assert list(graph.nodes) == list(oracle.nodes)
-    assert list(graph.edges) == list(oracle.edges)
+    assert_same_rows(graph, oracle)

@@ -1,7 +1,5 @@
 """Unit tests for :mod:`repro.graphs.auxiliary`."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,8 +13,22 @@ from repro.graphs.auxiliary import (
 from repro.graphs.coverage import coverage_sets
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.unit_disk import build_charging_graph
+from tests._legacy_graphs import (
+    assert_same_rows,
+    nx_build_auxiliary_graph,
+    nx_maximal_independent_set,
+    rows_from_edges,
+)
 
 GAMMA = 2.7
+
+
+def has_edge(graph, u, v):
+    return v in graph.neighbors(u)
+
+
+def edges(graph):
+    return [(u, v) for u in graph.nodes for v in graph.neighbors(u) if u < v]
 
 
 def make_instance(seed, n=200, side=40.0):
@@ -39,14 +51,15 @@ class TestBuildAuxiliaryGraph:
             for v in mis:
                 if u < v:
                     expected = bool(coverage[u] & coverage[v])
-                    assert aux.has_edge(u, v) == expected
+                    assert has_edge(aux, u, v) == expected
+                    assert has_edge(aux, v, u) == expected
 
     def test_edge_distance_range(self):
         """Every H-edge joins locations with gamma < d <= 2*gamma
         (independence gives the lower bound, shared coverage the
         upper)."""
         positions, mis, coverage, aux = make_instance(seed=1)
-        for u, v in aux.edges:
+        for u, v in edges(aux):
             d = positions[u].distance_to(positions[v])
             assert d > GAMMA
             assert d <= 2 * GAMMA + 1e-9
@@ -57,24 +70,39 @@ class TestBuildAuxiliaryGraph:
         positions = {0: Point(0, 0), 1: Point(4.0, 0)}
         coverage = coverage_sets([0, 1], positions, radius_m=GAMMA)
         aux = build_auxiliary_graph([0, 1], coverage, positions, GAMMA)
-        assert not aux.has_edge(0, 1)
+        assert aux.neighbors(0) == ()
 
         # Add a sensor in the lens: edge appears.
         positions[2] = Point(2.0, 0)
         coverage = coverage_sets([0, 1], positions, radius_m=GAMMA)
         aux = build_auxiliary_graph([0, 1], coverage, positions, GAMMA)
-        assert aux.has_edge(0, 1)
+        assert aux.neighbors(0) == (1,)
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             build_auxiliary_graph([], {}, {}, radius_m=0.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_match_networkx_oracle(self, seed):
+        positions, mis, coverage, aux = make_instance(seed=seed)
+        oracle = nx_build_auxiliary_graph(mis, coverage, positions, GAMMA)
+        assert_same_rows(aux, oracle)
+        for strategy in ("min_degree", "lexicographic", "random"):
+            assert maximal_independent_set(
+                aux, strategy=strategy, seed=seed
+            ) == nx_maximal_independent_set(oracle, strategy, seed)
+
 
 class TestMaxDegree:
     def test_empty_graph(self):
-        import networkx as nx
+        assert auxiliary_max_degree(rows_from_edges([], [])) == 0
 
-        assert auxiliary_max_degree(nx.Graph()) == 0
+    def test_matches_networkx_degree(self):
+        positions, mis, coverage, aux = make_instance(seed=4, n=300)
+        oracle = nx_build_auxiliary_graph(mis, coverage, positions, GAMMA)
+        assert auxiliary_max_degree(aux) == max(
+            dict(oracle.degree).values()
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_lemma2_bound_holds(self, seed):
@@ -96,3 +124,12 @@ class TestConflictFreeComponents:
         _, mis, coverage, aux = make_instance(seed=3)
         comp = conflict_free_components(aux, mis)
         assert set(comp) == set(mis)
+
+    def test_components_numbered_by_smallest_member(self):
+        # Two paths and an isolated node; 9 is not in H and 4 is not
+        # chosen, so {3, 5} split.
+        graph = rows_from_edges(
+            range(9), [(7, 1), (1, 6), (3, 4), (4, 5), (0, 8)]
+        )
+        comp = conflict_free_components(graph, [6, 5, 1, 3, 7, 2, 9])
+        assert comp == {1: 0, 6: 0, 7: 0, 2: 1, 3: 2, 5: 3}

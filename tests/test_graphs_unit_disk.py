@@ -6,31 +6,54 @@ import pytest
 from repro.geometry.distance import euclidean
 from repro.geometry.point import Point
 from repro.graphs.unit_disk import build_charging_graph
+from tests._legacy_graphs import (
+    assert_same_rows,
+    nx_build_charging_graph,
+    nx_maximal_independent_set,
+)
+
+
+def has_edge(graph, u, v):
+    return v in graph.neighbors(u)
 
 
 class TestBuildChargingGraph:
     def test_edge_rule_inclusive(self):
         positions = {0: Point(0, 0), 1: Point(0, 2.7), 2: Point(0, 5.5)}
         graph = build_charging_graph(positions, radius_m=2.7)
-        assert graph.has_edge(0, 1)  # exactly at gamma
-        assert not graph.has_edge(1, 2)  # 2.8 m apart
-        assert not graph.has_edge(0, 2)
+        assert graph.neighbors(0) == (1,)  # exactly at gamma
+        assert graph.neighbors(1) == (0,)  # 2 is 2.8 m away
+        assert graph.neighbors(2) == ()
 
     def test_node_subset(self):
         positions = {0: Point(0, 0), 1: Point(1, 0), 2: Point(2, 0)}
         graph = build_charging_graph(positions, radius_m=2.7, nodes=[0, 2])
-        assert set(graph.nodes) == {0, 2}
-        assert graph.has_edge(0, 2)
+        assert graph.nodes == (0, 2)
+        assert 1 not in graph
+        assert graph.neighbors(0) == (2,)
+        assert graph.neighbors(2) == (0,)
 
-    def test_positions_attached(self):
-        positions = {0: Point(3, 4)}
-        graph = build_charging_graph(positions, radius_m=1.0)
-        assert graph.nodes[0]["pos"] == Point(3, 4)
+    def test_isolated_unsorted_nodes_sorted(self):
+        positions = {7: Point(3, 4), 2: Point(50, 50), 5: Point(3, 5)}
+        graph = build_charging_graph(positions, radius_m=1.0, nodes=[7, 2, 5])
+        assert graph.nodes == (2, 5, 7)
+        assert graph.neighbors(2) == ()  # isolated, still a node
+        assert graph.degree(2) == 0
+        assert graph.neighbors(5) == (7,)
+        assert graph.number_of_edges() == 1
 
     def test_edges_carry_no_weight(self):
         positions = {0: Point(0, 0), 1: Point(1.5, 2.0)}
         graph = build_charging_graph(positions, radius_m=2.7)
-        assert graph[0][1] == {}
+        # A row holds bare neighbour ids: no per-edge data at all.
+        assert graph.neighbors(0) == (1,)
+        assert type(graph.neighbors(0)[0]) is int
+
+    def test_rows_are_ascending_tuples(self):
+        positions = {i: Point(0.5 * (4 - i), 0.0) for i in range(5)}
+        graph = build_charging_graph(positions, radius_m=2.7)
+        assert graph.neighbors(2) == (0, 1, 3, 4)
+        assert graph.number_of_edges() == 10
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
@@ -51,7 +74,8 @@ class TestBuildChargingGraph:
             for j in positions:
                 if i < j:
                     expected = euclidean(positions[i], positions[j]) <= 2.7
-                    assert graph.has_edge(i, j) == expected
+                    assert has_edge(graph, i, j) == expected
+                    assert has_edge(graph, j, i) == expected
 
 
 class TestBulkParity:
@@ -87,13 +111,8 @@ class TestBulkParity:
         }
         bulk = build_charging_graph(positions, radius_m=2.7)
         loop = self._loop_reference(positions, radius_m=2.7)
-        assert list(bulk.nodes) == list(loop.nodes)
-        assert {n: bulk.nodes[n]["pos"] for n in bulk.nodes} == {
-            n: loop.nodes[n]["pos"] for n in loop.nodes
-        }
-        assert set(map(frozenset, bulk.edges)) == set(
-            map(frozenset, loop.edges)
-        )
+        assert_same_rows(bulk, loop)
+        assert_same_rows(bulk, nx_build_charging_graph(positions, 2.7))
 
     def test_downstream_mis_unchanged(self):
         from repro.graphs.mis import maximal_independent_set
@@ -108,4 +127,4 @@ class TestBulkParity:
         for strategy in ("min_degree", "lexicographic", "random"):
             assert maximal_independent_set(
                 bulk, strategy=strategy
-            ) == maximal_independent_set(loop, strategy=strategy)
+            ) == nx_maximal_independent_set(loop, strategy=strategy)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.energy.charging import ChargerSpec, full_charge_time
+from repro.geometry.deployment import Field
+from repro.geometry.disk_index import DiskIndex
 from repro.graphs.mis import is_independent_set
 from repro.graphs.unit_disk import build_charging_graph
 from repro.io import dump_jsonl_line, schedule_to_dict
@@ -14,6 +16,7 @@ from repro.pipeline import (
     run_planner,
     shared_distance_cache,
 )
+from tests._legacy_graphs import assert_same_rows, nx_build_charging_graph
 
 
 class TestConstruction:
@@ -73,9 +76,16 @@ class TestMemoizedValues:
             ctx.charger.charge_radius_m,
             nodes=requests,
         )
-        assert set(ctx.charging_graph.nodes) == set(direct.nodes)
-        assert set(map(frozenset, ctx.charging_graph.edges)) == set(
-            map(frozenset, direct.edges)
+        assert ctx.charging_graph.nodes == direct.nodes
+        for node in direct.nodes:
+            assert ctx.charging_graph.neighbors(node) == direct.neighbors(node)
+        assert_same_rows(
+            ctx.charging_graph,
+            nx_build_charging_graph(
+                depleted_net.positions(),
+                ctx.charger.charge_radius_m,
+                nodes=requests,
+            ),
         )
 
     def test_sojourn_candidates_are_independent_in_gc(self, depleted_net):
@@ -95,6 +105,28 @@ class TestMemoizedValues:
         coverage = ctx.coverage_for(candidates)
         for cand, covered in coverage.items():
             assert cand in covered
+
+    def test_coverage_sets_iterate_like_the_index_query(self):
+        """Requested candidates take ``N_c⁺`` from their ``G_c`` row,
+        the others from the disk index; either way the frozenset is
+        built in the index query's order, so it iterates the same."""
+        net = random_wrsn(num_sensors=400, field=Field(30.0, 30.0), seed=5)
+        requests = net.all_sensor_ids()[::2]
+        ctx = PlanningContext(net, requests)
+        candidates = net.all_sensor_ids()[::3]
+        assert any(c in requests for c in candidates)
+        assert any(c not in requests for c in candidates)
+        positions = net.positions()
+        radius_m = ctx.charger.charge_radius_m
+        rows = DiskIndex({t: positions[t] for t in ctx.requests}).within_bulk(
+            [positions[c] for c in candidates], radius_m
+        )
+        coverage = ctx.coverage_for(candidates)
+        assert list(coverage) == candidates
+        for cand, row in zip(candidates, rows):
+            covered = set(row)
+            covered.add(cand)
+            assert list(coverage[cand]) == list(frozenset(covered))
 
     def test_second_access_hits_the_memo(self, depleted_net):
         ctx = PlanningContext(depleted_net, depleted_net.all_sensor_ids())

@@ -21,12 +21,13 @@ from repro.core.appro import appro_schedule
 from repro.core.ratio import delta_h_bound
 from repro.core.validation import validate_schedule
 from repro.energy.battery import Battery
-from repro.energy.charging import ChargerSpec, full_charge_time
+from repro.energy.charging import full_charge_time
 from repro.geometry.point import Point
 from repro.graphs.auxiliary import auxiliary_max_degree, build_auxiliary_graph
 from repro.graphs.coverage import coverage_sets, covers_all
 from repro.graphs.mis import is_maximal_independent_set, maximal_independent_set
 from repro.graphs.unit_disk import build_charging_graph
+from tests._legacy_graphs import assert_same_rows, nx_build_charging_graph
 from repro.network.nodes import BaseStation, Depot
 from repro.network.sensor import Sensor
 from repro.network.topology import WRSN
@@ -174,11 +175,14 @@ def test_battery_deplete_recharge_invariants(capacity, frac, drain, refill):
 def test_charging_graph_is_symmetric_unit_disk(raw):
     positions = to_positions(raw)
     graph = build_charging_graph(positions, GAMMA)
-    for u, v in graph.edges:
-        assert positions[u].distance_to(positions[v]) <= GAMMA + 1e-9
+    assert_same_rows(graph, nx_build_charging_graph(positions, GAMMA))
+    for u in graph.nodes:
+        for v in graph.neighbors(u):
+            assert u in graph.neighbors(v)
+            assert positions[u].distance_to(positions[v]) <= GAMMA + 1e-9
     # Spot-check some non-edges.
     nodes = sorted(positions)
     for u in nodes[:5]:
         for v in nodes[-5:]:
-            if u != v and not graph.has_edge(u, v):
+            if u != v and v not in graph.neighbors(u):
                 assert positions[u].distance_to(positions[v]) > GAMMA - 1e-9
