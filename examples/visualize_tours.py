@@ -59,7 +59,7 @@ def main() -> None:
     render_schedule(net, baseline).save(baseline_svg)
     print(
         f"wrote {baseline_svg} "
-        f"({len(baseline.visited_sensors())} visits, "
+        f"({len(baseline.scheduled_stops())} stops, "
         f"{baseline.longest_delay() / 3600:.1f} h)"
     )
 

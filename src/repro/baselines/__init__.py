@@ -16,18 +16,19 @@ sensors, while ``Appro``'s scale with the number of sojourn disks.
 * :mod:`repro.baselines.kminmax_baseline` — K node-disjoint min-max
   closed tours over all requested sensors (Liang et al.,
   5-approximation), still charging one sensor per stop.
+
+Each returns a :class:`~repro.core.schedule.ChargingSchedule` built by
+:func:`repro.baselines.common.one_to_one_schedule`, in which every stop
+covers only its own sensor.
 """
 
 from repro.baselines.aa import aa_schedule
-from repro.baselines.common import BaselineSchedule, Visit
 from repro.baselines.greedy_cover import greedy_cover_schedule
 from repro.baselines.kedf import kedf_schedule
 from repro.baselines.kminmax_baseline import kminmax_baseline_schedule
 from repro.baselines.netwrap import netwrap_schedule
 
 __all__ = [
-    "BaselineSchedule",
-    "Visit",
     "aa_schedule",
     "greedy_cover_schedule",
     "kedf_schedule",

@@ -23,8 +23,9 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.common import BaselineSchedule, build_itinerary
+from repro.baselines.common import one_to_one_schedule
 from repro.core.context import PlanningContext
+from repro.core.schedule import ChargingSchedule
 from repro.energy.charging import ChargerSpec
 from repro.network.topology import WRSN
 from repro.tours.tsp import build_tsp_order
@@ -91,7 +92,7 @@ def aa_schedule(
     lifetimes: Optional[Mapping[int, float]] = None,
     seed: int = 0,
     context: Optional[PlanningContext] = None,
-) -> BaselineSchedule:
+) -> ChargingSchedule:
     """Schedule the request set with the AA clustering heuristic.
 
     Args:
@@ -107,7 +108,8 @@ def aa_schedule(
             times; built here when omitted.
 
     Returns:
-        A :class:`~repro.baselines.common.BaselineSchedule`.
+        A one-to-one :class:`~repro.core.schedule.ChargingSchedule`
+        (see :func:`~repro.baselines.common.one_to_one_schedule`).
     """
     if num_chargers <= 0:
         raise ValueError(f"num_chargers must be positive, got {num_chargers}")
@@ -118,9 +120,8 @@ def aa_schedule(
     if context is None:
         context = PlanningContext(network, requests, spec)
     dist = context.distance
-    charge_times = context.charge_times_for(requests)
 
-    itineraries: List = [[] for _ in range(num_chargers)]
+    sequences: List[List[int]] = [[] for _ in range(num_chargers)]
     if requests:
         coords = np.array(
             [[positions[sid].x, positions[sid].y] for sid in requests]
@@ -132,10 +133,9 @@ def aa_schedule(
                 continue
             # Serve the cluster in nearest-neighbour order from the
             # depot (the vehicle has to start there anyway).
-            order = build_tsp_order(
+            sequences[k] = build_tsp_order(
                 group, positions, depot, method="nearest_neighbor", dist=dist
             )
-            itineraries[k] = build_itinerary(
-                order, positions, depot, spec, charge_times, dist=dist
-            )
-    return BaselineSchedule(depot, positions, spec, itineraries, distance=dist)
+    return one_to_one_schedule(
+        context, requests, spec, num_chargers, sequences
+    )

@@ -18,12 +18,9 @@ from typing import List, Mapping, Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.baselines.common import (
-    BaselineSchedule,
-    build_itinerary,
-    default_lifetimes,
-)
+from repro.baselines.common import default_lifetimes, one_to_one_schedule
 from repro.core.context import PlanningContext
+from repro.core.schedule import ChargingSchedule
 from repro.energy.charging import ChargerSpec
 from repro.network.topology import WRSN
 
@@ -35,7 +32,7 @@ def kedf_schedule(
     charger: Optional[ChargerSpec] = None,
     lifetimes: Optional[Mapping[int, float]] = None,
     context: Optional[PlanningContext] = None,
-) -> BaselineSchedule:
+) -> ChargingSchedule:
     """Schedule the request set with the K-EDF heuristic.
 
     Args:
@@ -51,18 +48,16 @@ def kedf_schedule(
             times; built here when omitted.
 
     Returns:
-        A :class:`~repro.baselines.common.BaselineSchedule`.
+        A one-to-one :class:`~repro.core.schedule.ChargingSchedule`
+        (see :func:`~repro.baselines.common.one_to_one_schedule`).
     """
     if num_chargers <= 0:
         raise ValueError(f"num_chargers must be positive, got {num_chargers}")
     spec = charger if charger is not None else ChargerSpec()
     requests = sorted(set(request_ids))
-    positions = network.positions()
-    depot = network.depot.position
     if context is None:
         context = PlanningContext(network, requests, spec)
     dist = context.distance
-    charge_times = context.charge_times_for(requests)
     life = default_lifetimes(network, requests, lifetimes)
 
     # EDF order: most urgent first.
@@ -87,8 +82,6 @@ def kedf_schedule(
             sequences[k].append(sid)
             locations[k] = sid
 
-    itineraries = [
-        build_itinerary(seq, positions, depot, spec, charge_times, dist=dist)
-        for seq in sequences
-    ]
-    return BaselineSchedule(depot, positions, spec, itineraries, distance=dist)
+    return one_to_one_schedule(
+        context, requests, spec, num_chargers, sequences
+    )

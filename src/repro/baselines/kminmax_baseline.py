@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.baselines.common import BaselineSchedule, build_itinerary
+from repro.baselines.common import one_to_one_schedule
 from repro.core.context import PlanningContext
+from repro.core.schedule import ChargingSchedule
 from repro.energy.charging import ChargerSpec
 from repro.network.topology import WRSN
 
@@ -30,7 +31,7 @@ def kminmax_baseline_schedule(
     lifetimes: Optional[Mapping[int, float]] = None,
     tsp_method: str = "christofides",
     context: Optional[PlanningContext] = None,
-) -> BaselineSchedule:
+) -> ChargingSchedule:
     """Schedule the request set with the K-minMax baseline.
 
     Args:
@@ -50,17 +51,15 @@ def kminmax_baseline_schedule(
             omitted.
 
     Returns:
-        A :class:`~repro.baselines.common.BaselineSchedule`.
+        A one-to-one :class:`~repro.core.schedule.ChargingSchedule`
+        (see :func:`~repro.baselines.common.one_to_one_schedule`).
     """
     if num_chargers <= 0:
         raise ValueError(f"num_chargers must be positive, got {num_chargers}")
     spec = charger if charger is not None else ChargerSpec()
     requests = sorted(set(request_ids))
-    positions = network.positions()
-    depot = network.depot.position
     if context is None:
         context = PlanningContext(network, requests, spec)
-    dist = context.distance
     charge_times = context.charge_times_for(requests)
 
     # Christofides' matching step is O(n^3)-ish; over every sensor
@@ -73,8 +72,4 @@ def kminmax_baseline_schedule(
     tours, _ = context.minmax_tours(
         requests, num_chargers, charge_times, tsp_method=method
     )
-    itineraries = [
-        build_itinerary(tour, positions, depot, spec, charge_times, dist=dist)
-        for tour in tours
-    ]
-    return BaselineSchedule(depot, positions, spec, itineraries, distance=dist)
+    return one_to_one_schedule(context, requests, spec, num_chargers, tours)

@@ -7,8 +7,9 @@ sensor's residual lifetime; ties broken arbitrarily when a sensor is
 wanted by multiple MCVs.
 
 We run the natural event-driven realisation: vehicles act in the order
-they become free; the free vehicle claims the unclaimed sensor with the
-best score. Both terms are normalised by their instance-wide maxima so
+they become free (a vehicle's free time is the finish time of its last
+stop); the free vehicle claims the unclaimed sensor with the best
+score. Both terms are normalised by their instance-wide maxima so
 the weighting is scale-free; ``travel_weight`` tunes the trade-off
 (0.5 = equal weight, the default).
 """
@@ -17,14 +18,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Mapping, Optional, Sequence, Set
+from typing import Mapping, Optional, Sequence, Set
 
-from repro.baselines.common import (
-    BaselineSchedule,
-    Visit,
-    default_lifetimes,
-)
+from repro.baselines.common import default_lifetimes, one_to_one_schedule
 from repro.core.context import PlanningContext
+from repro.core.schedule import ChargingSchedule
 from repro.energy.charging import ChargerSpec
 from repro.network.topology import WRSN
 
@@ -37,7 +35,7 @@ def netwrap_schedule(
     lifetimes: Optional[Mapping[int, float]] = None,
     travel_weight: float = 0.5,
     context: Optional[PlanningContext] = None,
-) -> BaselineSchedule:
+) -> ChargingSchedule:
     """Schedule the request set with the NETWRAP greedy heuristic.
 
     Args:
@@ -54,7 +52,8 @@ def netwrap_schedule(
             times; built here when omitted.
 
     Returns:
-        A :class:`~repro.baselines.common.BaselineSchedule`.
+        A one-to-one :class:`~repro.core.schedule.ChargingSchedule`
+        (see :func:`~repro.baselines.common.one_to_one_schedule`).
     """
     if num_chargers <= 0:
         raise ValueError(f"num_chargers must be positive, got {num_chargers}")
@@ -62,12 +61,9 @@ def netwrap_schedule(
         raise ValueError(f"travel_weight must be in [0, 1]: {travel_weight}")
     spec = charger if charger is not None else ChargerSpec()
     requests = sorted(set(request_ids))
-    positions = network.positions()
-    depot = network.depot.position
     if context is None:
         context = PlanningContext(network, requests, spec)
     dist = context.distance
-    charge_times = context.charge_times_for(requests)
     life = default_lifetimes(network, requests, lifetimes)
 
     max_life = max(life.values(), default=1.0) or 1.0
@@ -78,19 +74,20 @@ def netwrap_schedule(
         / spec.travel_speed_mps
     )
 
+    schedule = one_to_one_schedule(context, requests, spec, num_chargers)
     unclaimed: Set[int] = set(requests)
-    itineraries: List[List[Visit]] = [[] for _ in range(num_chargers)]
     # (time_free, mcv_index) heap; all vehicles start at the depot at 0.
     free_at = [(0.0, k) for k in range(num_chargers)]
     heapq.heapify(free_at)
-    # Vehicle locations as sensor labels (``None`` = at the depot).
-    locations: dict = {k: None for k in range(num_chargers)}
 
     while unclaimed:
-        now, k = heapq.heappop(free_at)
+        _, k = heapq.heappop(free_at)
+        tour = schedule.tours[k]
+        # The vehicle's location as a sensor label (``None`` = depot).
+        here = tour[-1] if tour else None
 
         def score(sid: int) -> float:
-            travel = dist(locations[k], sid) / spec.travel_speed_mps
+            travel = dist(here, sid) / spec.travel_speed_mps
             return (
                 travel_weight * travel / max(diag, 1e-12)
                 + (1.0 - travel_weight) * life[sid] / max_life
@@ -98,13 +95,6 @@ def netwrap_schedule(
 
         target = min(unclaimed, key=lambda sid: (score(sid), sid))
         unclaimed.discard(target)
-        travel_s = dist(locations[k], target) / spec.travel_speed_mps
-        arrival = now + travel_s
-        finish = arrival + charge_times[target]
-        itineraries[k].append(
-            Visit(sensor_id=target, arrival_s=arrival, finish_s=finish)
-        )
-        locations[k] = target
-        heapq.heappush(free_at, (finish, k))
-
-    return BaselineSchedule(depot, positions, spec, itineraries, distance=dist)
+        schedule.append_stop(k, target)
+        heapq.heappush(free_at, (schedule.finish[target], k))
+    return schedule

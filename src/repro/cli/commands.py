@@ -582,6 +582,10 @@ def cmd_eval(args) -> int:
             derived[f"mean_planned_delay_s[{name}]"] = stats[
                 "mean_planned_delay_s"
             ]
+            if stats["mean_realized_delay_s"] is not None:
+                derived[f"mean_realized_delay_s[{name}]"] = stats[
+                    "mean_realized_delay_s"
+                ]
         record = bench_record(
             benchmark="eval-head-to-head",
             params=report["matrix"],
@@ -589,7 +593,6 @@ def cmd_eval(args) -> int:
                 "planned_delay_s": [
                     c["planned_delay_s"] for c in cells
                 ],
-                "realized_mean_s": [c["realized_mean_s"] for c in cells],
                 "deadline_miss_ratio": [
                     c["deadline_miss_ratio"] for c in cells
                 ],

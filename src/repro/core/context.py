@@ -293,6 +293,19 @@ class PlanningContext:
                 out[cand] = frozen
         return out
 
+    def built_coverage(
+        self, coverage: Mapping[int, FrozenSet[int]], stops: Sequence[int]
+    ) -> bool:
+        """Whether every stop's set in ``coverage`` is the very
+        ``N_c⁺`` set :meth:`coverage_for` memoized here, so that
+        :meth:`sensor_stop_groups` inverts the same relation. A
+        one-to-one schedule's ``{v}`` sets, or sets from before an
+        :meth:`invalidate`, are not."""
+        return all(
+            stop in self._coverage and coverage[stop] is self._coverage[stop]
+            for stop in stops
+        )
+
     def sensor_stop_groups(
         self, candidates: Sequence[int]
     ) -> Dict[int, Tuple[int, ...]]:

@@ -342,7 +342,9 @@ def repair_schedule(
             if start <= failure_time_s:
                 outcome.interrupted = node
             orphans.append(node)
-    for node in orphans:
+    # Last first: each removal then leaves no stop downstream of it to
+    # retime (the kept prefix is upstream of every orphan).
+    for node in reversed(orphans):
         schedule.remove_stop(node)
 
     def score(node: int) -> Tuple[float, int]:

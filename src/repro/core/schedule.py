@@ -104,11 +104,14 @@ class ChargingSchedule:
         self.charge_times = charge_times
         #: ``(sensor, stop) -> charge seconds``. The default ignores
         #: the stop — the paper's Eq. (1); a distance-aware efficiency
-        #: model (repro.energy.efficiency) makes it stop-dependent.
+        #: model (repro.energy.efficiency) makes it stop-dependent. It
+        #: closes over the mapping, not ``self``: a schedule that
+        #: referenced itself would outlive its last use until the
+        #: cyclic collector ran.
         self._pair_time: Callable[[int, int], float] = (
             pairwise_charge_time
             if pairwise_charge_time is not None
-            else (lambda sensor, stop: self.charge_times[sensor])
+            else (lambda sensor, stop: charge_times[sensor])
         )
         self.charger = charger
         self.tours: List[List[int]] = [[] for _ in range(num_tours)]
@@ -272,7 +275,9 @@ class ChargingSchedule:
         if node not in self.tour_of:
             raise ValueError(f"node {node} is not scheduled")
         tour_index = self.tour_of.pop(node)
-        self.tours[tour_index].remove(node)
+        tour = self.tours[tour_index]
+        idx = tour.index(node)
+        del tour[idx]
         self.arrival.pop(node, None)
         self.finish.pop(node, None)
         self.wait.pop(node, None)
@@ -280,7 +285,7 @@ class ChargingSchedule:
             for sensor in self.charges.pop(node, frozenset()):
                 self.charged_by.pop(sensor, None)
             self.duration.pop(node, None)
-        self.recompute_finish_times(tour_index)
+        self.recompute_finish_times(tour_index, start=idx)
 
     def reinsert_stop(
         self, tour_index: int, anchor: Optional[int], node: int
@@ -308,7 +313,7 @@ class ChargingSchedule:
         tour.insert(idx, node)
         self.tour_of[node] = tour_index
         self.wait[node] = 0.0
-        self.recompute_finish_times(tour_index)
+        self.recompute_finish_times(tour_index, start=idx)
 
     def copy(self) -> "ChargingSchedule":
         """An independent copy sharing the immutable instance data.

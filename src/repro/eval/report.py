@@ -12,7 +12,7 @@ key, deliberately outside the parity surface.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.eval.matrix import EvalMatrix, resolve_planners
 from repro.io import dump_jsonl_line
@@ -30,6 +30,12 @@ def _versus(delay_s: float, appro_delay_s: float) -> str:
     if delay_s > appro_delay_s * (1.0 + _TIE_REL_TOL):
         return "losses"
     return "ties"
+
+
+def _mean_present(values: Iterable[Optional[float]]) -> Optional[float]:
+    """Mean of the values that are not ``None`` (``None`` if none are)."""
+    present = [value for value in values if value is not None]
+    return sum(present) / len(present) if present else None
 
 
 def build_report(
@@ -80,8 +86,8 @@ def build_report(
             "mean_planned_delay_s": (
                 sum(rec["planned_delay_s"] for rec in mine) / len(mine)
             ),
-            "mean_realized_delay_s": (
-                sum(rec["realized_mean_s"] for rec in mine) / len(mine)
+            "mean_realized_delay_s": _mean_present(
+                rec["realized_mean_s"] for rec in mine
             ),
             "mean_deadline_miss_ratio": (
                 sum(rec["deadline_miss_ratio"] for rec in mine)

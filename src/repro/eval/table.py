@@ -4,13 +4,18 @@ Two tables: a per-planner summary (strict wins/ties/losses vs Appro,
 mean delays, miss ratio, repairs) and the per-cell detail (longest
 delay, miss ratio, repairs, realized conflicts, deferred sensors,
 breakdown and degraded trials, wall time — ``-`` when the report
-carries no timings).  ``fmt="markdown"`` emits pipe tables; ``"ascii"`` pads with
+carries no timings, and for a realized delay when every trial
+degraded).  ``fmt="markdown"`` emits pipe tables; ``"ascii"`` pads with
 spaces under a dashed rule.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
+
+
+def _seconds(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.1f}"
 
 
 def _render(rows: List[List[str]], header: Sequence[str], fmt: str) -> str:
@@ -63,7 +68,7 @@ def render_summary_table(
                 f"{stats['wins_vs_appro']}/{stats['ties_vs_appro']}"
                 f"/{stats['losses_vs_appro']}",
                 f"{stats['mean_planned_delay_s']:.1f}",
-                f"{stats['mean_realized_delay_s']:.1f}",
+                _seconds(stats["mean_realized_delay_s"]),
                 f"{stats['mean_deadline_miss_ratio']:.3f}",
                 str(stats["total_repairs"]),
             ]
@@ -95,7 +100,7 @@ def render_cells_table(
             [
                 cell["cell"],
                 f"{cell['planned_delay_s']:.1f}",
-                f"{cell['realized_mean_s']:.1f}",
+                _seconds(cell["realized_mean_s"]),
                 f"{cell['deadline_miss_ratio']:.3f}",
                 str(cell["repairs"]),
                 str(cell["conflicts"]),

@@ -15,6 +15,11 @@ One call plans one cell and executes its fault trials:
    realized delays, repairs, deferrals, realized conflicts,
    breakdown and degraded-mode trials, and deadline misses.
 
+A degraded trial deferred sensors, so its realized delay is that of a
+smaller round; ``realized_mean_s``/``realized_max_s`` cover only the
+trials that did not degrade, and are ``None`` when every trial did
+(the ``degraded`` count says how many were left out).
+
 The deadline budget is planner-independent: ``budget_factor`` times
 a makespan estimate built only from the instance (total full-charge
 workload over ``K`` plus the costliest depot round trip), so the miss
@@ -168,7 +173,8 @@ def execute_eval_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
             plan, trial, num_chargers, sensor_ids=requests
         )
         outcome = execute_with_faults(schedule, draw)
-        realized.append(outcome.realized_delay_s)
+        if not outcome.degraded:
+            realized.append(outcome.realized_delay_s)
         repairs += outcome.repairs
         deferred += len(outcome.deferred_sensors)
         conflicts += outcome.violation_count
@@ -190,8 +196,10 @@ def execute_eval_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         "scenario": scenario,
         "requests": len(requests),
         "planned_delay_s": planned_delay,
-        "realized_mean_s": sum(realized) / len(realized),
-        "realized_max_s": max(realized),
+        "realized_mean_s": (
+            sum(realized) / len(realized) if realized else None
+        ),
+        "realized_max_s": max(realized, default=None),
         "deadline_s": deadline_s,
         "deadline_miss_ratio": misses / checks if checks else 0.0,
         "repairs": repairs,

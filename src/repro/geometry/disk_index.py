@@ -106,13 +106,28 @@ class DiskIndex:
             length, sorted by center index and, within a center, by
             label index (the index's insertion order).
         """
-        if radius_m < 0:
-            raise ValueError(f"radius must be non-negative, got {radius_m}")
-        _, coords, tree = self._bulk_view()
         centers_arr = np.asarray(
             [(float(c[0]), float(c[1])) for c in centers], dtype=float
         ).reshape(-1, 2)
-        hits = cKDTree(centers_arr).sparse_distance_matrix(
+        return self._pairs(centers_arr, cKDTree(centers_arr), radius_m)
+
+    def self_pairs_within(
+        self, radius_m: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`pairs_within` with the index's own points, in label
+        order, as the centers — the same arrays, from the index's own
+        coordinates and tree instead of a second conversion and tree.
+        """
+        _, coords, tree = self._bulk_view()
+        return self._pairs(coords, tree, radius_m)
+
+    def _pairs(
+        self, centers_arr: np.ndarray, center_tree: cKDTree, radius_m: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        if radius_m < 0:
+            raise ValueError(f"radius must be non-negative, got {radius_m}")
+        _, coords, tree = self._bulk_view()
+        hits = center_tree.sparse_distance_matrix(
             tree,
             radius_m * (1.0 + _TREE_REL_SLACK) + _TREE_ABS_SLACK,
             output_type="ndarray",

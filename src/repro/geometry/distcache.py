@@ -1,7 +1,7 @@
 """Memoized pairwise-distance lookup over labelled points.
 
 Every layer of the scheduling stack — TSP constructions, 2-opt, tour
-splitting, schedule finish-time recursions, baseline itineraries —
+splitting, schedule finish-time recursions, the baselines' choices —
 needs the same Euclidean distances between the same few hundred points,
 and historically each kept its own ad-hoc ``euclidean()`` closure. The
 :class:`DistanceCache` is the single shared lookup: it is keyed by

@@ -53,9 +53,7 @@ def build_auxiliary_graph(
     # yields every such pair, in (cand, other) index order, so
     # appending both ways keeps every row ascending.
     index = DiskIndex({c: positions[c] for c in candidates})
-    rows, cols = index.pairs_within(
-        [positions[c] for c in candidates], 2.0 * radius_m
-    )
+    rows, cols = index.self_pairs_within(2.0 * radius_m)
     adjacency: Dict[int, List[int]] = {c: [] for c in candidates}
     for i, j in zip(rows.tolist(), cols.tolist()):
         if j > i:

@@ -5,7 +5,7 @@ with an edge wherever two sensors are within the charging radius ``γ``
 of each other — a unit-disk graph.
 
 Construction takes its edges from one KD-tree pair query
-(:meth:`repro.geometry.disk_index.DiskIndex.pairs_within`), so it is
+(:meth:`repro.geometry.disk_index.DiskIndex.self_pairs_within`), so it is
 O(n log n + |E|) instead of O(n²). Membership is
 ``u.distance_to(v) <= γ`` exactly, the rule of every other "within γ"
 in the repo. Edges carry no weight: nothing downstream reads one.
@@ -46,7 +46,5 @@ def build_charging_graph(
     # One pair query over all nodes. Labels were inserted in node_list
     # order, so label index == node_list index, and the pairs come
     # sorted by (i, j): each row is ascending.
-    rows, cols = index.pairs_within(
-        [positions[n] for n in node_list], radius_m
-    )
+    rows, cols = index.self_pairs_within(radius_m)
     return NeighborRows.from_pairs(node_list, rows, cols)

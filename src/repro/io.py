@@ -16,7 +16,6 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
-from repro.baselines.common import BaselineSchedule
 from repro.core.schedule import ChargingSchedule
 from repro.energy.battery import Battery
 from repro.geometry.deployment import Field
@@ -24,6 +23,7 @@ from repro.geometry.point import Point
 from repro.network.nodes import BaseStation, Depot
 from repro.network.sensor import Sensor
 from repro.network.topology import WRSN
+from repro.pipeline.planner import get_planner, planner_names
 
 WRSN_FORMAT = "repro-wrsn/1"
 #: v2 adds per-stop ``wait_s`` — the conflict-resolution idle inserted
@@ -229,7 +229,7 @@ def load_wrsn(path: PathLike) -> WRSN:
 # ----------------------------------------------------------------------
 
 def schedule_to_dict(
-    schedule: Union[ChargingSchedule, BaselineSchedule],
+    schedule: ChargingSchedule,
     algorithm: str = "",
 ) -> Dict:
     """Serialize any schedule to a JSON-ready report dict.
@@ -239,53 +239,34 @@ def schedule_to_dict(
     internal solver state; it is sufficient to drive an MCV fleet or to
     recompute every metric in :mod:`repro.sim.metrics`.
     """
+    name = algorithm or getattr(schedule, "planner", "")
+    # The kind is the registry's claim about the planner; a schedule
+    # from an unregistered one is taken as multi-node.
+    multi_node = name not in planner_names() or get_planner(name).multi_node
     # Unwrap the pipeline's PlannedSchedule proxy, if present.
     schedule = getattr(schedule, "raw", schedule)
-    if isinstance(schedule, ChargingSchedule):
-        vehicles: List[Dict] = []
-        for k, tour in enumerate(schedule.tours):
-            stops = []
-            for node in tour:
-                start, finish = schedule.stop_interval(node)
-                stops.append(
-                    {
-                        "location": node,
-                        "arrival_s": schedule.arrival[node],
-                        "start_s": start,
-                        "wait_s": schedule.wait[node],
-                        "finish_s": finish,
-                        "charges": sorted(schedule.charges.get(node, ())),
-                    }
-                )
-            vehicles.append(
-                {"vehicle": k, "delay_s": schedule.tour_delay(k),
-                 "stops": stops}
-            )
-        kind = "multi-node"
-    else:
-        vehicles = []
-        for k, itinerary in enumerate(schedule.itineraries):
-            stops = [
+    vehicles: List[Dict] = []
+    for k, tour in enumerate(schedule.tours):
+        stops = []
+        for node in tour:
+            start, finish = schedule.stop_interval(node)
+            stops.append(
                 {
-                    "location": v.sensor_id,
-                    "arrival_s": v.arrival_s,
-                    "start_s": v.arrival_s,
-                    # One-to-one planners never insert waits.
-                    "wait_s": 0.0,
-                    "finish_s": v.finish_s,
-                    "charges": [v.sensor_id],
+                    "location": node,
+                    "arrival_s": schedule.arrival[node],
+                    "start_s": start,
+                    "wait_s": schedule.wait[node],
+                    "finish_s": finish,
+                    "charges": sorted(schedule.charges.get(node, ())),
                 }
-                for v in itinerary
-            ]
-            vehicles.append(
-                {"vehicle": k, "delay_s": schedule.tour_delay(k),
-                 "stops": stops}
             )
-        kind = "one-to-one"
+        vehicles.append(
+            {"vehicle": k, "delay_s": schedule.tour_delay(k), "stops": stops}
+        )
     return {
         "format": SCHEDULE_FORMAT,
         "algorithm": algorithm,
-        "kind": kind,
+        "kind": "multi-node" if multi_node else "one-to-one",
         "depot": list(schedule.depot.as_tuple()),
         "longest_delay_s": schedule.longest_delay(),
         "vehicles": vehicles,
@@ -293,7 +274,7 @@ def schedule_to_dict(
 
 
 def save_schedule(
-    schedule: Union[ChargingSchedule, BaselineSchedule],
+    schedule: ChargingSchedule,
     path: PathLike,
     algorithm: str = "",
 ) -> None:

@@ -115,8 +115,8 @@ class WRSN:
             graph.add_nodes_from(self._sensors)
             positions = self.positions()
             labels = list(positions)
-            rows, cols = DiskIndex(positions).pairs_within(
-                list(positions.values()), self.comm_range_m
+            rows, cols = DiskIndex(positions).self_pairs_within(
+                self.comm_range_m
             )
             ids = np.asarray(labels)
             upper = ids[cols] > ids[rows]  # other > sid

@@ -1,16 +1,12 @@
 """Planner protocol, registry and the unified reporting surface.
 
-The paper's algorithm and the four baselines historically returned two
-different types — :class:`~repro.core.schedule.ChargingSchedule` for
-multi-node planners and
-:class:`~repro.baselines.common.BaselineSchedule` for one-to-one ones —
-and every consumer (simulator, benchmark harness, CLI) dispatched on
-the concrete type. The pipeline layer re-homes all of them as named
-:class:`PlannerInfo` entries producing a :class:`PlannedSchedule`: a
-transparent wrapper exposing the common reporting surface
-(``longest_delay``, ``tour_delays``, ``sensor_finish_times``,
-``covered_sensors``, ``validate``) while delegating everything else to
-the wrapped schedule, so type-specific code keeps working unchanged.
+Every planner returns a :class:`~repro.core.schedule.ChargingSchedule`;
+a one-to-one planner's stops each cover only their own sensor. The
+pipeline layer registers them as named :class:`PlannerInfo` entries
+producing a :class:`PlannedSchedule`: a transparent wrapper exposing
+the common reporting surface (``longest_delay``, ``tour_delays``,
+``sensor_finish_times``, ``covered_sensors``, ``validate``) while
+delegating everything else to the wrapped schedule.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ class PlannerInfo:
         name: registry key (also the CLI / bench display name).
         build: the uniform planner callable.
         multi_node: whether the planner charges multiple sensors per
-            sojourn stop (produces a ``ChargingSchedule``).
+            sojourn stop (the schedule report's ``kind``).
         paper: whether the algorithm is one of the paper's five
             (``Appro`` plus the four benchmarks); extension planners
             are excluded from paper-comparison surfaces.
@@ -127,11 +123,10 @@ def planner_names(paper_only: bool = False) -> List[str]:
 class PlannedSchedule:
     """A planner's result behind the unified reporting surface.
 
-    Wraps either a ``ChargingSchedule`` or a ``BaselineSchedule``
-    (``raw``); attribute access falls through to the wrapped object, so
-    existing type-specific consumers (``io.schedule_to_dict``, the
-    fault executor, schedule repair) keep working on ``raw`` — or on
-    the wrapper itself, transparently.
+    Wraps the planner's ``ChargingSchedule`` (``raw``); attribute
+    access falls through to it, so consumers (``io.schedule_to_dict``,
+    the fault executor, schedule repair) work on the wrapper or on
+    ``raw`` alike.
     """
 
     def __init__(
@@ -162,9 +157,7 @@ class PlannedSchedule:
 
     def covered_sensors(self) -> Set[int]:
         """All sensors the schedule serves."""
-        if self.multi_node:
-            return set(self.raw.covered_sensors())
-        return set(self.raw.visited_sensors())
+        return self.raw.covered_sensors()
 
     @property
     def num_tours(self) -> int:
@@ -173,33 +166,22 @@ class PlannedSchedule:
     def validate(
         self, required_sensors: Sequence[int]
     ) -> List[ScheduleViolation]:
-        """Feasibility violations against ``required_sensors``.
+        """Definition 1 violations against ``required_sensors``.
 
-        Multi-node schedules run the full Definition 1 validator;
-        one-to-one schedules can only violate coverage (each visit
-        charges exactly one sensor at its own location). When the
-        planning context is attached, the validator's conflict engine
-        reuses its memoized per-sensor stop-group index
+        When the planning context is attached and built the schedule's
+        coverage, the validator's conflict engine reuses the context's
+        memoized per-sensor stop-group index
         (:meth:`~repro.core.context.PlanningContext.sensor_stop_groups`)
-        instead of re-inverting the coverage relation per call.
+        instead of re-inverting the coverage relation per call. Those
+        groups are the charging disks; a one-to-one schedule covers
+        less than its disks, so it is checked against its own coverage.
         """
-        if self.multi_node:
-            groups = None
-            if self.context is not None:
-                stops = self.raw.scheduled_stops()
-                requests = set(self.context.requests)
-                if all(s in requests for s in stops):
-                    groups = self.context.sensor_stop_groups(stops)
-            return validate_schedule(self.raw, required_sensors, groups)
-        missing = sorted(set(required_sensors) - self.covered_sensors())
-        return [
-            ScheduleViolation(
-                kind="coverage",
-                detail=f"sensor {sid} is never visited",
-                nodes=(sid,),
-            )
-            for sid in missing
-        ]
+        groups = None
+        if self.context is not None:
+            stops = self.raw.scheduled_stops()
+            if self.context.built_coverage(self.raw.coverage, stops):
+                groups = self.context.sensor_stop_groups(stops)
+        return validate_schedule(self.raw, required_sensors, groups)
 
     # --- transparency ------------------------------------------------
 

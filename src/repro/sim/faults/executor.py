@@ -1,26 +1,24 @@
 """Fault-aware execution of a scheduled round.
 
-:func:`execute_with_faults` takes what a scheduler returned — a
-multi-node :class:`~repro.core.schedule.ChargingSchedule` or a
-one-to-one :class:`~repro.baselines.common.BaselineSchedule` — and one
+:func:`execute_with_faults` takes the
+:class:`~repro.core.schedule.ChargingSchedule` a scheduler returned —
+every planner, multi-node or one-to-one, returns one — and one
 :class:`~repro.sim.faults.specs.RoundFaults` draw, and produces the
 *executed* round: realized sensor finish times, the realized longest
 delay, and what the recovery machinery had to do.
 
-For a :class:`ChargingSchedule` a breakdown triggers the
-constraint-aware repair engine (:mod:`repro.core.repair`) on a copy of
-the schedule, so realized cross-tour disk intervals stay disjoint by
-construction; droop/slowdown/interruption faults then stretch the
-repaired timeline and the sweep-based conflict check reports any
-realized violations. For a one-to-one baseline there is no disk
-constraint to protect (``conflicts`` is ``None`` — not applicable); a
-breakdown is recovered by greedily re-queueing the dead vehicle's
-remaining visits onto the least-loaded surviving itineraries.
+A breakdown triggers the constraint-aware repair engine
+(:mod:`repro.core.repair`) on a copy of the schedule, so realized
+cross-tour disk intervals stay disjoint by construction;
+droop/slowdown/interruption faults then stretch the repaired timeline
+and the sweep-based conflict check reports any realized violations.
+A one-to-one schedule's stops share no sensor, so its conflict list
+is always empty.
 
-Sensors whose stop is *deferred* (degraded repair) or whose vehicle
-had no survivor to hand work to get no finish time — they stay
-uncharged this round and must be picked up by a later one. The caller
-(the monitoring simulator) is responsible for not recharging them.
+Sensors whose stop is *deferred* (degraded repair, or no surviving
+vehicle to hand work to) get no finish time — they stay uncharged this
+round and must be picked up by a later one. The caller (the monitoring
+simulator) is responsible for not recharging them.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.common import BaselineSchedule, Visit
 from repro.core.repair import RepairConfig, RepairOutcome, repair_schedule
 from repro.core.schedule import ChargingSchedule
 from repro.sim.faults.specs import NO_FAULTS, RoundFaults
@@ -47,21 +44,19 @@ class FaultyOutcome:
         realized_delay_s: the executed longest delay.
         sensor_finish_s: realized charge-finish time per sensor; a
             sensor absent from this map was **not** charged this round.
-        conflicts: realized no-simultaneous-charging violations
-            (``None`` for one-to-one baselines, where the constraint
-            does not apply).
-        repairs: stops/visits reassigned to surviving vehicles.
-        deferred_sensors: sensors dropped by degraded-mode repair (or
-            stranded with no surviving vehicle), sorted.
+        conflicts: realized no-simultaneous-charging violations.
+        repairs: stops reassigned to surviving vehicles.
+        deferred_sensors: sensors dropped by degraded-mode repair
+            (every orphan when no vehicle survives), sorted.
         breakdown_time_s: when the vehicle failed, if one did.
         degraded: whether repair entered degraded mode.
-        repair: the full repair record (multi-node schedules only).
+        repair: the full repair record, if a breakdown was repaired.
     """
 
     planned_delay_s: float
     realized_delay_s: float
     sensor_finish_s: Dict[int, float] = field(default_factory=dict)
-    conflicts: Optional[List[Tuple[int, int, float]]] = None
+    conflicts: List[Tuple[int, int, float]] = field(default_factory=list)
     repairs: int = 0
     deferred_sensors: List[int] = field(default_factory=list)
     breakdown_time_s: Optional[float] = None
@@ -75,8 +70,8 @@ class FaultyOutcome:
 
     @property
     def violation_count(self) -> int:
-        """Realized constraint violations (0 when not applicable)."""
-        return len(self.conflicts) if self.conflicts else 0
+        """Realized constraint violations."""
+        return len(self.conflicts)
 
 
 def execute_with_faults(
@@ -87,8 +82,7 @@ def execute_with_faults(
     """Execute one scheduled round under a fault draw.
 
     Args:
-        result: a :class:`ChargingSchedule` or
-            :class:`BaselineSchedule`, possibly wrapped in a
+        result: a :class:`ChargingSchedule`, possibly wrapped in a
             :class:`~repro.pipeline.planner.PlannedSchedule` (anything
             else raises ``TypeError``). Never mutated — breakdown
             repair runs on a copy.
@@ -99,27 +93,12 @@ def execute_with_faults(
     Returns:
         The :class:`FaultyOutcome`.
     """
-    result = getattr(result, "raw", result)
-    if isinstance(result, ChargingSchedule):
-        return _execute_schedule(result, faults, repair_config)
-    if isinstance(result, BaselineSchedule):
-        return _execute_baseline(result, faults)
-    raise TypeError(
-        f"cannot execute faults against {type(result).__name__}; "
-        f"expected ChargingSchedule or BaselineSchedule"
-    )
-
-
-# ----------------------------------------------------------------------
-# Multi-node schedules (Appro)
-# ----------------------------------------------------------------------
-
-
-def _execute_schedule(
-    schedule: ChargingSchedule,
-    faults: RoundFaults,
-    repair_config: Optional[RepairConfig],
-) -> FaultyOutcome:
+    schedule = getattr(result, "raw", result)
+    if not isinstance(schedule, ChargingSchedule):
+        raise TypeError(
+            f"cannot execute faults against {type(schedule).__name__}; "
+            f"expected a ChargingSchedule"
+        )
     planned = schedule.longest_delay()
     outcome = FaultyOutcome(planned_delay_s=planned, realized_delay_s=planned)
 
@@ -172,104 +151,6 @@ def _execute_schedule(
                 realized_start[node] + offset * faults.charge_factor,
                 realized_finish[node],
             )
-    return outcome
-
-
-# ----------------------------------------------------------------------
-# One-to-one baselines
-# ----------------------------------------------------------------------
-
-
-def _execute_baseline(
-    baseline: BaselineSchedule, faults: RoundFaults
-) -> FaultyOutcome:
-    planned = baseline.longest_delay()
-    outcome = FaultyOutcome(planned_delay_s=planned, realized_delay_s=planned)
-
-    failure_time = None
-    failed_vehicle = None
-    if faults.breakdown is not None and planned > 0.0:
-        failure_time = faults.breakdown.at_fraction * planned
-        failed_vehicle = faults.breakdown.vehicle
-        outcome.breakdown_time_s = failure_time
-
-    # One globally-ranked visit takes the interruption pause.
-    all_visits = [
-        (k, i)
-        for k, itinerary in enumerate(baseline.itineraries)
-        for i in range(len(itinerary))
-    ]
-    paused: Optional[Tuple[int, int]] = None
-    if faults.interrupted_rank is not None and all_visits:
-        paused = all_visits[int(faults.interrupted_rank * len(all_visits))]
-
-    speed = baseline.charger.travel_speed_mps
-
-    def travel(a: Optional[int], b: Optional[int]) -> float:
-        # Labels, not points: ``None`` is the depot; distances come
-        # from the schedule's shared cache.
-        return baseline.distance(a, b) / speed * faults.travel_factor
-
-    # Replay each itinerary with factors; collect the failed vehicle's
-    # orphans (cut on the planned timeline: anything not finished when
-    # the vehicle died must be redone).
-    clocks: List[float] = []
-    heres: List[Optional[int]] = []
-    orphans: List[Visit] = []
-    for k, itinerary in enumerate(baseline.itineraries):
-        clock = 0.0
-        here: Optional[int] = None
-        for i, visit in enumerate(itinerary):
-            if (
-                failed_vehicle == k
-                and failure_time is not None
-                and visit.finish_s > failure_time
-            ):
-                orphans.append(visit)
-                continue
-            clock += travel(here, visit.sensor_id)
-            duration = visit.duration_s * faults.charge_factor
-            if paused == (k, i):
-                duration += faults.interruption_pause_s
-            clock += duration
-            outcome.sensor_finish_s[visit.sensor_id] = clock
-            here = visit.sensor_id
-        clocks.append(clock)
-        heres.append(here)
-
-    # Greedy requeue of the orphans onto surviving itineraries.
-    survivors = [
-        k for k in range(baseline.num_tours) if k != failed_vehicle
-    ]
-    if orphans:
-        if not survivors:
-            outcome.deferred_sensors = sorted(
-                v.sensor_id for v in orphans
-            )
-            outcome.degraded = True
-        else:
-            effective = (failure_time or 0.0) + faults.comm_delay_s
-            for visit in sorted(orphans, key=lambda v: v.arrival_s):
-                k = min(survivors, key=lambda s: (clocks[s], s))
-                clock = max(clocks[k], effective) + travel(
-                    heres[k], visit.sensor_id
-                )
-                clock += visit.duration_s * faults.charge_factor
-                outcome.sensor_finish_s[visit.sensor_id] = clock
-                clocks[k] = clock
-                heres[k] = visit.sensor_id
-                outcome.repairs += 1
-
-    # Realized longest delay: each vehicle returns to the depot. The
-    # failed vehicle does not contribute a return leg.
-    realized = 0.0
-    for k in range(baseline.num_tours):
-        if failed_vehicle == k:
-            realized = max(realized, failure_time or 0.0)
-            continue
-        back = travel(heres[k], None) if clocks[k] > 0 else 0.0
-        realized = max(realized, clocks[k] + back)
-    outcome.realized_delay_s = realized
     return outcome
 
 

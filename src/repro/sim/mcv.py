@@ -1,8 +1,7 @@
 """Replaying schedules as vehicle trajectories.
 
 For diagnostics, animation and examples: turn a
-:class:`~repro.core.schedule.ChargingSchedule` or a
-:class:`~repro.baselines.common.BaselineSchedule` into per-vehicle
+:class:`~repro.core.schedule.ChargingSchedule` into per-vehicle
 time-stamped waypoint lists, so one can ask "where is MCV 2 at
 t = 1 h?" or export traces.
 """
@@ -10,9 +9,8 @@ t = 1 h?" or export traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List
 
-from repro.baselines.common import BaselineSchedule
 from repro.core.schedule import ChargingSchedule
 from repro.geometry.point import Point
 
@@ -63,52 +61,21 @@ class MCVTrajectory:
         return self.waypoints[-1].depart_s if self.waypoints else 0.0
 
 
-def replay_schedule(
-    schedule: Union[ChargingSchedule, BaselineSchedule],
-) -> List[MCVTrajectory]:
+def replay_schedule(schedule: ChargingSchedule) -> List[MCVTrajectory]:
     """Build one :class:`MCVTrajectory` per vehicle from a schedule."""
-    if isinstance(schedule, ChargingSchedule):
-        return _replay_core(schedule)
-    return _replay_baseline(schedule)
-
-
-def _replay_core(schedule: ChargingSchedule) -> List[MCVTrajectory]:
     out: List[MCVTrajectory] = []
     for k, tour in enumerate(schedule.tours):
-        waypoints = [
-            Waypoint(schedule.depot, 0.0, 0.0, "depot"),
-        ]
+        waypoints = [Waypoint(schedule.depot, 0.0, 0.0, "depot")]
         for node in tour:
-            start, finish = schedule.stop_interval(node)
             waypoints.append(
                 Waypoint(
                     schedule.positions[node],
                     schedule.arrival[node],
-                    finish,
+                    schedule.finish[node],
                     f"stop:{node}",
                 )
             )
         if tour:
-            end = schedule.tour_delay(k)
-            waypoints.append(Waypoint(schedule.depot, end, end, "depot"))
-        out.append(MCVTrajectory(vehicle=k, waypoints=waypoints))
-    return out
-
-
-def _replay_baseline(schedule: BaselineSchedule) -> List[MCVTrajectory]:
-    out: List[MCVTrajectory] = []
-    for k, itinerary in enumerate(schedule.itineraries):
-        waypoints = [Waypoint(schedule.depot, 0.0, 0.0, "depot")]
-        for visit in itinerary:
-            waypoints.append(
-                Waypoint(
-                    schedule.positions[visit.sensor_id],
-                    visit.arrival_s,
-                    visit.finish_s,
-                    f"sensor:{visit.sensor_id}",
-                )
-            )
-        if itinerary:
             end = schedule.tour_delay(k)
             waypoints.append(Waypoint(schedule.depot, end, end, "depot"))
         out.append(MCVTrajectory(vehicle=k, waypoints=waypoints))

@@ -9,9 +9,8 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.baselines.common import BaselineSchedule
 from repro.core.schedule import ChargingSchedule
 from repro.network.topology import WRSN
 from repro.viz.svg import SvgCanvas
@@ -70,7 +69,7 @@ def render_network(
 
 def render_schedule(
     network: WRSN,
-    schedule: Union[ChargingSchedule, BaselineSchedule],
+    schedule: ChargingSchedule,
     charge_radius_m: Optional[float] = None,
     pixels_per_meter: float = 8.0,
 ) -> SvgCanvas:
@@ -78,47 +77,27 @@ def render_schedule(
     canvas = render_network(network, pixels_per_meter=pixels_per_meter)
     depot = network.depot.position.as_tuple()
 
-    if isinstance(schedule, ChargingSchedule):
-        radius = (
-            charge_radius_m
-            if charge_radius_m is not None
-            else schedule.charger.charge_radius_m
-        )
-        tours = schedule.tours
-        for k, tour in enumerate(tours):
-            color = TOUR_COLORS[k % len(TOUR_COLORS)]
-            points = [depot]
-            points.extend(
-                network.position_of(node).as_tuple() for node in tour
+    radius = (
+        charge_radius_m
+        if charge_radius_m is not None
+        else schedule.charger.charge_radius_m
+    )
+    for k, tour in enumerate(schedule.tours):
+        color = TOUR_COLORS[k % len(TOUR_COLORS)]
+        points = [depot]
+        points.extend(network.position_of(node).as_tuple() for node in tour)
+        points.append(depot)
+        canvas.polyline(points, stroke=color, stroke_width=1.5)
+        for node in tour:
+            pos = network.position_of(node)
+            canvas.circle(
+                pos.x, pos.y, radius, stroke=color,
+                stroke_width=0.8, opacity=0.6,
             )
-            points.append(depot)
-            canvas.polyline(points, stroke=color, stroke_width=1.5)
-            for node in tour:
-                pos = network.position_of(node)
-                canvas.circle(
-                    pos.x, pos.y, radius, stroke=color,
-                    stroke_width=0.8, opacity=0.6,
-                )
-            if tour:
-                first = network.position_of(tour[0])
-                canvas.text(
-                    first.x + 0.5, first.y + 0.5, f"MCV {k}",
-                    size_px=10, fill=color,
-                )
-    else:
-        for k, itinerary in enumerate(schedule.itineraries):
-            color = TOUR_COLORS[k % len(TOUR_COLORS)]
-            points = [depot]
-            points.extend(
-                network.position_of(v.sensor_id).as_tuple()
-                for v in itinerary
+        if tour:
+            first = network.position_of(tour[0])
+            canvas.text(
+                first.x + 0.5, first.y + 0.5, f"MCV {k}",
+                size_px=10, fill=color,
             )
-            points.append(depot)
-            canvas.polyline(points, stroke=color, stroke_width=1.5)
-            if itinerary:
-                first = network.position_of(itinerary[0].sensor_id)
-                canvas.text(
-                    first.x + 0.5, first.y + 0.5, f"MCV {k}",
-                    size_px=10, fill=color,
-                )
     return canvas

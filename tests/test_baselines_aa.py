@@ -51,7 +51,7 @@ class TestAaSchedule:
     def test_all_requests_served_once(self, depleted_net):
         requests = depleted_net.all_sensor_ids()
         sched = aa_schedule(depleted_net, requests, num_chargers=3, seed=1)
-        visited = sched.visited_sensors()
+        visited = sched.scheduled_stops()
         assert sorted(visited) == sorted(requests)
         assert len(visited) == len(set(visited))
 
@@ -70,9 +70,9 @@ class TestAaSchedule:
 
         requests = depleted_net.all_sensor_ids()
         sched = aa_schedule(depleted_net, requests, num_chargers=2, seed=2)
-        # Each non-empty itinerary's sensors must form one k-means
+        # Each non-empty tour's sensors must form one k-means
         # cluster: check count matches total.
-        counts = [len(it) for it in sched.itineraries]
+        counts = [len(tour) for tour in sched.tours]
         assert sum(counts) == len(requests)
 
     def test_deterministic(self, depleted_net):

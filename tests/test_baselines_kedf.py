@@ -10,12 +10,12 @@ class TestKedf:
     def test_all_requests_served(self, depleted_net):
         requests = depleted_net.all_sensor_ids()
         sched = kedf_schedule(depleted_net, requests, num_chargers=2)
-        assert sorted(sched.visited_sensors()) == sorted(requests)
+        assert sorted(sched.scheduled_stops()) == sorted(requests)
 
     def test_each_sensor_once(self, depleted_net):
         requests = depleted_net.all_sensor_ids()
         sched = kedf_schedule(depleted_net, requests, num_chargers=3)
-        visited = sched.visited_sensors()
+        visited = sched.scheduled_stops()
         assert len(visited) == len(set(visited))
 
     def test_invalid_k(self, depleted_net):
@@ -39,8 +39,8 @@ class TestKedf:
         # sees one sensor per group, so its sequence of group indices
         # must be non-decreasing.
         group_of = {sid: i // 2 for i, sid in enumerate(requests)}
-        for itinerary in sched.itineraries:
-            groups = [group_of[v.sensor_id] for v in itinerary]
+        for tour in sched.tours:
+            groups = [group_of[sid] for sid in tour]
             assert groups == sorted(groups)
 
     def test_more_chargers_no_slower(self, depleted_net):
@@ -53,10 +53,11 @@ class TestKedf:
         spec = ChargerSpec()
         requests = depleted_net.all_sensor_ids()[:4]
         sched = kedf_schedule(depleted_net, requests, 2, charger=spec)
-        for itinerary in sched.itineraries:
-            for visit in itinerary:
-                sensor = depleted_net.sensor(visit.sensor_id)
-                expected = (
-                    sensor.capacity_j - sensor.residual_j
-                ) / spec.charge_rate_w
-                assert visit.duration_s == pytest.approx(expected)
+        for sid in sched.scheduled_stops():
+            sensor = depleted_net.sensor(sid)
+            expected = (
+                sensor.capacity_j - sensor.residual_j
+            ) / spec.charge_rate_w
+            assert sched.duration[sid] == pytest.approx(expected)
+            start, finish = sched.stop_interval(sid)
+            assert finish - start == pytest.approx(expected)

@@ -10,7 +10,7 @@ class TestKminmaxBaseline:
     def test_all_requests_served_once(self, depleted_net):
         requests = depleted_net.all_sensor_ids()
         sched = kminmax_baseline_schedule(depleted_net, requests, 2)
-        visited = sched.visited_sensors()
+        visited = sched.scheduled_stops()
         assert sorted(visited) == sorted(requests)
         assert len(visited) == len(set(visited))
 
@@ -45,7 +45,7 @@ class TestKminmaxBaseline:
         sched = kminmax_baseline_schedule(
             medium_depleted_net, requests, 2, tsp_method="christofides"
         )
-        assert sorted(sched.visited_sensors()) == sorted(requests)
+        assert sorted(sched.scheduled_stops()) == sorted(requests)
 
     def test_double_mst_path_bytes_pinned(self):
         """600 requests take the double-MST walk; its longest delay is

@@ -9,7 +9,7 @@ class TestNetwrap:
     def test_all_requests_served_once(self, depleted_net):
         requests = depleted_net.all_sensor_ids()
         sched = netwrap_schedule(depleted_net, requests, num_chargers=2)
-        visited = sched.visited_sensors()
+        visited = sched.scheduled_stops()
         assert sorted(visited) == sorted(requests)
         assert len(visited) == len(set(visited))
 
@@ -30,7 +30,7 @@ class TestNetwrap:
         sched = netwrap_schedule(
             depleted_net, requests, num_chargers=1, travel_weight=1.0
         )
-        first = sched.itineraries[0][0].sensor_id
+        first = sched.tours[0][0]
         depot = depleted_net.depot.position
         nearest = min(
             requests, key=lambda sid: depot.distance_to(
@@ -47,15 +47,15 @@ class TestNetwrap:
             depleted_net, requests, num_chargers=1, lifetimes=lifetimes,
             travel_weight=0.0,
         )
-        order = [v.sensor_id for v in sched.itineraries[0]]
+        order = sched.tours[0]
         assert order == requests
 
     def test_visits_time_consistent(self, depleted_net):
         requests = depleted_net.all_sensor_ids()
         sched = netwrap_schedule(depleted_net, requests, num_chargers=3)
-        for itinerary in sched.itineraries:
+        for tour in sched.tours:
             clock = 0.0
-            for visit in itinerary:
-                assert visit.arrival_s >= clock - 1e-9
-                assert visit.finish_s >= visit.arrival_s
-                clock = visit.finish_s
+            for sid in tour:
+                assert sched.arrival[sid] >= clock - 1e-9
+                assert sched.finish[sid] >= sched.arrival[sid]
+                clock = sched.finish[sid]

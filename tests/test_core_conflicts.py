@@ -279,18 +279,6 @@ class TestResolutionParity:
         assert resolver.conflicts() == conflicting_pairs(schedule)
 
 
-def baseline_fingerprint(schedule):
-    """Byte-level view of a one-to-one ``BaselineSchedule``."""
-    return (
-        [
-            [(v.sensor_id, v.arrival_s, v.finish_s) for v in itinerary]
-            for itinerary in schedule.itineraries
-        ],
-        schedule.tour_delays(),
-        schedule.longest_delay(),
-    )
-
-
 class TestPlannerParity:
     """Acceptance criterion: 100+ seeded instances across every
     registered planner produce schedules byte-identical to the
@@ -298,9 +286,11 @@ class TestPlannerParity:
 
     For the multi-node planners (the only ones that resolve conflicts)
     the reference is the same raw plan resolved by the retired
-    full-rescan all-pairs loop; the one-to-one planners never touch the
-    engine, so their pre-change implementation *is* the current one —
-    pinned by a byte-level determinism check on the same instances.
+    full-rescan all-pairs loop; the one-to-one planners never resolve
+    conflicts, so their pre-change implementation *is* the current one —
+    pinned by a byte-level determinism check on the same instances (and
+    against the retired itinerary type in
+    ``tests/test_baselines_parity.py``); they must validate clean too.
     """
 
     SEEDS = range(17)  # 17 seeds x 6 planners = 102 instances
@@ -353,9 +343,10 @@ class TestPlannerParity:
                     again = run_planner(
                         name, self._network(seed), requests, 3
                     )
-                    assert baseline_fingerprint(planned.raw) == (
-                        baseline_fingerprint(again.raw)
+                    assert schedule_fingerprint(planned.raw) == (
+                        schedule_fingerprint(again.raw)
                     ), f"{name} seed {seed}"
+                    assert planned.validate(requests) == []
         assert multi >= 2 * len(self.SEEDS)  # engine path covered
 
 

@@ -129,6 +129,64 @@ class TestInsertStop:
             sched.insert_stop_after(1, 4, 1)
 
 
+class TestRemoveReinsert:
+    """``remove_stop``/``reinsert_stop`` resume the finish-time
+    recursion at the changed index; the result must equal a recompute
+    from the depot bit for bit."""
+
+    @staticmethod
+    def _long_schedule():
+        import numpy as np
+
+        rng = np.random.default_rng(3)
+        ids = list(range(30))
+        positions = {
+            i: Point(*rng.uniform(0.0, 50.0, size=2)) for i in ids
+        }
+        sched = ChargingSchedule(
+            depot=Point(25.0, 25.0),
+            positions=positions,
+            coverage={i: frozenset({i}) for i in ids},
+            charge_times={i: float(rng.uniform(10.0, 500.0)) for i in ids},
+            charger=ChargerSpec(travel_speed_mps=0.7),
+            num_tours=2,
+        )
+        for i in ids:
+            sched.append_stop(i % 2, i)
+        for i in ids[::4]:
+            sched.add_wait(i, float(rng.uniform(0.0, 90.0)))
+        return sched
+
+    @staticmethod
+    def _assert_matches_full_recompute(sched):
+        full = sched.copy()
+        for k in range(full.num_tours):
+            full.recompute_finish_times(k)
+        assert full.arrival == sched.arrival
+        assert full.finish == sched.finish
+
+    @pytest.mark.parametrize("position", [0, 1, 7, 14])
+    def test_remove_then_reinsert_everywhere(self, position):
+        sched = self._long_schedule()
+        node = sched.tours[0][position]
+        sched.remove_stop(node)
+        self._assert_matches_full_recompute(sched)
+        for anchor in [None] + sched.tours[1]:
+            sched.reinsert_stop(1, anchor, node)
+            self._assert_matches_full_recompute(sched)
+            sched.remove_stop(node)
+            self._assert_matches_full_recompute(sched)
+
+    def test_remove_with_release_recomputes_downstream(self):
+        sched = self._long_schedule()
+        node = sched.tours[1][3]
+        after = sched.tours[1][4]
+        before = sched.finish[after]
+        sched.remove_stop(node, release_coverage=True)
+        assert sched.finish[after] < before
+        self._assert_matches_full_recompute(sched)
+
+
 class TestDelays:
     def test_tour_delay_includes_return(self):
         sched = make_schedule()

@@ -15,6 +15,7 @@ from repro.eval import (
     EVAL_FORMAT,
     EvalMatrix,
     build_cells,
+    build_report,
     cell_parity_lines,
     default_matrix,
     execute_eval_cell,
@@ -146,6 +147,67 @@ class TestCellExecution:
             execute_eval_cell(overload)["requests"]
             > execute_eval_cell(baseline)["requests"]
         )
+
+
+class TestDegradedTrials:
+    """A degraded trial deferred sensors, so its realized delay is that
+    of a smaller round: the realized metrics leave it out."""
+
+    @staticmethod
+    def _cell(k: int, planner: str = "K-EDF"):
+        (cell,) = build_cells(
+            EvalMatrix(
+                sizes=(20,), densities=(1.0,), num_chargers=(k,),
+                scenarios=("breakdown",), planners=(planner,), trials=3,
+            )
+        )
+        return cell
+
+    @pytest.mark.parametrize("planner", ["Appro", "K-EDF"])
+    def test_every_trial_degraded_gives_null(self, planner):
+        # K = 1: no surviving vehicle, so every breakdown degrades.
+        record = execute_eval_cell(self._cell(1, planner))
+        assert record["breakdowns"] == record["degraded"] == 3
+        assert record["realized_mean_s"] is None
+        assert record["realized_max_s"] is None
+
+    def test_degraded_trials_are_left_out(self, monkeypatch):
+        import repro.eval.worker as worker
+        from repro.sim.faults.executor import FaultyOutcome
+
+        delays = iter([100.0, 900.0, 300.0])
+        degraded = iter([False, True, False])
+
+        def fake(schedule, draw):
+            return FaultyOutcome(
+                planned_delay_s=1.0,
+                realized_delay_s=next(delays),
+                degraded=next(degraded),
+            )
+
+        monkeypatch.setattr(worker, "execute_with_faults", fake)
+        record = execute_eval_cell(self._cell(2))
+        assert record["degraded"] == 1
+        assert record["realized_mean_s"] == 200.0
+        assert record["realized_max_s"] == 300.0
+
+    def test_summary_averages_only_cells_with_a_value(self):
+        matrix = EvalMatrix(sizes=(20,), planners=("Appro",))
+        records = [
+            {
+                "cell": f"c{i}", "group": f"g{i}", "planner": "Appro",
+                "planned_delay_s": 10.0, "realized_mean_s": realized,
+                "deadline_miss_ratio": 0.0, "repairs": 0,
+                "violations": 0, "timing": {},
+            }
+            for i, realized in enumerate([None, 30.0, 50.0])
+        ]
+        report = build_report(matrix, records)
+        assert report["planners"]["Appro"]["mean_realized_delay_s"] == 40.0
+        records[1]["realized_mean_s"] = records[2]["realized_mean_s"] = None
+        report = build_report(matrix, records)
+        assert report["planners"]["Appro"]["mean_realized_delay_s"] is None
+        assert " - " in render_summary_table(report)
 
 
 class TestReport:

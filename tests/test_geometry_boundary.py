@@ -97,6 +97,9 @@ def _assert_pairs_match_reference(points, centers, radius_m):
     rows, cols = index.pairs_within(centers, radius_m)
     expected = _hypot_reference(points, centers, radius_m)
     assert (rows.tolist(), cols.tolist()) == expected
+    if centers is points:
+        rows, cols = index.self_pairs_within(radius_m)
+        assert (rows.tolist(), cols.tolist()) == expected
     return len(expected[0])
 
 
@@ -181,3 +184,21 @@ def test_huge_coordinates_and_radii_fall_back_to_hypot():
         pts = _ring((radius_m, -radius_m), radius_m, _FACTORS, spokes=6)
         pts.append((radius_m, -radius_m))
         _assert_pairs_match_reference(pts, pts[-8:], radius_m)
+
+
+def test_self_pairs_equal_pairs_within_on_the_same_points():
+    """The index's tree queried against itself gives the arrays a
+    query with its own points as the centers gives."""
+    rng = np.random.default_rng(7)
+    for n, side in [(1, 10.0), (40, 10.0), (500, 100.0), (2000, 200.0)]:
+        pts = [tuple(p) for p in rng.uniform(0.0, side, size=(n, 2))]
+        pts += pts[: n // 10]  # coincident duplicates
+        index = DiskIndex(dict(enumerate(pts)))
+        for radius_m in (0.0, 0.5, 2.7, 5.4, 2.0 * side):
+            rows, cols = index.self_pairs_within(radius_m)
+            ref_rows, ref_cols = index.pairs_within(pts, radius_m)
+            assert rows.dtype == ref_rows.dtype
+            assert np.array_equal(rows, ref_rows)
+            assert np.array_equal(cols, ref_cols)
+    empty = DiskIndex({})
+    assert [a.tolist() for a in empty.self_pairs_within(1.0)] == [[], []]

@@ -9,6 +9,7 @@ byte-identical to the pre-pipeline direct calls.
 import numpy as np
 import pytest
 
+from repro.core.schedule import ChargingSchedule
 from repro.io import dump_jsonl_line, schedule_to_dict
 from repro.network.topology import random_wrsn
 from repro.pipeline import (
@@ -66,15 +67,19 @@ class TestRegistry:
             name for name in PAPER_PLANNERS if get_planner(name).multi_node
         ] == ["Appro"]
 
-    def test_only_multi_node_planners_produce_charging_schedules(
-        self, workload
-    ):
+    def test_every_planner_produces_a_charging_schedule(self, workload):
+        """One schedule type for all planners; the report's ``kind``
+        comes from the registry's ``multi_node``, not the type."""
         net, requests = workload
         ctx = PlanningContext(net, requests)
         for name in ALL_PLANNERS:
             result = run_planner(name, net, requests, 2, context=ctx)
             assert result.multi_node == get_planner(name).multi_node
-            assert hasattr(result.raw, "coverage") == result.multi_node
+            assert isinstance(result.raw, ChargingSchedule)
+            kind = schedule_to_dict(result, name)["kind"]
+            assert kind == (
+                "multi-node" if result.multi_node else "one-to-one"
+            )
 
 
 class TestParity:

@@ -6,7 +6,8 @@ correctness rests on, over randomly generated instances:
 * MIS independence + maximality + coverage on unit-disk graphs;
 * auxiliary-graph degree bound (Lemma 2);
 * tour-splitting bound consistency and order preservation;
-* full-pipeline feasibility: coverage, disjointness, no overlap;
+* full-pipeline feasibility: coverage, disjointness, no overlap —
+  for Appro and for every registered planner;
 * battery arithmetic invariants.
 """
 
@@ -31,6 +32,7 @@ from tests._legacy_graphs import assert_same_rows, nx_build_charging_graph
 from repro.network.nodes import BaseStation, Depot
 from repro.network.sensor import Sensor
 from repro.network.topology import WRSN
+from repro.pipeline.planner import planner_names, run_planner
 from repro.tours.splitting import segment_cost, split_tour_min_max
 
 GAMMA = 2.7
@@ -186,3 +188,40 @@ def test_charging_graph_is_symmetric_unit_disk(raw):
         for v in nodes[-5:]:
             if u != v and v not in graph.neighbors(u):
                 assert positions[u].distance_to(positions[v]) > GAMMA - 1e-9
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.lists(coords, min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=4),
+    st.floats(0.05, 1.0),
+    st.sampled_from(planner_names()),
+)
+def test_every_registered_planner_validates(raw, k, density, name):
+    """Every planner's schedule passes Definition 1 against its own
+    coverage, and through the pipeline's ``validate`` as well."""
+    positions = to_positions(raw)
+    center = Point(30, 30)
+    sensors = [
+        Sensor(
+            id=i,
+            position=positions[i],
+            battery=Battery(capacity_j=10_800.0, level_j=1_000.0 + 97.0 * i),
+        )
+        for i in positions
+    ]
+    net = WRSN(
+        sensors=sensors,
+        base_station=BaseStation(position=center),
+        depot=Depot(position=center),
+    )
+    ids = net.all_sensor_ids()
+    requests = ids[: max(1, int(round(density * len(ids))))]
+    planned = run_planner(name, net, requests, k)
+    assert validate_schedule(planned.raw, requests) == []
+    assert planned.validate(requests) == []
+    assert planned.covered_sensors() == set(requests)

@@ -32,7 +32,7 @@ from repro.serve.sanitize import (
 BUGGY_PLUGIN_SOURCE = '''
 """Deliberately hash-order-dependent planner (sanitizer test fixture)."""
 
-from repro.baselines.common import BaselineSchedule, build_itinerary
+from repro.baselines.common import one_to_one_schedule
 from repro.energy.charging import ChargerSpec
 from repro.pipeline import PlannerInfo, register_planner
 
@@ -40,19 +40,12 @@ from repro.pipeline import PlannerInfo, register_planner
 def buggy_schedule(network, request_ids, num_chargers, charger=None,
                    lifetimes=None, context=None, **kwargs):
     spec = charger if charger is not None else ChargerSpec()
-    positions = network.positions()
-    depot = network.depot.position
     requests = sorted(set(request_ids))
-    charge_times = context.charge_times_for(requests)
     labels = {"s%d" % sid: sid for sid in requests}
     tags = {"s%d" % sid for sid in requests}
     order = [labels[name] for name in tags]  # BUG: set iteration order
     sequences = [order[k::num_chargers] for k in range(num_chargers)]
-    itineraries = [
-        build_itinerary(seq, positions, depot, spec, charge_times)
-        for seq in sequences
-    ]
-    return BaselineSchedule(depot, positions, spec, itineraries)
+    return one_to_one_schedule(context, requests, spec, num_chargers, sequences)
 
 
 register_planner(

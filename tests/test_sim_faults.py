@@ -353,7 +353,7 @@ class TestExecutor:
 
     def test_baseline_execution(self, baseline):
         outcome = execute_with_faults(baseline)
-        assert outcome.conflicts is None  # constraint n/a
+        assert outcome.conflicts == []  # stops share no sensor
         assert outcome.violation_count == 0
         assert outcome.realized_delay_s == pytest.approx(
             baseline.longest_delay(), rel=1e-6

@@ -62,9 +62,9 @@ class TestReplayBaselineSchedule:
         sched = kedf_schedule(depleted_net, requests, num_chargers=2)
         trajectories = replay_schedule(sched)
         assert len(trajectories) == 2
-        for traj, itinerary in zip(trajectories, sched.itineraries):
-            # One waypoint per visit plus depot bookends.
-            assert len(traj.waypoints) == len(itinerary) + 2
+        for traj, tour in zip(trajectories, sched.tours):
+            # One waypoint per stop plus depot bookends.
+            assert len(traj.waypoints) == len(tour) + 2
 
     def test_interpolation_midway(self):
         traj = MCVTrajectory(
