@@ -48,7 +48,13 @@ in ``tests/_legacy_tours.py``. Two rules make that possible:
    cumsum of that segment's steps plus the closing legs, kept as a
    running-max row; ``max`` never rounds, so each binary-search probe
    reads its next cut off the row with one bisection, byte-identical
-   to the scalar packer.
+   to the scalar packer. A probe also reports the interval of bounds
+   between the row entries around each cut, where every bisection and
+   hence its answer stays the same; the search takes a ``mid`` inside
+   a known interval from that probe, and stops once the feasible and
+   infeasible intervals touch, since no later probe can change its
+   answer. The scalar search's ``low``/``high``/``mid`` floats and its
+   final cuts are unchanged.
 
 Every kernel needs a depot-carrying :class:`DistanceCache`; a depot-less
 cache or duplicate labels raise ``ValueError``.
@@ -56,6 +62,7 @@ cache or duplicate labels raise ``ValueError``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
@@ -487,9 +494,15 @@ def dense_tour_legs(
     )
 
 
+#: A split probe's answer under one (slackened) bound: the cut
+#: positions (``None`` when infeasible) and the half-open interval
+#: ``[lo, hi)`` of bounds under which the answer cannot change.
+ProbeAnswer = Tuple[Optional[List[int]], float, float]
+
+
 def _greedy_packer(
     legs: TourLegs, speed_mps: float
-) -> Callable[[float, Optional[int]], Optional[List[int]]]:
+) -> Callable[[float, Optional[int]], ProbeAnswer]:
     """The greedy consecutive packer over ``legs``, as a function of the
     bound; parity with the scalar oracle
     ``legacy_greedy_split_with_bound``.
@@ -503,8 +516,13 @@ def _greedy_packer(
     entry above the bound is the packer's first violation and
     ``bisect_right`` finds it. Each row is built once, on the first
     probe that opens a segment at ``s``, and lives as long as the
-    returned function; a probe then costs O(segments * log n). A probe
-    returns what :func:`greedy_split_cuts` documents.
+    returned function; a probe then costs O(segments * log n).
+
+    A probe returns what :func:`greedy_split_cuts` documents, plus the
+    interval ``[lo, hi)`` with ``lo = max R_s[reach - 1]`` and
+    ``hi = min R_s[reach]`` over the rows it read (``-inf``/``inf``
+    where ``reach`` is at a row's end): every ``bisect_right`` of the
+    walk, hence its answer, is the same for any bound in it.
     """
     n = len(legs)
     start_step = legs.start_m / speed_mps + legs.service_s
@@ -521,19 +539,24 @@ def _greedy_packer(
 
     def cuts_under(
         bound: float, max_segments: Optional[int] = None
-    ) -> Optional[List[int]]:
+    ) -> ProbeAnswer:
         cuts: List[int] = []
+        lo, hi = -math.inf, math.inf
         s = 0
         while True:
-            reach = bisect_right(rows.get(s) or row(s), bound)
+            r = rows.get(s) or row(s)
+            reach = bisect_right(r, bound)
+            if reach < len(r):
+                hi = min(hi, r[reach])
             if not reach:
-                return None  # single node infeasible under this bound
+                return None, lo, hi  # single node infeasible
+            lo = max(lo, r[reach - 1])
             s += reach
             if s == n:
-                return cuts
+                return cuts, lo, hi
             cuts.append(s)
             if max_segments is not None and len(cuts) >= max_segments:
-                return None
+                return None, lo, hi
 
     return cuts_under
 
@@ -555,7 +578,7 @@ def greedy_split_cuts(
     """
     if not len(legs):
         return []
-    return _greedy_packer(legs, speed_mps)(bound, max_segments)
+    return _greedy_packer(legs, speed_mps)(bound, max_segments)[0]
 
 
 def _cut_ranges(cuts: Sequence[int], n: int) -> List[Tuple[int, int]]:
@@ -594,6 +617,56 @@ def _split_bounds(legs: TourLegs, speed_mps: float) -> Tuple[float, float]:
     return low, high
 
 
+def _bisect_split(
+    legs: TourLegs, speed_mps: float, probe: Callable[[float], ProbeAnswer]
+) -> Tuple[Optional[List[Tuple[int, int]]], float]:
+    """The scalar oracle's binary search over the bound, shared by both
+    splits.
+
+    ``probe`` answers a slackened bound. The ``low``/``high``/``mid``
+    arithmetic and the stopping rule are the scalar oracle's; a ``mid``
+    inside the last feasible or infeasible probe's interval takes that
+    probe's answer without a walk, and once the two intervals touch no
+    later probe can change ``best``, so the search stops. Returns
+    ``(None, inf)`` when even the whole order as one segment fails.
+    """
+    n = len(legs)
+    if not n:
+        return [], 0.0
+
+    def slack(bound: float) -> float:
+        return bound * (1.0 + 1e-12) + 1e-9
+
+    low, high = _split_bounds(legs, speed_mps)
+    best, fit_lo, fit_hi = probe(slack(high))
+    if best is None:
+        return None, math.inf
+    cuts, miss_lo, miss_hi = probe(slack(low))
+    if cuts is not None:
+        best = cuts
+    else:
+        for _ in range(_BINARY_SEARCH_MAX_ITER):
+            if miss_hi == fit_lo:
+                break
+            if high - low <= _BINARY_SEARCH_REL_TOL * max(high, 1.0):
+                break
+            mid = (low + high) / 2.0
+            bound = slack(mid)
+            if fit_lo <= bound < fit_hi:
+                high = mid
+            elif miss_lo <= bound < miss_hi:
+                low = mid
+            else:
+                cuts, lo, hi = probe(bound)
+                if cuts is None:
+                    low, miss_lo, miss_hi = mid, lo, hi
+                else:
+                    high, best, fit_lo, fit_hi = mid, cuts, lo, hi
+    ranges = _cut_ranges(best, n)
+    achieved = max(range_cost(legs, s, e, speed_mps) for s, e in ranges)
+    return ranges, achieved
+
+
 def split_min_max_ranges(
     legs: TourLegs,
     num_tours: int,
@@ -602,34 +675,13 @@ def split_min_max_ranges(
     """Binary-searched min-max split as position ranges; parity with
     the scalar oracle ``legacy_split_tour_min_max``. Every probe runs
     one :func:`_greedy_packer`, so the rows one probe builds serve all
-    later probes of the call."""
-    n = len(legs)
-    if not n:
-        return [], 0.0
-    low, high = _split_bounds(legs, speed_mps)
+    later probes of the call, and its intervals let the search skip
+    walks whose answer is already known."""
     cuts_under = _greedy_packer(legs, speed_mps)
-
-    def feasible(bound: float) -> Optional[List[int]]:
-        return cuts_under(bound * (1.0 + 1e-12) + 1e-9, num_tours)
-
-    best = feasible(high)
-    assert best is not None, "the full tour must fit in one segment"
-    low_cuts = feasible(low)
-    if low_cuts is not None:
-        best = low_cuts
-    else:
-        for _ in range(_BINARY_SEARCH_MAX_ITER):
-            if high - low <= _BINARY_SEARCH_REL_TOL * max(high, 1.0):
-                break
-            mid = (low + high) / 2.0
-            cuts = feasible(mid)
-            if cuts is None:
-                low = mid
-            else:
-                high = mid
-                best = cuts
-    ranges = _cut_ranges(best, n)
-    achieved = max(range_cost(legs, s, e, speed_mps) for s, e in ranges)
+    ranges, achieved = _bisect_split(
+        legs, speed_mps, lambda bound: cuts_under(bound, num_tours)
+    )
+    assert ranges is not None, "the full tour must fit in one segment"
     return ranges, achieved
 
 
@@ -647,11 +699,10 @@ def split_dual_ranges(
     ``drain_w`` is the charger's drawn power ``charge_rate_w /
     transfer_efficiency`` (pre-divided once — the scalar expression
     groups as ``(rate / eff) * seconds``, so the product is identical).
+    Its probe reports the empty interval ``[b, b)``, so the search
+    walks every probe the scalar oracle makes.
     """
     n = len(legs)
-    if not n:
-        return [], 0.0
-    low, high = _split_bounds(legs, speed_mps)
     start_t = legs.start_m / speed_mps
     chain_t = legs.chain_m / speed_mps
     closing_t = legs.closing_m / speed_mps
@@ -696,33 +747,13 @@ def split_dual_ranges(
             cuts.append(s)
         return cuts
 
-    def feasible(bound: float) -> Optional[List[int]]:
-        slack = bound * (1.0 + 1e-12) + 1e-9
-        cuts = cuts_under(slack)
-        if cuts is None or len(cuts) + 1 > num_tours:
-            return None
-        return cuts
+    def probe(bound: float) -> ProbeAnswer:
+        cuts = cuts_under(bound)
+        if cuts is not None and len(cuts) + 1 > num_tours:
+            cuts = None
+        return cuts, bound, bound
 
-    best = feasible(high)
-    if best is None:
-        return None, float("inf")
-    low_cuts = feasible(low)
-    if low_cuts is not None:
-        best = low_cuts
-    else:
-        for _ in range(_BINARY_SEARCH_MAX_ITER):
-            if high - low <= _BINARY_SEARCH_REL_TOL * max(high, 1.0):
-                break
-            mid = (low + high) / 2.0
-            cuts = feasible(mid)
-            if cuts is None:
-                low = mid
-            else:
-                high = mid
-                best = cuts
-    ranges = _cut_ranges(best, n)
-    achieved = max(range_cost(legs, s, e, speed_mps) for s, e in ranges)
-    return ranges, achieved
+    return _bisect_split(legs, speed_mps, probe)
 
 
 # ---------------------------------------------------------------------------

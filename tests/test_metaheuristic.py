@@ -144,3 +144,19 @@ class TestRegistry:
     def test_registered_as_extension_not_paper_algorithm(self):
         assert "Metaheuristic" in planner_names(paper_only=False)
         assert "Metaheuristic" not in planner_names(paper_only=True)
+
+
+class TestArguments:
+    def test_elite_filling_the_population_is_rejected(self):
+        """With ``elite >= population_size`` a generation has no
+        offspring, so the budget would never be spent."""
+        net, requests = _instance()
+        with pytest.raises(ValueError, match="elite"):
+            metaheuristic_schedule(
+                net,
+                requests,
+                2,
+                population_size=2,
+                elite=2,
+                local_search_every=0,
+            )

@@ -1,5 +1,6 @@
-"""The min-max split's greedy packer (running-max rows, DESIGN §16) and
-Metaheuristic's dense-matrix fitness, against the scalar oracle.
+"""The min-max split's greedy packer (running-max rows, DESIGN §16),
+its interval-shortcut bisection, and Metaheuristic's dense-matrix
+fitness, against the scalar oracle and a plain bisection.
 
 Hypothesis draws the inputs where a packer goes wrong first: points
 that coincide (zero legs), zero service, ``K >= n``, a single node, and
@@ -8,19 +9,28 @@ bound. Results must match ``tests/_legacy_tours.py`` exactly; achieved
 bounds are compared as ``float.hex``.
 """
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import metaheuristic
+from repro.tours import arrays
 from repro.core.metaheuristic import (
     MetaheuristicTrace,
     metaheuristic_schedule,
 )
 from repro.geometry.distcache import DistanceCache
 from repro.network.topology import random_wrsn
-from repro.tours.arrays import TourLegs, greedy_split_cuts
+from repro.tours.arrays import (
+    TourLegs,
+    greedy_split_cuts,
+    range_cost,
+    split_min_max_ranges,
+)
 from repro.tours.splitting import (
     greedy_split_with_bound,
     segment_cost,
@@ -104,17 +114,215 @@ def test_greedy_split_cuts_on_arbitrary_legs(data):
     by more than the chain leg adds), so a segment's cost plus its
     return leg is not monotone along the order."""
     n = data.draw(st.integers(min_value=1, max_value=10))
-    arrays = [
-        np.array(data.draw(st.lists(_LEG, min_size=n, max_size=n)))
-        for _ in range(4)
-    ]
-    legs = TourLegs(*arrays)
+    legs = _draw_legs(data, n)
     speed = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
     bound = data.draw(st.floats(min_value=0.0, max_value=300.0))
     max_segments = data.draw(st.none() | st.integers(1, n + 1))
     assert greedy_split_cuts(legs, bound, speed, max_segments) == (
         _scalar_cuts(legs, bound, speed, max_segments)
     )
+
+
+def _draw_legs(data, n):
+    return TourLegs(
+        *(
+            np.array(data.draw(st.lists(_LEG, min_size=n, max_size=n)))
+            for _ in range(4)
+        )
+    )
+
+
+def _slack(bound):
+    return bound * (1.0 + 1e-12) + 1e-9
+
+
+def _plain_search(legs, speed, probe):
+    """The oracle's binary search, one ``probe(slackened bound)`` call
+    per ``mid`` and no shortcut; returns ``(ranges, bound, probed)``
+    with the probed bounds in order, or ``None`` when the whole order
+    does not fit in one segment (legs that break the triangle
+    inequality can do that)."""
+    probed = []
+
+    def feasible(bound):
+        probed.append(_slack(bound))
+        return probe(probed[-1])
+
+    n = len(legs)
+    single = (legs.start_m + legs.closing_m) / speed + legs.service_s
+    low = float(np.max(single))
+    high = range_cost(legs, 0, n, speed)
+    best = feasible(high)
+    if best is None:
+        return None
+    low_cuts = feasible(low)
+    if low_cuts is not None:
+        best = low_cuts
+    else:
+        for _ in range(100):
+            if high - low <= 1e-9 * max(high, 1.0):
+                break
+            mid = (low + high) / 2.0
+            cuts = feasible(mid)
+            if cuts is None:
+                low = mid
+            else:
+                high = mid
+                best = cuts
+    edges = [0, *best, n]
+    ranges = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    bound = max(range_cost(legs, a, b, speed) for a, b in ranges)
+    return ranges, bound, probed
+
+
+def _plain_bisection(legs, num_tours, speed):
+    """:func:`_plain_search` with one :func:`greedy_split_cuts` walk per
+    probe: the min-max split before its interval shortcuts."""
+    return _plain_search(
+        legs,
+        speed,
+        lambda slack: greedy_split_cuts(legs, slack, speed, num_tours),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_probe_interval_holds_its_answer(data):
+    """A probe's ``[lo, hi)`` is exact: the answer is the same at ``lo``
+    and just below ``hi``, and a feasible walk reaches further at
+    ``hi`` itself."""
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    legs = _draw_legs(data, n)
+    speed = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    max_segments = data.draw(st.none() | st.integers(1, n + 1))
+    probe = arrays._greedy_packer(legs, speed)
+    bound = data.draw(st.floats(min_value=0.0, max_value=300.0))
+    cuts, lo, hi = probe(bound, max_segments)
+    assert lo <= bound < hi
+    if lo > -math.inf:
+        assert probe(lo, max_segments)[0] == cuts
+    if hi < math.inf:
+        assert probe(math.nextafter(hi, -math.inf), max_segments)[0] == cuts
+        if cuts is not None and max_segments is None:
+            assert probe(hi)[0] != cuts
+
+
+def _step_probe(steps):
+    """A probe whose answer is the cuts of the last ``(threshold, cuts)``
+    step at or below the bound (``None`` below the first), reporting the
+    exact interval between thresholds."""
+    thresholds = [t for t, _ in steps]
+
+    def probe(bound):
+        i = bisect_right(thresholds, bound)
+        lo = thresholds[i - 1] if i else -math.inf
+        hi = thresholds[i] if i < len(steps) else math.inf
+        return (steps[i - 1][1] if i else None), lo, hi
+
+    return probe
+
+
+@pytest.mark.parametrize("side", ["infeasible", "feasible"])
+def test_bisection_intervals_are_half_open(side):
+    """A ``mid`` landing exactly on the end of an earlier probe's
+    interval, where the answer changes for one ulp: the search must
+    walk at the infeasible interval's ``hi`` and must not take the
+    feasible answer just below the feasible interval's ``lo``."""
+    legs = TourLegs(
+        np.array([10.0, 20.0, 15.0, 30.0]),
+        np.array([10.0, 12.0, 9.0, 18.0]),
+        np.array([10.0, 20.0, 15.0, 30.0]),
+        np.array([5.0, 40.0, 25.0, 60.0]),
+    )
+    threshold = 150.0
+    base = _step_probe([(threshold, [2])])
+    probed = _plain_search(legs, 1.0, lambda b: base(b)[0])[2][2:]
+    if side == "infeasible":
+        # The first mid below the threshold, where the low probe's
+        # interval ends, alone reads [1, 2].
+        step = next(b for b in probed if b < threshold)
+        steps = [
+            (step, [1, 2]),
+            (math.nextafter(step, math.inf), None),
+            (threshold, [2]),
+        ]
+    else:
+        # The last feasible mid reads [1, 2]; the probes above it read
+        # [2] on an interval that starts one ulp above it.
+        step = [b for b in probed if b >= threshold][-1]
+        steps = [(threshold, [1, 2]), (math.nextafter(step, math.inf), [2])]
+    probe = _step_probe(steps)
+    want = _plain_search(legs, 1.0, lambda b: probe(b)[0])
+    assert step in want[2]
+    assert want[0] == [(0, 1), (1, 2), (2, 4)]
+    ranges, bound = arrays._bisect_split(legs, 1.0, probe)
+    assert ranges == want[0]
+    assert bound.hex() == want[1].hex()
+
+
+def test_interval_shortcuts_walk_the_packer_less(monkeypatch):
+    """Over seeded random orders, the interval-shortcut search walks
+    the packer strictly fewer times than the plain bisection."""
+    walks = 0
+    make_packer = arrays._greedy_packer
+
+    def counting(legs, speed):
+        probe = make_packer(legs, speed)
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return probe(*args)
+
+        return counted
+
+    rng = np.random.default_rng(11)
+    instances = [
+        (TourLegs(*rng.uniform(0.0, 60.0, size=(4, 30))), k)
+        for k in (2, 3, 5)
+        for _ in range(10)
+    ]
+    reference = sum(
+        len(_plain_bisection(legs, k, 1.0)[2]) for legs, k in instances
+    )
+    monkeypatch.setattr(arrays, "_greedy_packer", counting)
+    for legs, k in instances:
+        split_min_max_ranges(legs, k, 1.0)
+    assert 0 < walks < reference
+
+
+def test_metaheuristic_splits_each_distinct_genome_once(monkeypatch):
+    """Re-evaluated genomes (elites, repeated offspring) reuse the
+    run's memoized split; the budget still counts every evaluation."""
+    genomes = []
+    make_splitter = metaheuristic._dense_splitter
+
+    def recording(seed_schedule, stops, num_tours):
+        split = make_splitter(seed_schedule, stops, num_tours)
+
+        def recorded(perm):
+            genomes.append(tuple(perm))
+            return split(perm)
+
+        return recorded
+
+    calls = 0
+    real_split = metaheuristic.split_min_max_ranges
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real_split(*args)
+
+    monkeypatch.setattr(metaheuristic, "_dense_splitter", recording)
+    monkeypatch.setattr(metaheuristic, "split_min_max_ranges", counting)
+    net = random_wrsn(num_sensors=40, seed=5)
+    requests = sorted(net.all_sensor_ids())[:24]
+    trace = MetaheuristicTrace()
+    metaheuristic_schedule(net, requests, 2, seed=1, budget=96, trace=trace)
+    assert trace.evaluations == 96
+    assert len(genomes) > len(set(genomes))  # repeats did occur
+    assert calls == len(set(genomes))
 
 
 @settings(max_examples=300, deadline=None)
