@@ -20,7 +20,8 @@ import pytest
 
 from repro.baselines.greedy_cover import greedy_cover_schedule
 from repro.core.appro import appro_schedule
-from repro.core.validation import conflicting_pairs, validate_schedule
+from repro.core.conflicts import conflicting_pairs
+from repro.core.validation import validate_schedule
 from repro.geometry.deployment import clustered_deployment
 from repro.energy.battery import Battery
 from repro.network.nodes import BaseStation, Depot

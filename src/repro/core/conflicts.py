@@ -3,24 +3,34 @@ constraint.
 
 The paper's hard constraint (Definition 1, condition 3) — no sensor
 may sit inside two MCVs' active charging disks during time-overlapping
-charging intervals — used to be enforced by three separately-written
-detectors: an all-pairs O(n²) scan in :mod:`repro.core.validation`
-(re-run once per inserted wait on the hot path of ``Appro`` step 7 and
-``GreedyCover``), a start-time sweep with its own epsilon handling in
-:mod:`repro.core.repair`, and a per-sensor-group sweep in
-:mod:`repro.sim.robustness`. This module is the single replacement all
-three now delegate to.
+charging intervals — is checked by one sweep,
+:func:`interval_conflicts`, over ``(key, tour, start_s, finish_s)``
+interval records plus a coverage map. It serves both timelines:
+
+* **planned** — :func:`conflicting_pairs` feeds it a schedule's stops
+  in tour-position order; the validator
+  (:func:`repro.core.validation.validate_schedule`), the repair engine
+  (:func:`repro.core.repair.resolve_conflicts_after`, skipping the
+  failed tour) and :class:`ConflictResolver` build on it;
+* **realized** — the fault executor
+  (:func:`repro.sim.faults.executor.execute_with_faults`) and the
+  noise replay (:func:`repro.sim.robustness.perturbed_execution`)
+  feed it the replayed :class:`~repro.sim.faults.timeline.ExecutedStop`
+  records, and the online simulator's end-of-run audit
+  (:class:`repro.sim.online.OnlineMonitoringSimulation`) feeds it
+  every settled stop keyed by its index, one tour per record, so each
+  record is checked against every other.
 
 **Candidate generation.** Two stops can conflict only when their disks
 intersect, i.e. when they share at least one covered sensor. The
 engine therefore inverts the coverage relation into per-sensor *stop
-groups* (:func:`stop_groups`) and only ever compares stops inside a
-group — never all pairs. Each group is swept in charging start order
-with an active window pruned by finish time, so the cost is
-O(Σ_s d_s log d_s) over the disk occupancies ``d_s`` (how many stops
-cover sensor ``s``) instead of O(n²) over all stops. For the paper's
-instances the groups are tiny (an MIS keeps disks nearly disjoint),
-so detection is effectively linear.
+groups* and only ever compares stops inside a group — never all
+pairs. Each group is swept in charging start order with an active
+window pruned by finish time, so the cost is O(Σ_s d_s log d_s) over
+the disk occupancies ``d_s`` (how many stops cover sensor ``s``)
+instead of O(n²) over all stops. For the paper's instances the groups
+are tiny (an MIS keeps disks nearly disjoint), so detection is
+effectively linear.
 
 **One epsilon rule.** All intervals are closed, ``[start, finish]``,
 and a pair conflicts exactly when its overlap length exceeds
@@ -28,10 +38,9 @@ and a pair conflicts exactly when its overlap length exceeds
 and legal. The active-window pruning (``finish - start > eps``) is the
 same rule — a pruned interval could contribute at most a touching
 overlap — so sweep and all-pairs semantics coincide by construction.
-The validator, the repair engine and the robustness sweep previously
-each spelled this out independently; they now share this module's
-constant and the property tests in ``tests/test_core_conflicts.py``
-pin that all report identical conflict sets.
+The property tests in ``tests/test_core_conflicts.py`` pin the sweep
+against the retired all-pairs scan, the retired repair sweep and the
+retired realized-timeline sweep.
 
 **Incremental resolution.** Wait-insertion conflict resolution delays
 one stop per round. Delaying a stop only moves intervals on *its own
@@ -46,7 +55,7 @@ O(waits · Σ_s d_s log d_s) while producing byte-identical schedules
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.schedule import ChargingSchedule
 
@@ -54,8 +63,13 @@ from repro.core.schedule import ChargingSchedule
 #: at most this many seconds is "touching" and never a conflict.
 OVERLAP_EPS = 1e-9
 
-#: ``(u, v, overlap_seconds)`` with ``u`` before ``v`` in tour order.
+#: ``(u, v, overlap_seconds)`` with ``u``'s interval listed before
+#: ``v``'s (tour-position order for a schedule's stops).
 ConflictPair = Tuple[int, int, float]
+
+#: ``(key, tour, start_s, finish_s)`` — one charging interval, planned
+#: or realized; the sweep's input record.
+IntervalRecord = Tuple[int, int, float, float]
 
 
 def stop_groups(
@@ -94,6 +108,68 @@ def _groups_cover_stops(
     )
 
 
+def interval_conflicts(
+    records: Sequence[IntervalRecord],
+    coverage: Mapping[int, Iterable[int]],
+    *,
+    groups: Optional[Mapping[int, Sequence[int]]] = None,
+    eps: float = OVERLAP_EPS,
+) -> List[ConflictPair]:
+    """All record pairs violating the no-overlap constraint.
+
+    The engine's one sweep, shared by planned and realized timelines.
+    Two records conflict when they sit on different tours, their disks
+    (``coverage[key]``) share a sensor, and their closed charging
+    intervals overlap by more than ``eps``.
+
+    Returns:
+        ``(u, v, overlap_seconds)`` triples of record keys, ``u``'s
+        record listed before ``v``'s, sorted by record position.
+
+    Args:
+        records: ``(key, tour, start_s, finish_s)`` intervals, keys
+            unique; list order is the output order.
+        coverage: key -> the sensors inside that record's disk.
+        groups: optional pre-built sensor -> key index used in place
+            of inverting ``coverage``; it may mention keys that have
+            no record (they are skipped) but must mention every record
+            whose disk is non-empty.
+        eps: touching tolerance; the default is the project-wide rule.
+    """
+    if groups is None:
+        by_sensor: Dict[int, List[int]] = {}
+        for i, record in enumerate(records):
+            for sensor in coverage[record[0]]:
+                by_sensor.setdefault(sensor, []).append(i)
+        index_groups: Iterable[List[int]] = by_sensor.values()
+    else:
+        pos = {record[0]: i for i, record in enumerate(records)}
+        index_groups = (
+            [pos[key] for key in members if key in pos]
+            for members in groups.values()
+        )
+
+    found: Dict[Tuple[int, int], float] = {}
+    for members in index_groups:
+        if len(members) < 2:
+            continue
+        active: List[Tuple[float, float, int, int]] = []
+        for start, i in sorted((records[m][2], m) for m in members):
+            _, tour, _, finish = records[i]
+            active = [a for a in active if a[1] - start > eps]
+            for a_start, a_finish, a_tour, a in active:
+                if a_tour == tour:
+                    continue
+                overlap = min(a_finish, finish) - max(a_start, start)
+                if overlap > eps:
+                    found[(a, i) if a < i else (i, a)] = overlap
+            active.append((start, finish, tour, i))
+    return [
+        (records[i][0], records[j][0], found[(i, j)])
+        for i, j in sorted(found)
+    ]
+
+
 def conflicting_pairs(
     schedule: ChargingSchedule,
     *,
@@ -102,13 +178,13 @@ def conflicting_pairs(
     groups: Optional[Mapping[int, Sequence[int]]] = None,
     eps: float = OVERLAP_EPS,
 ) -> List[ConflictPair]:
-    """All cross-tour stop pairs violating the no-overlap constraint.
+    """All cross-tour stop pairs of a schedule's *planned* timeline
+    violating the no-overlap constraint.
 
-    Returns ``(u, v, overlap_seconds)`` triples where ``u`` and ``v``
-    are stops on different tours with intersecting disks and
-    positively-overlapping (``> eps``) charging intervals; ``u``
-    precedes ``v`` in tour order and the list is sorted the same way,
-    matching the retired all-pairs scan exactly.
+    Feeds :func:`interval_conflicts` each scheduled stop's interval in
+    tour-position order, so ``u`` precedes ``v`` in tour order and the
+    list is sorted the same way, matching the retired all-pairs scan
+    exactly.
 
     Args:
         schedule: the schedule to check.
@@ -127,65 +203,28 @@ def conflicting_pairs(
             stop, else it is ignored and rebuilt from the schedule.
         eps: touching tolerance; the default is the project-wide rule.
     """
-    stops = [
-        node
-        for node in schedule.scheduled_stops()
-        if skip_tour is None or schedule.tour_of[node] != skip_tour
+    records = [
+        (node, k, *schedule.stop_interval(node))
+        for k, tour in enumerate(schedule.tours)
+        if k != skip_tour
+        for node in tour
     ]
-    pos = {node: i for i, node in enumerate(stops)}
     if groups is not None and not _groups_cover_stops(
-        groups, schedule, stops
+        groups, schedule, [record[0] for record in records]
     ):
         groups = None
-    if groups is None:
-        by_sensor: Mapping[int, Sequence[int]] = stop_groups(
-            schedule, skip_tour
-        )
-    else:
-        by_sensor = {
-            sensor: [n for n in members if n in pos]
-            for sensor, members in groups.items()
-        }
-
-    tour_of = schedule.tour_of
-    found: Dict[Tuple[int, int], float] = {}
-    for members in by_sensor.values():
-        if len(members) < 2:
-            continue
-        entries = sorted(
-            (
-                (*schedule.stop_interval(node), tour_of[node], node)
-                for node in members
-            ),
-            key=lambda e: (e[0], e[3]),
-        )
-        active: List[Tuple[float, float, int, int]] = []
-        for start, finish, tour, node in entries:
-            active = [a for a in active if a[1] - start > eps]
-            for a_start, a_finish, a_tour, a_node in active:
-                if a_tour == tour:
-                    continue
-                overlap = min(a_finish, finish) - max(a_start, start)
-                if overlap > eps:
-                    key = (
-                        (a_node, node)
-                        if pos[a_node] < pos[node]
-                        else (node, a_node)
-                    )
-                    found[key] = overlap
-            active.append((start, finish, tour, node))
-
+    pairs = interval_conflicts(
+        records, schedule.coverage, groups=groups, eps=eps
+    )
     if frozen_before_s is not None:
-        found = {
-            (u, v): overlap
-            for (u, v), overlap in found.items()
-            if schedule.stop_interval(u)[0] > frozen_before_s
-            or schedule.stop_interval(v)[0] > frozen_before_s
-        }
-    return [
-        (u, v, found[(u, v)])
-        for u, v in sorted(found, key=lambda p: (pos[p[0]], pos[p[1]]))
-    ]
+        start = {record[0]: record[2] for record in records}
+        pairs = [
+            pair
+            for pair in pairs
+            if start[pair[0]] > frozen_before_s
+            or start[pair[1]] > frozen_before_s
+        ]
+    return pairs
 
 
 def minimum_pairwise_slack(schedule: ChargingSchedule) -> float:
@@ -408,7 +447,9 @@ __all__ = [
     "OVERLAP_EPS",
     "ConflictPair",
     "ConflictResolver",
+    "IntervalRecord",
     "conflicting_pairs",
+    "interval_conflicts",
     "minimum_pairwise_slack",
     "stop_groups",
 ]

@@ -36,16 +36,10 @@ no surviving tour).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.core.conflicts import OVERLAP_EPS, ConflictResolver
-from repro.core.conflicts import conflicting_pairs as _engine_pairs
 from repro.core.schedule import ChargingSchedule
-
-#: Positive-length overlap shorter than this is treated as touching —
-#: the engine's single project-wide rule (this module historically
-#: carried its own copy with subtly different sweep semantics).
-_OVERLAP_EPS = OVERLAP_EPS
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,6 @@ class RepairConfig:
         notification_delay_s: depot-communication delay — reassigned
             stops cannot start charging before
             ``failure_time_s + notification_delay_s``.
-        resolve_rounds: safety cap on the wait-insertion fixed point.
     """
 
     max_attempts: int = 3
@@ -71,7 +64,6 @@ class RepairConfig:
     max_delay_stretch: float = 2.0  # repro-lint: disable=unit-suffix
     backoff_factor: float = 1.25
     notification_delay_s: float = 0.0
-    resolve_rounds: int = 10_000
 
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
@@ -132,20 +124,6 @@ class RepairOutcome:
     def fully_repaired(self) -> bool:
         """Every orphan found a new tour and the budget held."""
         return not self.degraded
-
-
-def _cross_tour_conflicts(
-    schedule: ChargingSchedule, skip_tour: int
-) -> List[Tuple[int, int, float]]:
-    """Cross-tour disk conflicts, ignoring the failed tour (its
-    remaining stops are gone; its kept prefix is in the past and was
-    feasible in the original plan).
-
-    Delegates to the conflict engine — same per-sensor group sweep and
-    the same closed-interval ``overlap > eps`` rule as the validator,
-    so repair and validation can never drift apart again.
-    """
-    return _engine_pairs(schedule, skip_tour=skip_tour)
 
 
 def resolve_conflicts_after(
@@ -216,7 +194,7 @@ def resolve_conflicts_after(
             later, needed = v, fu - sv
         else:
             later, needed = u, fv - su
-        resolver.delay(later, needed + _OVERLAP_EPS)
+        resolver.delay(later, needed + OVERLAP_EPS)
         inserted += 1
     raise RuntimeError(
         f"conflict resolution did not converge in {max_rounds} rounds"
@@ -327,7 +305,7 @@ def repair_schedule(
     # notification delay the clamp floor sits one epsilon past it.
     effective_time = max(
         failure_time_s + cfg.notification_delay_s,
-        failure_time_s + _OVERLAP_EPS,
+        failure_time_s + OVERLAP_EPS,
     )
 
     # Partition the failed tour: kept past vs orphaned future.
@@ -391,7 +369,6 @@ def repair_schedule(
             schedule,
             frozen_before_s=failure_time_s,
             skip_tour=failed_tour,
-            max_rounds=cfg.resolve_rounds,
         )
         if schedule.longest_delay() <= budget:
             outcome.repaired_longest_delay_s = schedule.longest_delay()
@@ -420,7 +397,6 @@ def repair_schedule(
             schedule,
             frozen_before_s=failure_time_s,
             skip_tour=failed_tour,
-            max_rounds=cfg.resolve_rounds,
         )
     outcome.degraded = True
     outcome.repaired_longest_delay_s = schedule.longest_delay()

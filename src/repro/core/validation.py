@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.conflicts import OVERLAP_EPS, ConflictResolver
-from repro.core.conflicts import conflicting_pairs as _engine_pairs
+from repro.core.conflicts import (
+    OVERLAP_EPS,
+    ConflictResolver,
+    conflicting_pairs,
+)
 from repro.core.schedule import ChargingSchedule
-
-#: Positive-length overlap shorter than this is treated as touching.
-#: (Alias of the engine's project-wide rule, kept for importers.)
-_OVERLAP_EPS = OVERLAP_EPS
 
 
 @dataclass(frozen=True)
@@ -45,25 +44,6 @@ class ScheduleViolation:
     kind: str
     detail: str
     nodes: Tuple[int, ...]
-
-
-def conflicting_pairs(
-    schedule: ChargingSchedule,
-    groups: Optional[Mapping[int, Sequence[int]]] = None,
-) -> List[Tuple[int, int, float]]:
-    """All cross-tour stop pairs violating the no-overlap constraint.
-
-    Returns ``(u, v, overlap_seconds)`` triples where ``u`` and ``v``
-    are stops on different tours with intersecting disks and
-    positively-overlapping charging intervals, in tour order.
-
-    Delegates to the conflict engine
-    (:func:`repro.core.conflicts.conflicting_pairs`): candidate pairs
-    are generated per shared sensor and swept in start order instead of
-    the retired all-pairs scan. ``groups`` optionally supplies a
-    pre-built sensor -> stop index (e.g. the pipeline's memoized one).
-    """
-    return _engine_pairs(schedule, groups=groups)
 
 
 def validate_schedule(
@@ -185,7 +165,7 @@ def resolve_conflicts(
         else:
             earlier, later = v, u
             needed = fv - su
-        resolver.delay(later, needed + _OVERLAP_EPS)
+        resolver.delay(later, needed + OVERLAP_EPS)
         inserted += 1
     if resolver.has_conflicts():
         raise RuntimeError(

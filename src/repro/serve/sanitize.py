@@ -437,111 +437,77 @@ def run_matrix(
         baseline_workers=worker_counts[0],
     )
 
-    def sweep(out_dir: str) -> None:
+    def run_cells(
+        out_dir: str, cells: Sequence[Tuple[int, int, Optional[str]]]
+    ) -> None:
+        """Run ``(hash_seed, workers, online variant)`` cells, the
+        first one the baseline every later one is diffed against."""
         baseline_text: Optional[str] = None
-        for hash_seed in hash_seeds:
-            for workers in worker_counts:
-                out_path = os.path.join(
-                    out_dir, f"parity-h{hash_seed}-w{workers}.jsonl"
+        for hash_seed, workers, variant in cells:
+            tag = f"w{workers}" if variant is None else f"online-{variant}"
+            out_path = os.path.join(
+                out_dir, f"parity-h{hash_seed}-{tag}.jsonl"
+            )
+            cmd = [
+                sys.executable,
+                "-m",
+                "repro.serve.sanitize",
+                "--jobs", jobs_path,
+                "--workers", str(workers),
+                "--output", out_path,
+            ]
+            if variant is not None:
+                cmd += ["--online", variant]
+            if plugin:
+                cmd += ["--plugin", plugin]
+            proc = subprocess.run(
+                cmd,
+                env=_child_env(hash_seed, extra_pythonpath),
+                capture_output=True,
+                text=True,
+                timeout=timeout_s,
+            )
+            if proc.returncode != 0:
+                what = (
+                    f"workers={workers}"
+                    if variant is None
+                    else f"online {variant}"
                 )
-                cmd = [
-                    sys.executable,
-                    "-m",
-                    "repro.serve.sanitize",
-                    "--jobs", jobs_path,
-                    "--workers", str(workers),
-                    "--output", out_path,
-                ]
-                if plugin:
-                    cmd += ["--plugin", plugin]
-                proc = subprocess.run(
-                    cmd,
-                    env=_child_env(hash_seed, extra_pythonpath),
-                    capture_output=True,
-                    text=True,
-                    timeout=timeout_s,
+                raise RuntimeError(
+                    f"sanitizer child (PYTHONHASHSEED={hash_seed}, "
+                    f"{what}) failed with code {proc.returncode}:\n"
+                    f"{proc.stderr[-2000:]}"
                 )
-                if proc.returncode != 0:
-                    raise RuntimeError(
-                        f"sanitizer child (PYTHONHASHSEED="
-                        f"{hash_seed}, workers={workers}) failed "
-                        f"with code {proc.returncode}:\n"
-                        f"{proc.stderr[-2000:]}"
+            text = Path(out_path).read_text()
+            cell: Dict = {"hash_seed": hash_seed, "workers": workers}
+            if variant is not None:
+                cell["online"] = variant
+            cell["lines"] = len(text.splitlines())
+            cell["baseline"] = baseline_text is None
+            if baseline_text is None:
+                baseline_text = text
+            elif text != baseline_text:
+                report.divergences.append(
+                    first_divergence(
+                        baseline_text,
+                        text,
+                        hash_seed,
+                        workers,
+                        mode="batch" if variant is None else tag,
                     )
-                text = Path(out_path).read_text()
-                cell = {
-                    "hash_seed": hash_seed,
-                    "workers": workers,
-                    "lines": len(text.splitlines()),
-                }
-                if baseline_text is None:
-                    baseline_text = text
-                    cell["baseline"] = True
-                else:
-                    cell["baseline"] = False
-                    if text != baseline_text:
-                        report.divergences.append(
-                            first_divergence(
-                                baseline_text, text, hash_seed, workers
-                            )
-                        )
-                report.cells.append(cell)
+                )
+            report.cells.append(cell)
+
+    def sweep(out_dir: str) -> None:
+        run_cells(
+            out_dir,
+            [(h, w, None) for h in hash_seeds for w in worker_counts],
+        )
         if online_cells:
-            online_baseline: Optional[str] = None
-            for hash_seed in hash_seeds:
-                for variant in ("cold", "warm"):
-                    out_path = os.path.join(
-                        out_dir,
-                        f"parity-h{hash_seed}-online-{variant}.jsonl",
-                    )
-                    cmd = [
-                        sys.executable,
-                        "-m",
-                        "repro.serve.sanitize",
-                        "--jobs", jobs_path,
-                        "--workers", "1",
-                        "--output", out_path,
-                        "--online", variant,
-                    ]
-                    if plugin:
-                        cmd += ["--plugin", plugin]
-                    proc = subprocess.run(
-                        cmd,
-                        env=_child_env(hash_seed, extra_pythonpath),
-                        capture_output=True,
-                        text=True,
-                        timeout=timeout_s,
-                    )
-                    if proc.returncode != 0:
-                        raise RuntimeError(
-                            f"sanitizer child (PYTHONHASHSEED="
-                            f"{hash_seed}, online {variant}) failed "
-                            f"with code {proc.returncode}:\n"
-                            f"{proc.stderr[-2000:]}"
-                        )
-                    text = Path(out_path).read_text()
-                    cell = {
-                        "hash_seed": hash_seed,
-                        "workers": 1,
-                        "online": variant,
-                        "lines": len(text.splitlines()),
-                    }
-                    if online_baseline is None:
-                        online_baseline = text
-                        cell["baseline"] = True
-                    else:
-                        cell["baseline"] = False
-                        if text != online_baseline:
-                            report.divergences.append(
-                                first_divergence(
-                                    online_baseline,
-                                    text,
-                                    hash_seed,
-                                    1,
-                                    mode=f"online-{variant}",
-                                )
-                            )
-                    report.cells.append(cell)
+            run_cells(
+                out_dir,
+                [(h, 1, v) for h in hash_seeds for v in ("cold", "warm")],
+            )
 
     if work_dir is not None:
         sweep(work_dir)

@@ -14,8 +14,8 @@ The subsystem splits into four pieces:
 * :mod:`repro.sim.faults.executor` — fault-aware execution of a
   scheduled round, invoking the repair engine
   (:mod:`repro.core.repair`) on breakdowns;
-* :mod:`repro.sim.faults.timeline` — realized-timeline replay and the
-  sweep-based no-simultaneous-charging check.
+* :mod:`repro.sim.faults.timeline` — realized-timeline replay, whose
+  stops the conflict engine (:mod:`repro.core.conflicts`) checks.
 """
 
 from repro.sim.faults.executor import FaultyOutcome, execute_with_faults
@@ -45,7 +45,6 @@ from repro.sim.faults.specs import (
 )
 from repro.sim.faults.timeline import (
     ExecutedStop,
-    overlapping_cross_pairs,
     replay_with_factors,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "draw_round_faults",
     "execute_with_faults",
     "get_scenario",
-    "overlapping_cross_pairs",
     "replay_with_factors",
     "rng_for_round",
     "scenario_names",

@@ -11,7 +11,9 @@ A breakdown triggers the constraint-aware repair engine
 (:mod:`repro.core.repair`) on a copy of the schedule, so realized
 cross-tour disk intervals stay disjoint by construction;
 droop/slowdown/interruption faults then stretch the repaired timeline
-and the sweep-based conflict check reports any realized violations.
+and the conflict engine
+(:func:`~repro.core.conflicts.interval_conflicts`) reports any realized
+violations, oriented and ordered by tour position.
 A one-to-one schedule's stops share no sensor, so its conflict list
 is always empty.
 
@@ -23,16 +25,14 @@ simulator) is responsible for not recharging them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.conflicts import interval_conflicts
 from repro.core.repair import RepairConfig, RepairOutcome, repair_schedule
 from repro.core.schedule import ChargingSchedule
 from repro.sim.faults.specs import NO_FAULTS, RoundFaults
-from repro.sim.faults.timeline import (
-    overlapping_cross_pairs,
-    replay_with_factors,
-)
+from repro.sim.faults.timeline import replay_with_factors
 
 
 @dataclass
@@ -107,14 +107,11 @@ def execute_with_faults(
         working = schedule.copy()
         failure_time = faults.breakdown.at_fraction * planned
         base = repair_config if repair_config is not None else RepairConfig()
-        cfg = RepairConfig(
-            max_attempts=base.max_attempts,
-            max_delay_stretch=base.max_delay_stretch,
-            backoff_factor=base.backoff_factor,
+        cfg = replace(
+            base,
             notification_delay_s=(
                 base.notification_delay_s + faults.comm_delay_s
             ),
-            resolve_rounds=base.resolve_rounds,
         )
         repair = repair_schedule(
             working, faults.breakdown.vehicle, failure_time, config=cfg
@@ -133,7 +130,7 @@ def execute_with_faults(
         pause_s=faults.interruption_pause_s,
     )
     outcome.realized_delay_s = realized
-    outcome.conflicts = overlapping_cross_pairs(executed, working.coverage)
+    outcome.conflicts = interval_conflicts(executed, working.coverage)
 
     # Realized per-sensor finishes: scale each sensor's planned offset
     # into its stop's interval by the charge factor, clamped to the

@@ -1,37 +1,25 @@
-"""Realized-timeline primitives shared by fault and noise replays.
+"""Realized-timeline replay shared by fault and noise trials.
 
-Two pieces every replay needs:
-
-* :func:`replay_with_factors` — walk a
-  :class:`~repro.core.schedule.ChargingSchedule` with deterministic
-  multiplicative factors on travel and charging (plus an optional
-  single-stop pause), producing realized
-  :class:`ExecutedStop` intervals and the realized longest delay;
-* :func:`overlapping_cross_pairs` — the no-simultaneous-charging check
-  on a realized timeline, as a start-time sweep: stops sorted by start,
-  an active window pruned by finish, and the disk test applied only to
-  pairs that actually overlap in time. This replaces the old all-pairs
-  O(n²) scan — the sweep's cost is proportional to the number of
-  *temporally overlapping* pairs, which for a feasible-by-construction
-  schedule is near zero.
-
-The touching tolerance is the conflict engine's single project-wide
-:data:`repro.core.conflicts.OVERLAP_EPS` (re-exported here), so
-realized-timeline checks agree with the planner-side validator.
+:func:`replay_legs` walks a
+:class:`~repro.core.schedule.ChargingSchedule` tour by tour, scaling
+every travel leg and charging duration by a factor it draws per leg,
+and produces realized :class:`ExecutedStop` intervals plus the realized
+longest delay. :func:`replay_with_factors` runs it with deterministic
+fault factors (and an optional single-stop pause);
+:func:`repro.sim.robustness.perturbed_execution` runs it with noise
+draws. An :class:`ExecutedStop` is an interval record of the conflict
+engine, so realized timelines are checked by
+:func:`repro.core.conflicts.interval_conflicts` directly.
 """
 
-from __future__ import annotations
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
-
-from repro.core.conflicts import OVERLAP_EPS
 from repro.core.schedule import ChargingSchedule
 
 
-@dataclass(frozen=True)
-class ExecutedStop:
-    """One stop's realized timing under a replay."""
+class ExecutedStop(NamedTuple):
+    """One stop's realized timing under a replay — a
+    ``(key, tour, start_s, finish_s)`` interval record."""
 
     node: int
     tour: int
@@ -39,39 +27,48 @@ class ExecutedStop:
     finish_s: float
 
 
-def overlapping_cross_pairs(
-    stops: Sequence[ExecutedStop],
-    coverage: Mapping[int, FrozenSet[int]],
-    eps: float = OVERLAP_EPS,
-) -> List[Tuple[int, int, float]]:
-    """All cross-tour, intersecting-disk, time-overlapping stop pairs.
+def replay_legs(
+    schedule: ChargingSchedule,
+    travel_factor: Callable[[], float],
+    charge_factor: Callable[[], float],
+    paused_node: Optional[int] = None,
+    pause_s: float = 0.0,
+) -> Tuple[List[ExecutedStop], float]:
+    """Replay a schedule, drawing one factor per leg.
 
-    Start-time sweep: after sorting by start, each stop is compared
-    only against the *active* window (earlier stops whose intervals are
-    still open), so disjoint timelines cost O(n log n) instead of the
-    all-pairs O(n²).
+    Per stop, ``travel_factor()`` scales the leg driven to it and then
+    ``charge_factor()`` scales its charging duration; per non-empty
+    tour, a last ``travel_factor()`` scales the return leg. Scheduled
+    waits are honoured as *earliest start times* relative to the
+    planned timeline (a real controller will not switch the charger on
+    before its scheduled start). The charge at ``paused_node``
+    additionally pauses for ``pause_s`` seconds.
 
     Returns:
-        ``(u, v, overlap_seconds)`` triples, ``u`` the earlier-starting
-        stop, in sweep order (deterministic).
+        ``(stops, realized_longest_delay_s)`` where the stops are in
+        tour-position order and the delay includes each tour's return
+        leg.
     """
-    order = sorted(stops, key=lambda s: (s.start_s, s.tour, s.node))
-    active: List[ExecutedStop] = []
-    out: List[Tuple[int, int, float]] = []
-    for stop in order:
-        active = [a for a in active if a.finish_s - stop.start_s > eps]
-        for other in active:
-            if other.tour == stop.tour:
-                continue
-            if not (coverage[other.node] & coverage[stop.node]):
-                continue
-            overlap = min(other.finish_s, stop.finish_s) - max(
-                other.start_s, stop.start_s
-            )
-            if overlap > eps:
-                out.append((other.node, stop.node, overlap))
-        active.append(stop)
-    return out
+    executed: List[ExecutedStop] = []
+    longest = 0.0
+    for k, tour in enumerate(schedule.tours):
+        clock = 0.0
+        prev: Optional[int] = None
+        for node in tour:
+            clock += schedule.travel_time(prev, node) * travel_factor()
+            planned_start = schedule.arrival[node] + schedule.wait[node]
+            start = max(clock, planned_start)
+            duration = schedule.duration[node] * charge_factor()
+            if node == paused_node:
+                duration += pause_s
+            finish = start + duration
+            executed.append(ExecutedStop(node, k, start, finish))
+            clock = finish
+            prev = node
+        if tour:
+            back = schedule.travel_time(tour[-1], None) * travel_factor()
+            longest = max(longest, clock + back)
+    return executed, longest
 
 
 def replay_with_factors(
@@ -84,11 +81,9 @@ def replay_with_factors(
     """Replay a schedule with deterministic fault factors.
 
     Every travel leg is scaled by ``travel_factor`` and every charging
-    duration by ``charge_factor``. Scheduled waits are honoured as
-    *earliest start times* relative to the planned timeline (a real
-    controller will not switch the charger on before its scheduled
-    start). ``pause_rank`` in ``[0, 1)`` selects one stop — by rank in
-    the deterministic (tour, position) stop order — whose charge
+    duration by ``charge_factor`` (see :func:`replay_legs`).
+    ``pause_rank`` in ``[0, 1)`` selects one stop — by rank in the
+    deterministic (tour, position) stop order — whose charge
     additionally pauses for ``pause_s`` seconds.
 
     Returns:
@@ -108,36 +103,17 @@ def replay_with_factors(
                 f"pause_rank must be in [0, 1), got {pause_rank}"
             )
         paused_node = ordered[int(pause_rank * len(ordered))]
-
-    executed: List[ExecutedStop] = []
-    longest = 0.0
-    for k, tour in enumerate(schedule.tours):
-        clock = 0.0
-        prev: Optional[int] = None
-        for node in tour:
-            clock += schedule.travel_time(prev, node) * travel_factor
-            planned_start = schedule.arrival[node] + schedule.wait[node]
-            start = max(clock, planned_start)
-            duration = schedule.duration[node] * charge_factor
-            if node == paused_node:
-                duration += pause_s
-            finish = start + duration
-            executed.append(
-                ExecutedStop(
-                    node=node, tour=k, start_s=start, finish_s=finish
-                )
-            )
-            clock = finish
-            prev = node
-        if tour:
-            back = schedule.travel_time(tour[-1], None) * travel_factor
-            longest = max(longest, clock + back)
-    return executed, longest
+    return replay_legs(
+        schedule,
+        lambda: travel_factor,
+        lambda: charge_factor,
+        paused_node,
+        pause_s,
+    )
 
 
 __all__ = [
     "ExecutedStop",
-    "OVERLAP_EPS",
-    "overlapping_cross_pairs",
+    "replay_legs",
     "replay_with_factors",
 ]

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.appro import appro_schedule
-from repro.core.conflicts import OVERLAP_EPS
+from repro.core.conflicts import interval_conflicts
 from repro.core.repair import resolve_conflicts_after
 from repro.core.schedule import ChargingSchedule
 from repro.energy.battery import DEFAULT_REQUEST_THRESHOLD
@@ -159,9 +159,9 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
             purely spatial batching (the pre-EDF behaviour); ignored
             without ``deadline_s``.
         audit: retain every settled stop's realized interval and, at
-            the end of the run, sweep them for cross-tour simultaneous
-            charging (overlapping intervals whose full disks share a
-            sensor). The frame resolver guarantees an empty
+            the end of the run, check them with the conflict engine for
+            simultaneous charging (overlapping intervals whose full
+            disks share a sensor). The frame resolver guarantees an empty
             :attr:`audit_overlap_violations`; the audit proves it on
             the realized timeline rather than trusting it.
     """
@@ -204,7 +204,7 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         self._disks: Optional[Dict[int, FrozenSet[int]]] = None
         self.audit = audit
         #: Conflicting settled stop pairs found by the end-of-run
-        #: audit sweep (empty unless ``audit=True`` found a bug).
+        #: audit (empty unless ``audit=True`` found a bug).
         self.audit_overlap_violations: List[Tuple[int, int]] = []
         self._audit_stops: List[
             Tuple[float, float, int, FrozenSet[int]]
@@ -731,20 +731,20 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         return metrics
 
     def _audit_sweep(self) -> None:
-        """Sweep every settled stop's realized interval for cross-tour
-        simultaneous charging: two stops whose full disks share a
-        sensor must not overlap by more than ``OVERLAP_EPS``."""
-        self.audit_overlap_violations = []
-        stops = sorted(self._audit_stops)
-        active: List[int] = []
-        for idx, (start, finish, node, covered) in enumerate(stops):
-            active = [
-                j for j in active
-                if stops[j][1] > start + OVERLAP_EPS
-            ]
-            for j in active:
-                if covered & stops[j][3]:
-                    self.audit_overlap_violations.append(
-                        (stops[j][2], node)
-                    )
-            active.append(idx)
+        """Check every settled stop's realized interval for
+        simultaneous charging with the conflict engine: two stops whose
+        full disks share a sensor must not overlap by more than
+        ``OVERLAP_EPS``. Records are keyed by index (node ids repeat
+        across dispatches), each on its own tour, so every record is
+        checked against every other."""
+        stops = self._audit_stops
+        records = [
+            (i, i, start, finish)
+            for i, (start, finish, _, _) in enumerate(stops)
+        ]
+        pairs = interval_conflicts(
+            records, {i: stop[3] for i, stop in enumerate(stops)}
+        )
+        self.audit_overlap_violations = [
+            (stops[i][2], stops[j][2]) for i, j, _ in pairs
+        ]

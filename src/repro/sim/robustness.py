@@ -16,13 +16,8 @@ slack statistics that explain it. Fault-model trials (breakdowns
 triggering the repair engine, droop/slowdown stretching the timeline)
 run through :func:`repro.eval.worker.execute_eval_cell`.
 
-Conflict detection on realized timelines is a start-time sweep
-(:func:`repro.sim.faults.timeline.overlapping_cross_pairs`), so a
-100-trial report costs O(n log n) per trial on conflict-free
-schedules instead of the quadratic all-pairs scan; the planned-timeline
-slack statistic is the conflict engine's
-:func:`repro.core.conflicts.minimum_pairwise_slack` (re-exported here),
-built on the same per-sensor stop groups the validator sweeps.
+The planned-timeline slack statistic is the conflict engine's
+:func:`repro.core.conflicts.minimum_pairwise_slack` (re-exported here).
 """
 
 from __future__ import annotations
@@ -32,12 +27,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.conflicts import minimum_pairwise_slack
+from repro.core.conflicts import interval_conflicts, minimum_pairwise_slack
 from repro.core.schedule import ChargingSchedule
-from repro.sim.faults.timeline import (
-    ExecutedStop,
-    overlapping_cross_pairs,
-)
+from repro.sim.faults.timeline import ExecutedStop, replay_legs
 
 
 @dataclass
@@ -59,15 +51,17 @@ def perturbed_execution(
     charge_noise: float = 0.05,
     rng: Optional[np.random.Generator] = None,
 ) -> ExecutionOutcome:
-    """Replay the schedule with multiplicative log-uniform noise.
+    """Replay the schedule with multiplicative uniform noise.
 
     Each travel leg is scaled by a factor uniform in
     ``[1 - travel_noise, 1 + travel_noise]`` and each charging duration
     by a factor uniform in ``[1 - charge_noise, 1 + charge_noise]``
-    (clamped to be non-negative). Waits are honoured as *earliest start
+    (positive, since both noises are below 1). Waits are honoured as *earliest start
     times* relative to the planned timeline — the vehicle will not
     start charging before its planned start, matching how a real
-    controller would enforce a scheduled wait.
+    controller would enforce a scheduled wait. Factors are drawn in
+    :func:`~repro.sim.faults.timeline.replay_legs` order: each stop's
+    travel then charge factor, then the tour's return-leg factor.
 
     Returns:
         The realized stops, any realized cross-tour conflicts, and the
@@ -82,35 +76,12 @@ def perturbed_execution(
     # seeded Generator, as robustness_report does per trial.
     gen = rng if rng is not None else np.random.default_rng(0)
 
-    executed: List[ExecutedStop] = []
-    longest = 0.0
-    for k, tour in enumerate(schedule.tours):
-        clock = 0.0
-        prev = None
-        for node in tour:
-            travel = schedule.travel_time(prev, node)
-            travel *= float(gen.uniform(1 - travel_noise, 1 + travel_noise))
-            clock += travel
-            # Planned earliest start (arrival + scheduled wait).
-            planned_start = schedule.arrival[node] + schedule.wait[node]
-            start = max(clock, planned_start)
-            duration = schedule.duration[node]
-            duration *= float(
-                gen.uniform(1 - charge_noise, 1 + charge_noise)
-            )
-            finish = start + duration
-            executed.append(
-                ExecutedStop(node=node, tour=k, start_s=start,
-                             finish_s=finish)
-            )
-            clock = finish
-            prev = node
-        if tour:
-            back = schedule.travel_time(tour[-1], None)
-            back *= float(gen.uniform(1 - travel_noise, 1 + travel_noise))
-            longest = max(longest, clock + back)
-
-    conflicts = overlapping_cross_pairs(executed, schedule.coverage)
+    executed, longest = replay_legs(
+        schedule,
+        lambda: float(gen.uniform(1 - travel_noise, 1 + travel_noise)),
+        lambda: float(gen.uniform(1 - charge_noise, 1 + charge_noise)),
+    )
+    conflicts = interval_conflicts(executed, schedule.coverage)
     return ExecutionOutcome(
         stops=executed, conflicts=conflicts, longest_delay_s=longest
     )

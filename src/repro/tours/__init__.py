@@ -18,12 +18,7 @@
   above runs on.
 """
 
-from repro.tours.arrays import (
-    ArrayDistance,
-    ArrayTour,
-    NodeIndexCodec,
-    TourPlan,
-)
+from repro.tours.arrays import ArrayDistance, NodeIndexCodec
 from repro.tours.energy_budget import (
     MCVEnergyModel,
     minimum_chargers_energy_constrained,
@@ -44,12 +39,10 @@ from repro.tours.tsp import build_tsp_order
 
 __all__ = [
     "ArrayDistance",
-    "ArrayTour",
     "MCVEnergyModel",
     "MinChargersResult",
     "NodeIndexCodec",
     "Tour",
-    "TourPlan",
     "build_tsp_order",
     "exact_k_minmax",
     "greedy_split_with_bound",

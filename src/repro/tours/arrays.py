@@ -13,9 +13,6 @@ call a kernel here and decode the result.
   row/column addresses it uniformly.
 * :class:`ArrayDistance` — the codec plus the dense float64 distance
   matrix exported by :meth:`DistanceCache.dense_matrix`.
-* :class:`ArrayTour` / :class:`TourPlan` — contiguous ``int32`` visit
-  order plus float64 service/travel prefix arrays (cumulative sums used
-  for O(1) delay/length reads and for diagnostics).
 * :class:`TourLegs` — per-position leg and service arrays of one visit
   order, the split kernels' input: :func:`tour_legs` builds them from
   label lookups, :func:`dense_tour_legs` gathers them from a matrix.
@@ -64,7 +61,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -179,107 +176,6 @@ class ArrayDistance:
             perm = np.append(perm, len(canon))  # depot stays last
             matrix = matrix[np.ix_(perm, perm)]
         return cls(codec, matrix)
-
-
-def _arrival_legs(dense: ArrayDistance, order: np.ndarray) -> np.ndarray:
-    """The leg driven to reach each visit of a codec-index ``order``:
-    the depot leg first, then the leg from the previous visit."""
-    matrix = dense.matrix
-    legs = np.empty(order.size, dtype=np.float64)
-    if order.size:
-        legs[0] = matrix[dense.codec.depot_index, order[0]]
-        legs[1:] = matrix[order[:-1], order[1:]]
-    return legs
-
-
-# ---------------------------------------------------------------------------
-# Tour objects
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ArrayTour:
-    """One depot-rooted closed tour in index space.
-
-    Attributes:
-        dense: the codec + matrix the indices refer to.
-        order: int32 visit order (codec indices, depot excluded).
-        service_s: per-visit service seconds, aligned with ``order``.
-    """
-
-    dense: ArrayDistance
-    order: np.ndarray
-    service_s: np.ndarray
-    _prefixes: Dict[str, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    @classmethod
-    def from_labels(
-        cls,
-        dense: ArrayDistance,
-        order: Sequence[Hashable],
-        service: Callable[[Hashable], float],
-    ) -> "ArrayTour":
-        svc = np.fromiter(
-            (service(label) for label in order),
-            dtype=np.float64,
-            count=len(order),
-        )
-        return cls(dense, dense.codec.encode(order), svc)
-
-    def labels(self) -> List[Hashable]:
-        """The visit order as labels."""
-        return self.dense.codec.decode(self.order)
-
-    @property
-    def travel_prefix_m(self) -> np.ndarray:
-        """Cumulative travel metres after each visit (depot leg first).
-
-        ``travel_prefix_m[k]`` is the distance driven when arriving at
-        visit ``k``; it excludes the final return-to-depot leg.
-        """
-        cached = self._prefixes.get("travel")
-        if cached is None:
-            cached = np.cumsum(_arrival_legs(self.dense, self.order))
-            self._prefixes["travel"] = cached
-        return cached
-
-    @property
-    def service_prefix_s(self) -> np.ndarray:
-        """Cumulative service seconds through each visit."""
-        cached = self._prefixes.get("service")
-        if cached is None:
-            cached = np.cumsum(self.service_s)
-            self._prefixes["service"] = cached
-        return cached
-
-    def travel_length_m(self) -> float:
-        """Closed-tour travel length including the return leg."""
-        if not self.order.size:
-            return 0.0
-        depot = self.dense.codec.depot_index
-        closing = self.dense.matrix[self.order[-1], depot]
-        return float(self.travel_prefix_m[-1] + closing)
-
-    def delay_s(self, speed_mps: float) -> float:
-        """Tour delay: travel time plus total service time."""
-        if not self.order.size:
-            return 0.0
-        return float(
-            self.travel_length_m() / speed_mps + self.service_prefix_s[-1]
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class TourPlan:
-    """A K-tour split in index space: the kernels' structured result."""
-
-    tours: Tuple[ArrayTour, ...]
-    achieved_bound_s: float
-
-    def tour_labels(self) -> List[List[Hashable]]:
-        return [tour.labels() for tour in self.tours]
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +382,14 @@ def dense_tour_legs(
     """
     matrix = dense.matrix
     depot = dense.codec.depot_index
-    return TourLegs(
-        matrix[depot, order],
-        _arrival_legs(dense, order),
-        matrix[order, depot],
-        service_s[order],
-    )
+    start = matrix[depot, order]
+    chain = np.empty(order.size, dtype=np.float64)
+    if order.size:
+        # The leg driven to reach each visit: the depot leg first, then
+        # the leg from the previous visit.
+        chain[0] = start[0]
+        chain[1:] = matrix[order[:-1], order[1:]]
+    return TourLegs(start, chain, matrix[order, depot], service_s[order])
 
 
 #: A split probe's answer under one (slackened) bound: the cut
@@ -676,12 +574,22 @@ def split_min_max_ranges(
     the scalar oracle ``legacy_split_tour_min_max``. Every probe runs
     one :func:`_greedy_packer`, so the rows one probe builds serve all
     later probes of the call, and its intervals let the search skip
-    walks whose answer is already known."""
+    walks whose answer is already known.
+
+    Raises:
+        ValueError: if the whole order does not fit one segment, which
+            only non-metric legs allow.
+    """
     cuts_under = _greedy_packer(legs, speed_mps)
     ranges, achieved = _bisect_split(
         legs, speed_mps, lambda bound: cuts_under(bound, num_tours)
     )
-    assert ranges is not None, "the full tour must fit in one segment"
+    if ranges is None:
+        raise ValueError(
+            "the whole order must fit one segment, but with these "
+            "(non-metric) legs one node's round trip costs more than "
+            "the whole order"
+        )
     return ranges, achieved
 
 
@@ -856,10 +764,8 @@ def greedy_edge_indices(dense: ArrayDistance) -> np.ndarray:
 
 __all__ = [
     "ArrayDistance",
-    "ArrayTour",
     "NodeIndexCodec",
     "TourLegs",
-    "TourPlan",
     "canonical_labels",
     "dense_tour_legs",
     "greedy_edge_indices",

@@ -1,13 +1,15 @@
 """Retired conflict-detection implementations, kept as test oracles.
 
-These are the three pre-engine detectors verbatim (modulo the shared
+These are the pre-engine detectors verbatim (modulo the shared
 epsilon constant): the all-pairs O(n²) scan that
 ``repro.core.validation`` used, the start-time sweep that
-``repro.core.repair`` used, and the full-rescan resolution loops built
-on them. ``tests/test_core_conflicts.py`` pins the conflict engine
-(:mod:`repro.core.conflicts`) against them — identical conflict sets,
-identical wait insertions, byte-identical schedules — on random
-schedules and on the adversarial ring instance (``ring_schedule``).
+``repro.core.repair`` used, the realized-timeline start-time sweep
+that ``repro.sim.faults.timeline`` used, and the full-rescan resolution
+loops built on them. ``tests/test_core_conflicts.py`` pins the conflict
+engine (:mod:`repro.core.conflicts`) against them — identical conflict
+sets, identical wait insertions, byte-identical schedules — on random
+schedules, on random realized timelines and on the adversarial ring
+instance (``ring_schedule``).
 
 They exist *only* as references; production code must never import
 this module.
@@ -15,10 +17,11 @@ this module.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.core.conflicts import OVERLAP_EPS
 from repro.core.schedule import ChargingSchedule
+from repro.sim.faults.timeline import ExecutedStop
 
 
 def _interval_overlap(
@@ -106,6 +109,33 @@ def legacy_cross_tour_conflicts(
             if overlap > OVERLAP_EPS:
                 out.append((a_node, node, overlap))
         active.append((start, finish, node))
+    return out
+
+
+def overlapping_cross_pairs(
+    stops: Sequence[ExecutedStop],
+    coverage: Mapping[int, FrozenSet[int]],
+    eps: float = OVERLAP_EPS,
+) -> List[Tuple[int, int, float]]:
+    """The retired ``sim.faults.timeline.overlapping_cross_pairs``: a
+    global start-time sweep over realized stops, pairs oriented by
+    start (``u`` the earlier-starting stop) in sweep order."""
+    order = sorted(stops, key=lambda s: (s.start_s, s.tour, s.node))
+    active: List[ExecutedStop] = []
+    out: List[Tuple[int, int, float]] = []
+    for stop in order:
+        active = [a for a in active if a.finish_s - stop.start_s > eps]
+        for other in active:
+            if other.tour == stop.tour:
+                continue
+            if not (coverage[other.node] & coverage[stop.node]):
+                continue
+            overlap = min(other.finish_s, stop.finish_s) - max(
+                other.start_s, stop.start_s
+            )
+            if overlap > eps:
+                out.append((other.node, stop.node, overlap))
+        active.append(stop)
     return out
 
 

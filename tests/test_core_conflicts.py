@@ -29,6 +29,7 @@ from repro.core.conflicts import (
     OVERLAP_EPS,
     ConflictResolver,
     conflicting_pairs,
+    interval_conflicts,
     minimum_pairwise_slack,
     stop_groups,
 )
@@ -37,6 +38,7 @@ from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
 from repro.geometry.point import Point
 from repro.graphs.coverage import coverage_sets
+from repro.sim.faults.timeline import ExecutedStop
 
 from tests._legacy_conflicts import (
     all_pairs_conflicting_pairs,
@@ -44,6 +46,7 @@ from tests._legacy_conflicts import (
     legacy_cross_tour_conflicts,
     legacy_resolve_conflicts,
     legacy_resolve_conflicts_after,
+    overlapping_cross_pairs,
 )
 
 NUM_SEEDS = 100
@@ -139,6 +142,43 @@ def ring_schedule(num_stops: int, num_tours: int = 4) -> ChargingSchedule:
     return schedule
 
 
+def random_timeline(seed: int):
+    """A random realized timeline ``(stops, coverage)`` with planted
+    edge cases: starts on a coarse grid (equal starts), zero-length
+    stops, stops starting exactly at (or within eps of) another's
+    finish, and disks of up to four sensors drawn from a small pool."""
+    rng = np.random.default_rng(seed)
+    num_stops = int(rng.integers(2, 25))
+    num_tours = int(rng.integers(1, 5))
+    coverage = {
+        node: frozenset(
+            int(x)
+            for x in rng.choice(8, size=int(rng.integers(0, 5)),
+                                replace=False)
+        )
+        for node in range(num_stops)
+    }
+    stops = []
+    for node in range(num_stops):
+        kind = int(rng.integers(0, 4))
+        if kind == 0 or not stops:
+            start = float(rng.integers(0, 12)) * 5.0
+        else:
+            # Start at an earlier stop's finish: exactly, eps/2 inside
+            # (touching) or 2 eps inside (a conflict).
+            anchor = stops[int(rng.integers(0, len(stops)))]
+            shift = (0.0, OVERLAP_EPS / 2, 2 * OVERLAP_EPS)[kind - 1]
+            start = anchor.finish_s - shift
+        length = (0.0, 5.0, float(rng.uniform(0.0, 30.0)))[
+            int(rng.integers(0, 3))
+        ]
+        stops.append(
+            ExecutedStop(node, int(rng.integers(0, num_tours)), start,
+                         start + length)
+        )
+    return stops, coverage
+
+
 def pair_set(pairs):
     """Orientation-independent view of a conflict list."""
     return {(frozenset((u, v)), overlap) for u, v, overlap in pairs}
@@ -200,6 +240,27 @@ class TestConflictSetParity:
             assert minimum_pairwise_slack(schedule) == (
                 brute_force_minimum_slack(schedule)
             ), f"seed {seed}"
+
+
+class TestRealizedTimelineParity:
+    """The engine's realized-timeline check equals the retired
+    start-time sweep of ``sim.faults.timeline``."""
+
+    def test_engine_matches_legacy_realized_sweep(self):
+        nonempty = 0
+        for seed in range(2000):
+            stops, coverage = random_timeline(seed)
+            engine = interval_conflicts(stops, coverage)
+            assert pair_set(engine) == pair_set(
+                overlapping_cross_pairs(stops, coverage)
+            ), f"seed {seed}"
+            # Oriented and ordered by record (tour-position) order.
+            index = {stop.node: i for i, stop in enumerate(stops)}
+            keys = [(index[u], index[v]) for u, v, _ in engine]
+            assert keys == sorted(keys)
+            assert all(i < j for i, j in keys)
+            nonempty += bool(engine)
+        assert nonempty > 500
 
 
 class TestResolutionParity:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.appro import appro_schedule
-from repro.core.conflicts import conflicting_pairs
+from repro.core.conflicts import conflicting_pairs, interval_conflicts
 from repro.core.repair import (
     RepairConfig,
     repair_schedule,
@@ -17,10 +17,7 @@ from repro.core.validation import validate_schedule
 from repro.energy.charging import ChargerSpec
 from repro.geometry.point import Point
 from repro.network.topology import random_wrsn
-from repro.sim.faults.timeline import (
-    overlapping_cross_pairs,
-    replay_with_factors,
-)
+from repro.sim.faults.timeline import replay_with_factors
 
 
 def _depleted(num_sensors, seed):
@@ -314,9 +311,7 @@ class TestRepairProperty:
                 working, failed_tour, at_fraction * planned
             )
             executed, _ = replay_with_factors(working)
-            conflicts = overlapping_cross_pairs(
-                executed, working.coverage
-            )
+            conflicts = interval_conflicts(executed, working.coverage)
             assert conflicts == [], (
                 f"trial {trial}: realized violations {conflicts} "
                 f"(tour {failed_tour} at {at_fraction:.2f})"

@@ -2,12 +2,9 @@
 
 import pytest
 
+from repro.core.conflicts import OVERLAP_EPS, conflicting_pairs
 from repro.core.schedule import ChargingSchedule
-from repro.core.validation import (
-    conflicting_pairs,
-    resolve_conflicts,
-    validate_schedule,
-)
+from repro.core.validation import resolve_conflicts, validate_schedule
 from repro.energy.charging import ChargerSpec
 from repro.geometry.point import Point
 
@@ -117,7 +114,7 @@ class TestResolveConflicts:
 
 
 class TestOverlapEpsBoundary:
-    """Interval overlaps around the ``_OVERLAP_EPS`` touching rule."""
+    """Interval overlaps around the ``OVERLAP_EPS`` touching rule."""
 
     def _two_stop_sched(self):
         sched = overlapping_fixture()
@@ -126,25 +123,21 @@ class TestOverlapEpsBoundary:
         return sched
 
     def test_overlap_below_eps_is_touching(self):
-        from repro.core.validation import _OVERLAP_EPS
-
         sched = self._two_stop_sched()
         # Delay stop 2 so its charging starts eps/2 before stop 1
         # finishes: the remaining overlap is below the threshold and
         # must be treated as touching, not conflicting.
-        target_start = sched.finish[1] - _OVERLAP_EPS / 2
+        target_start = sched.finish[1] - OVERLAP_EPS / 2
         sched.add_wait(2, target_start - sched.arrival[2])
         assert conflicting_pairs(sched) == []
 
     def test_overlap_above_eps_is_a_conflict(self):
-        from repro.core.validation import _OVERLAP_EPS
-
         sched = self._two_stop_sched()
-        target_start = sched.finish[1] - 1000 * _OVERLAP_EPS
+        target_start = sched.finish[1] - 1000 * OVERLAP_EPS
         sched.add_wait(2, target_start - sched.arrival[2])
         pairs = conflicting_pairs(sched)
         assert len(pairs) == 1
-        assert pairs[0][2] == pytest.approx(1000 * _OVERLAP_EPS, rel=1e-3)
+        assert pairs[0][2] == pytest.approx(1000 * OVERLAP_EPS, rel=1e-3)
 
     def test_zero_length_interval_never_conflicts(self):
         """A fully-covered stop charges for 0 s; a point interval

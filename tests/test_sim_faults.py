@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.kedf import kedf_schedule
 from repro.core.appro import appro_schedule
+from repro.core.conflicts import interval_conflicts
 from repro.sim.faults import (
     ChargeDroop,
     ChargeInterruption,
@@ -25,11 +26,7 @@ from repro.sim.faults import (
     surge_victims,
 )
 from repro.sim.faults.injector import rng_for_round
-from repro.sim.faults.timeline import (
-    ExecutedStop,
-    overlapping_cross_pairs,
-    replay_with_factors,
-)
+from repro.sim.faults.timeline import ExecutedStop, replay_with_factors
 from repro.sim.online import OnlineMonitoringSimulation
 from repro.sim.simulator import MonitoringSimulation
 
@@ -276,9 +273,7 @@ class TestTimeline:
             for n in range(40)
         ]
         stops = [
-            dataclasses.replace(
-                s, finish_s=s.start_s + float(rng.uniform(0.1, 30))
-            )
+            s._replace(finish_s=s.start_s + float(rng.uniform(0.1, 30)))
             for s in stops
         ]
         brute = set()
@@ -295,7 +290,7 @@ class TestTimeline:
                     brute.add(frozenset((a.node, b.node)))
         swept = {
             frozenset((u, v))
-            for u, v, _ in overlapping_cross_pairs(stops, coverage)
+            for u, v, _ in interval_conflicts(stops, coverage)
         }
         assert swept == brute
         assert brute  # the instance actually exercises the sweep

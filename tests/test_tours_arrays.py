@@ -28,9 +28,11 @@ from repro.pipeline.planner import planner_names, run_planner
 from repro.tours.arrays import (
     _OR_OPT_BLOCK,
     ArrayDistance,
-    ArrayTour,
     NodeIndexCodec,
     canonical_labels,
+    dense_tour_legs,
+    range_cost,
+    tour_legs,
 )
 from repro.tours.energy_budget import (
     MCVEnergyModel,
@@ -135,29 +137,36 @@ class TestDenseBackend:
                 assert a.matrix[ia, ja] == b.matrix[ib, jb]
 
 
-class TestArrayTour:
-    def test_prefixes_and_delay(self):
-        _, order, positions, depot, service_map, dist = random_instance(7)
+class TestDenseTourLegs:
+    def test_matches_label_legs(self):
+        _, order, _, _, service_map, dist = random_instance(7)
         dense = ArrayDistance.from_cache(dist, sorted(order))
-        tour = ArrayTour.from_labels(dense, order, service_map.__getitem__)
-        assert tour.labels() == order
+        service = np.array(
+            [service_map[label] for label in dense.codec.labels]
+        )
+        legs = dense_tour_legs(dense, dense.codec.encode(order), service)
+        want = tour_legs(dist, order, service_map.__getitem__)
+        for field in ("start_m", "chain_m", "closing_m", "service_s"):
+            assert getattr(legs, field).tobytes() == (
+                getattr(want, field).tobytes()
+            ), field
 
         travel = dist(None, order[0])
         for a, b in zip(order, order[1:]):
             travel += dist(a, b)
-        assert tour.travel_prefix_m[-1] == pytest.approx(travel)
         travel += dist(order[-1], None)
-        assert tour.travel_length_m() == pytest.approx(travel)
-        assert tour.delay_s(2.0) == pytest.approx(
+        assert range_cost(legs, 0, len(order), 2.0) == pytest.approx(
             travel / 2.0 + sum(service_map[v] for v in order)
         )
 
-    def test_empty_tour(self):
-        _, order, _, _, service_map, dist = random_instance(8)
+    def test_empty_order(self):
+        _, order, _, _, _, dist = random_instance(8)
         dense = ArrayDistance.from_cache(dist, sorted(order))
-        tour = ArrayTour.from_labels(dense, [], service_map.__getitem__)
-        assert tour.travel_length_m() == 0.0
-        assert tour.delay_s(1.0) == 0.0
+        legs = dense_tour_legs(
+            dense, dense.codec.encode([]), np.zeros(len(order))
+        )
+        assert len(legs) == 0
+        assert legs.chain_m.size == 0
 
 
 class TestKernelParity:

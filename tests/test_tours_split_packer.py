@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import metaheuristic
@@ -258,6 +258,16 @@ def test_bisection_intervals_are_half_open(side):
     ranges, bound = arrays._bisect_split(legs, 1.0, probe)
     assert ranges == want[0]
     assert bound.hex() == want[1].hex()
+
+
+def test_split_rejects_an_order_that_does_not_fit_one_segment():
+    """Non-metric legs where the whole order costs 0 s but node 0's
+    round trip alone costs 2 s: the precondition is a ``ValueError``,
+    not an ``assert`` that ``python -O`` strips."""
+    zero = np.zeros(2)
+    legs = TourLegs(zero, zero, np.array([1.0, 0.0]), zero)
+    with pytest.raises(ValueError, match="fit one segment"):
+        split_min_max_ranges(legs, 1, 0.5)
 
 
 def test_interval_shortcuts_walk_the_packer_less(monkeypatch):
