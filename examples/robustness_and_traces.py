@@ -4,7 +4,8 @@
 Three things a deployment operator needs beyond the scheduler:
 
 1. **Traces** — record every scheduling round of a monitoring run
-   (requests, delays, residual stats) and save them as JSON lines.
+   (requests, delays, residual stats) and save them as JSON lines in
+   a fresh temporary directory (its path is printed).
 2. **Stability diagnosis** — detect from the trace whether the fleet
    is keeping up or the queue is diverging (the failure mode that
    drives the paper's Fig. 3(b) dead durations).
@@ -17,6 +18,9 @@ Run:
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,8 @@ def main() -> None:
     # --- 1 & 2: traces + divergence diagnosis -------------------------
     net = random_wrsn(num_sensors=1100, seed=77)
     horizon = 50 * 86400.0
+    # A fresh directory per run: concurrent runs keep their own traces.
+    trace_dir = Path(tempfile.mkdtemp(prefix="repro-traces-"))
     print("== Stability diagnosis over 50 days (n=1100, K=2) ==")
     for name in ("Appro", "AA"):
         recorder = TraceRecorder(name)
@@ -46,8 +52,10 @@ def main() -> None:
             f"dead={metrics.avg_dead_time_per_sensor_minutes:.0f}min "
             f"-> {verdict}"
         )
-        trace.save_jsonl(f"/tmp/trace_{name.lower().replace('-', '_')}.jsonl")
-    print("  (traces saved to /tmp/trace_*.jsonl)\n")
+        trace.save_jsonl(
+            trace_dir / f"trace_{name.lower().replace('-', '_')}.jsonl"
+        )
+    print(f"  (traces saved to {trace_dir}/trace_*.jsonl)\n")
 
     # --- 3: execution-noise robustness ---------------------------------
     print("== Execution robustness of one Appro schedule ==")

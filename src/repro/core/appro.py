@@ -129,7 +129,7 @@ def appro_schedule(
         context = PlanningContext(network, request_ids, spec)
     context.validate_for(network, request_ids, spec)
     requests = context.requests
-    positions = network.positions()
+    positions = context.positions
     charge_times = context.charge_times_for(requests)
 
     # Steps 1-4: charging graph, sojourn candidates, conflict graph and

@@ -15,9 +15,9 @@ station, so every sensor always has a defined load and power draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.network.topology import WRSN
 
@@ -55,40 +55,67 @@ def build_routing_tree(network: WRSN) -> RoutingTree:
     within the network's communication range of its position; Dijkstra
     from the base station then yields each sensor's parent. Unreachable
     sensors get a direct link to the base station.
+
+    The search walks the cached data graph's adjacency plus the base
+    station's neighbour list, without copying the graph. It is
+    networkx's ``single_source_dijkstra``: a ``(distance, counter)``
+    heap and a strict ``<`` relaxation, over the neighbour order a copy
+    of the graph with the base station added would give (the data
+    graph is built in that order; the base station's own edges, last
+    in every list, never relax), so ties break as networkx breaks them.
     """
-    graph = network.comm_graph().copy()
-    graph.add_node(BS_NODE)
+    adjacency: Dict[object, Dict] = dict(network.comm_graph().adjacency())
     bs_pos = network.base_station.position
-    for sensor in network.sensors():
+    sensors = network.sensors()
+    bs_edges: Dict[int, Dict[str, float]] = {}
+    for sensor in sensors:
         dist = bs_pos.distance_to(sensor.position)
         if dist <= network.comm_range_m:
-            graph.add_edge(BS_NODE, sensor.id, weight=dist)
-
-    lengths, paths = nx.single_source_dijkstra(graph, BS_NODE, weight="weight")
+            bs_edges[sensor.id] = {"weight": dist}
+    adjacency[BS_NODE] = bs_edges
 
     parent: Dict[int, object] = {}
+    depth: Dict[object, int] = {BS_NODE: 0}
+    settled: Set[object] = set()
+    seen: Dict[object, float] = {BS_NODE: 0}
+    counter = count()
+    fringe: List[Tuple[float, int, object]] = [(0, next(counter), BS_NODE)]
+    while fringe:
+        d, _, v = heappop(fringe)
+        if v in settled:
+            continue
+        settled.add(v)
+        if v != BS_NODE:
+            depth[v] = depth[parent[v]] + 1
+        for u, data in adjacency[v].items():
+            if u in settled:
+                continue
+            vu_dist = d + data["weight"]
+            if u not in seen or vu_dist < seen[u]:
+                seen[u] = vu_dist
+                heappush(fringe, (vu_dist, next(counter), u))
+                parent[u] = v
+
     next_hop: Dict[int, float] = {}
-    depth: Dict[int, int] = {}
-    for sensor in network.sensors():
+    for sensor in sensors:
         sid = sensor.id
-        if sid in paths and len(paths[sid]) >= 2:
-            # paths[sid] runs BS -> ... -> sid; the parent is the
-            # second-to-last element.
-            par = paths[sid][-2]
-            parent[sid] = par
-            if par == BS_NODE:
-                next_hop[sid] = bs_pos.distance_to(sensor.position)
-            else:
-                next_hop[sid] = sensor.position.distance_to(
-                    network.position_of(par)
-                )
-            depth[sid] = len(paths[sid]) - 1
-        else:
+        par = parent.get(sid)
+        if par is None:
             # Disconnected from the sink: direct uplink fallback.
             parent[sid] = BS_NODE
             next_hop[sid] = bs_pos.distance_to(sensor.position)
             depth[sid] = 1
-    return RoutingTree(parent=parent, next_hop_distance_m=next_hop, depth=depth)
+        elif par == BS_NODE:
+            next_hop[sid] = bs_pos.distance_to(sensor.position)
+        else:
+            next_hop[sid] = sensor.position.distance_to(
+                network.position_of(par)
+            )
+    return RoutingTree(
+        parent={sensor.id: parent[sensor.id] for sensor in sensors},
+        next_hop_distance_m=next_hop,
+        depth={sensor.id: depth[sensor.id] for sensor in sensors},
+    )
 
 
 def relay_loads_bps(network: WRSN, tree: Optional[RoutingTree] = None) -> Dict[int, float]:

@@ -11,7 +11,8 @@ center, 10.8 kJ batteries, and sensing rates uniform in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 import networkx as nx
 import numpy as np
@@ -69,6 +70,14 @@ class WRSN:
         self.comm_range_m = float(comm_range_m)
         self.field = field
         self._comm_graph: Optional[nx.Graph] = None
+        self._positions: Optional[Mapping[int, Point]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The read-only positions view does not pickle; it is rebuilt
+        # on first use after unpickling.
+        state = self.__dict__.copy()
+        state["_positions"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Accessors
@@ -96,9 +105,17 @@ class WRSN:
         """Position of one sensor."""
         return self._sensors[sensor_id].position
 
-    def positions(self) -> Dict[int, Point]:
-        """Mapping of sensor id to position."""
-        return {i: s.position for i, s in self._sensors.items()}
+    def positions(self) -> Mapping[int, Point]:
+        """Read-only mapping of sensor id to position.
+
+        Built once, on first use: positions are static for the
+        network's lifetime, so every caller shares the one map.
+        """
+        if self._positions is None:
+            self._positions = MappingProxyType(
+                {i: s.position for i, s in self._sensors.items()}
+            )
+        return self._positions
 
     # ------------------------------------------------------------------
     # Data-collection graph
@@ -108,7 +125,12 @@ class WRSN:
         """The data graph ``G_s``: an edge joins sensors within the
         transmission range of each other, weighted by distance.
 
-        Cached; the topology is static.
+        Cached; the topology is static. Each edge is added once, from
+        its endpoint earlier in node order, in ascending (earlier,
+        later) order, so every adjacency list holds the earlier
+        neighbours then the later ones, each in node order: the order
+        ``Graph.copy()`` rebuilds, which makes walking the cached graph
+        and walking a copy of it relax edges in the same order.
         """
         if self._comm_graph is None:
             graph = nx.Graph()
@@ -118,8 +140,7 @@ class WRSN:
             rows, cols = DiskIndex(positions).self_pairs_within(
                 self.comm_range_m
             )
-            ids = np.asarray(labels)
-            upper = ids[cols] > ids[rows]  # other > sid
+            upper = cols > rows
             rows, cols = rows[upper], cols[upper]
             # Slices bound the Python ints alive at once; the edge
             # order (hence Dijkstra's tie-breaks) is the one-shot order.

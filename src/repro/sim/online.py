@@ -73,8 +73,8 @@ from repro.sim.faults.injector import draw_round_faults, surge_victims
 from repro.sim.faults.specs import FaultPlan, RoundFaults
 from repro.sim.metrics import SimMetrics
 from repro.sim.simulator import (
+    BatteryTrajectories,
     MonitoringSimulation,
-    _SensorState,
     _TIME_EPS_S,
 )
 
@@ -474,11 +474,13 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         queue: EventQueue,
         generation: Dict[int, int],
         sid: int,
-        state: _SensorState,
+        states: BatteryTrajectories,
     ) -> None:
         """Schedule the sensor's next threshold crossing, invalidating
         any earlier pending event for it."""
-        crossing = state.crossing_time(self.threshold * state.capacity_j)
+        crossing = states.crossing_time(
+            sid, self.threshold * states.capacity_j(sid)
+        )
         generation[sid] = generation.get(sid, 0) + 1
         if math.isfinite(crossing):
             queue.schedule(
@@ -502,7 +504,7 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
     def _settle(
         self,
         dispatch: _Dispatch,
-        states: Dict[int, _SensorState],
+        states: BatteryTrajectories,
         metrics: SimMetrics,
         assigned: set,
         queue: EventQueue,
@@ -526,14 +528,13 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
             if sid not in states:
                 continue  # hardware-failed since dispatch
             charge_at = finishes.get(sid, dispatch.return_s)
-            state = states[sid]
-            death = state.death_time()
+            death = states.death_time(sid)
             if death < charge_at:
                 start = min(death, self.horizon_s)
                 end = min(charge_at, self.horizon_s)
                 if end > start:
                     metrics.dead_time_s[sid] += end - start
-            state.recharge_full_at(charge_at)
+            states.recharge_full_at(sid, charge_at)
             arrival = dispatch.arrivals.get(sid, dispatch.depart_s)
             metrics.request_delays_s.append(charge_at - arrival)
             self.estimator.observe(charge_at - dispatch.depart_s)
@@ -541,24 +542,17 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
                 missed = self.deadline.settle(sid, charge_at)
                 if missed:
                     metrics.deadline_misses += 1
-            self._schedule_arrival(queue, generation, sid, state)
+            self._schedule_arrival(queue, generation, sid, states)
 
     # ------------------------------------------------------------------
 
     def run(self) -> SimMetrics:
         """Execute the event-driven online monitoring loop."""
-        draws = self._power_draws()
-        states: Dict[int, _SensorState] = {}
-        for sensor in self.network.sensors():
-            states[sensor.id] = _SensorState(
-                capacity_j=sensor.battery.capacity_j,
-                level_j=sensor.battery.level_j,
-                draw_w=draws[sensor.id],
-            )
+        states = self._trajectories()
         metrics = SimMetrics(
             horizon_s=self.horizon_s,
             num_sensors=len(self.network),
-            dead_time_s={sid: 0.0 for sid in states},
+            dead_time_s={sid: 0.0 for sid in states.alive_ids()},
         )
 
         queue = EventQueue()
@@ -566,12 +560,12 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         generation: Dict[int, int] = {}
         #: outstanding requests: sid -> true arrival time.
         pending: Dict[int, float] = {}
-        for sid in sorted(states):
-            st = states[sid]
-            if st.level_at(0.0) < self.threshold * st.capacity_j:
+        initially_below = set(states.below(0.0, self.threshold))
+        for sid in states.alive_ids():
+            if sid in initially_below:
                 self._register_arrival(sid, 0.0, pending, metrics)
             else:
-                self._schedule_arrival(queue, generation, sid, st)
+                self._schedule_arrival(queue, generation, sid, states)
 
         vehicle_free_at = [0.0] * self.num_chargers
         live: List[_Dispatch] = []
@@ -632,11 +626,11 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
                     self.fault_plan,
                     dispatches - 1,
                     self.num_chargers,
-                    sensor_ids=sorted(states),
+                    sensor_ids=states.alive_ids(),
                 )
                 for sid in sorted(faults.failed_sensors):
                     if sid in states:
-                        del states[sid]
+                        states.fail(sid)
                         assigned.discard(sid)
                         pending.pop(sid, None)
                         if self.deadline is not None:
@@ -647,12 +641,11 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
                 exempt = set(pending) | assigned
                 surged = surge_victims(
                     faults,
-                    [sid for sid in sorted(states) if sid not in exempt],
+                    [sid for sid in states.alive_ids() if sid not in exempt],
                 )
                 for sid in surged:
-                    st = states[sid]
-                    st.recharge_to(
-                        0.99 * self.threshold * st.capacity_j, t
+                    states.recharge_to(
+                        sid, 0.99 * self.threshold * states.capacity_j(sid), t
                     )
                     # Invalidate the stale crossing event of the old
                     # trajectory; the surge is the arrival.
@@ -687,7 +680,7 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
             batch = self._pick_batch(pending, preferred)
             arrivals = {sid: pending.pop(sid) for sid in batch}
             assigned.update(batch)
-            residuals = {sid: states[sid].level_at(t) for sid in batch}
+            residuals = {sid: states.level_at(sid, t) for sid in batch}
             self.network.set_residuals(residuals)
             dispatch = self._build_dispatch(
                 vehicle, t, batch, arrivals, live, faults=faults
@@ -722,8 +715,8 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         for d in sorted(live, key=lambda d: (d.return_s, d.vehicle)):
             self._settle(d, states, metrics, assigned, queue, generation)
 
-        for sid, state in states.items():
-            death = state.death_time()
+        for sid in states.alive_ids():
+            death = states.death_time(sid)
             if death < self.horizon_s:
                 metrics.dead_time_s[sid] += self.horizon_s - death
         if self.audit:

@@ -22,6 +22,7 @@ The planned-timeline slack statistic is the conflict engine's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -98,12 +99,18 @@ class RobustnessReport:
     min_pairwise_slack_s: float
 
     def __str__(self) -> str:
+        # No cross-tour pair shares a disk: there is no slack to report.
+        slack = (
+            f"{self.min_pairwise_slack_s:.1f}s"
+            if math.isfinite(self.min_pairwise_slack_s)
+            else "none"
+        )
         return (
             f"trials={self.trials} "
             f"P(violation)={self.violation_probability:.3f} "
             f"delay {self.planned_longest_delay_s / 3600:.2f}h -> "
             f"{self.mean_longest_delay_s / 3600:.2f}h "
-            f"min_slack={self.min_pairwise_slack_s:.1f}s"
+            f"min_slack={slack}"
         )
 
 

@@ -13,6 +13,10 @@ routing tree), battery depletion is piecewise linear and the simulator
 advances in closed form from event to event — no ticking. The state of
 sensor ``i`` is ``(t_ref, level at t_ref, draw)``; threshold crossings,
 deaths and recharges are all O(1) computations on that triple.
+:class:`BatteryTrajectories` holds the triples of the whole population
+as numpy arrays, so a round's below-threshold scan and the jump to the
+next crossing are one vectorized pass each, and the Python work of a
+round grows with its request set, not with the network.
 
 Round model:
 
@@ -35,7 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.repair import RepairConfig
 from repro.energy.battery import DEFAULT_REQUEST_THRESHOLD
@@ -58,50 +64,154 @@ SECONDS_PER_YEAR = 365.0 * 24.0 * 3600.0
 _TIME_EPS_S = 1e-6
 
 
-class _SensorState:
-    """Piecewise-linear battery trajectory of one sensor."""
+class BatteryTrajectories:
+    """Piecewise-linear battery trajectories of a sensor population.
 
-    __slots__ = ("capacity_j", "level_j", "t_ref", "draw_w")
+    Sensor ``i``'s battery is ``(t_ref, level at t_ref, draw)`` plus its
+    capacity, each held in one numpy array row (rows in ascending id
+    order), and an alive mask that a hardware failure clears. The
+    population-wide questions a round asks — which sensors are below
+    the threshold now, when the next one crosses it — are one
+    vectorized pass each; the per-sensor accessors serve the O(|V_s|)
+    bookkeeping of the requested sensors. Both evaluate the scalar
+    formulas with the same IEEE operations in the same order, so the
+    answers are bit-identical to a per-sensor loop.
 
-    def __init__(self, capacity_j: float, level_j: float, draw_w: float):
-        self.capacity_j = capacity_j
-        self.level_j = level_j
-        self.t_ref = 0.0
-        self.draw_w = draw_w
+    Args:
+        ids: sensor ids, strictly ascending.
+        capacity_j: battery capacity per sensor.
+        level_j: battery level per sensor at time 0.
+        draw_w: constant power draw per sensor.
 
-    def level_at(self, t: float) -> float:
-        """Battery level at absolute time ``t`` (>= ``t_ref``)."""
-        return max(0.0, self.level_j - self.draw_w * (t - self.t_ref))
+    Raises:
+        ValueError: on mismatched lengths, ids not strictly ascending,
+            a non-positive capacity, a level outside ``[0, capacity]``
+            or a negative (or NaN) draw.
+    """
 
-    def death_time(self) -> float:
-        """Absolute time the battery empties (``inf`` for zero draw)."""
-        if self.draw_w <= 0.0:
+    def __init__(
+        self,
+        ids: Sequence[int],
+        capacity_j: Sequence[float],
+        level_j: Sequence[float],
+        draw_w: Sequence[float],
+    ):
+        self._ids = np.asarray(ids, dtype=np.int64)
+        self._capacity = np.asarray(capacity_j, dtype=np.float64)
+        self._level = np.array(level_j, dtype=np.float64)
+        self._draw = np.asarray(draw_w, dtype=np.float64)
+        n = len(self._ids)
+        if not (len(self._capacity) == len(self._level) == len(self._draw) == n):
+            raise ValueError(
+                "ids, capacity_j, level_j and draw_w must have one entry "
+                "per sensor"
+            )
+        if n > 1 and not bool(np.all(self._ids[1:] > self._ids[:-1])):
+            raise ValueError("sensor ids must be strictly ascending")
+        if not bool(np.all(self._capacity > 0.0)):
+            raise ValueError("battery capacities must be positive")
+        if not bool(
+            np.all((self._level >= 0.0) & (self._level <= self._capacity))
+        ):
+            raise ValueError("battery levels must lie in [0, capacity]")
+        if not bool(np.all(self._draw >= 0.0)):
+            raise ValueError("power draws must be non-negative")
+        self._t_ref = np.zeros(n)
+        self._alive = np.ones(n, dtype=bool)
+        self._row = {sid: i for i, sid in enumerate(self._ids.tolist())}
+
+    # ------------------------------------------------------------------
+    # Population
+    # ------------------------------------------------------------------
+
+    def __contains__(self, sensor_id: int) -> bool:
+        """Whether ``sensor_id`` is monitored and has not failed."""
+        row = self._row.get(sensor_id)
+        return row is not None and bool(self._alive[row])
+
+    def alive_ids(self) -> List[int]:
+        """Ids of the sensors that have not failed, ascending."""
+        return self._ids[self._alive].tolist()
+
+    def fail(self, sensor_id: int) -> None:
+        """Drop a hardware-failed sensor from the population."""
+        self._alive[self._row[sensor_id]] = False
+
+    def below(self, t: float, threshold: float) -> List[int]:
+        """Alive sensors whose level at ``t`` is below ``threshold``
+        times their capacity, ascending."""
+        level = np.maximum(
+            0.0, self._level - self._draw * (t - self._t_ref)
+        )
+        hit = (level < threshold * self._capacity) & self._alive
+        return self._ids[hit].tolist()
+
+    def next_crossing(self, threshold: float) -> float:
+        """Earliest :meth:`crossing_time` of ``threshold`` times the
+        capacity over the alive sensors (``inf`` when none)."""
+        if not self._alive.any():
             return math.inf
-        return self.t_ref + self.level_j / self.draw_w
+        threshold_j = threshold * self._capacity
+        draining = self._draw > 0.0
+        crossing = np.full(len(self._ids), math.inf)
+        crossing[draining] = self._t_ref[draining] + (
+            self._level[draining] - threshold_j[draining]
+        ) / self._draw[draining]
+        crossing[self._level <= threshold_j] = -math.inf
+        return float(crossing[self._alive].min())
 
-    def crossing_time(self, threshold_j: float) -> float:
+    # ------------------------------------------------------------------
+    # One sensor
+    # ------------------------------------------------------------------
+
+    def capacity_j(self, sensor_id: int) -> float:
+        """Battery capacity of one sensor."""
+        return self._capacity.item(self._row[sensor_id])
+
+    def draw_w(self, sensor_id: int) -> float:
+        """Constant power draw of one sensor."""
+        return self._draw.item(self._row[sensor_id])
+
+    def level_at(self, sensor_id: int, t: float) -> float:
+        """Battery level at absolute time ``t`` (>= ``t_ref``)."""
+        row = self._row[sensor_id]
+        return max(
+            0.0,
+            self._level.item(row)
+            - self._draw.item(row) * (t - self._t_ref.item(row)),
+        )
+
+    def death_time(self, sensor_id: int) -> float:
+        """Absolute time the battery empties (``inf`` for zero draw)."""
+        row = self._row[sensor_id]
+        draw_w = self._draw.item(row)
+        if draw_w <= 0.0:
+            return math.inf
+        return self._t_ref.item(row) + self._level.item(row) / draw_w
+
+    def crossing_time(self, sensor_id: int, threshold_j: float) -> float:
         """Absolute time the level reaches ``threshold_j`` from above
         (``-inf`` if already below, ``inf`` for zero draw)."""
-        if self.level_j <= threshold_j:
+        row = self._row[sensor_id]
+        level_j = self._level.item(row)
+        if level_j <= threshold_j:
             return -math.inf
-        if self.draw_w <= 0.0:
+        draw_w = self._draw.item(row)
+        if draw_w <= 0.0:
             return math.inf
-        return self.t_ref + (self.level_j - threshold_j) / self.draw_w
+        return self._t_ref.item(row) + (level_j - threshold_j) / draw_w
 
-    def advance_to(self, t: float) -> None:
-        """Re-anchor the state at time ``t``."""
-        self.level_j = self.level_at(t)
-        self.t_ref = t
-
-    def recharge_full_at(self, t: float) -> None:
+    def recharge_full_at(self, sensor_id: int, t: float) -> None:
         """Jump to full capacity at time ``t``."""
-        self.level_j = self.capacity_j
-        self.t_ref = t
+        row = self._row[sensor_id]
+        self._level[row] = self._capacity[row]
+        self._t_ref[row] = t
 
-    def recharge_to(self, level_j: float, t: float) -> None:
+    def recharge_to(self, sensor_id: int, level_j: float, t: float) -> None:
         """Jump to ``level_j`` (≤ capacity) at time ``t``."""
-        self.level_j = min(level_j, self.capacity_j)
-        self.t_ref = t
+        row = self._row[sensor_id]
+        self._level[row] = min(level_j, self._capacity.item(row))
+        self._t_ref[row] = t
 
 
 class MonitoringSimulation:
@@ -212,39 +322,34 @@ class MonitoringSimulation:
             )
         return draws
 
+    def _trajectories(self) -> BatteryTrajectories:
+        """Every sensor's battery trajectory from its level now, its
+        true capacity and its routing-tree power draw."""
+        draws = self._power_draws()
+        sensors = self.network.sensors()
+        return BatteryTrajectories(
+            ids=[s.id for s in sensors],
+            capacity_j=[self._true_capacity[s.id] for s in sensors],
+            level_j=[s.battery.level_j for s in sensors],
+            draw_w=[draws[s.id] for s in sensors],
+        )
+
     def run(self) -> SimMetrics:
         """Execute the monitoring loop and return the metrics."""
-        draws = self._power_draws()
-        states: Dict[int, _SensorState] = {}
-        for sensor in self.network.sensors():
-            states[sensor.id] = _SensorState(
-                capacity_j=self._true_capacity[sensor.id],
-                level_j=sensor.battery.level_j,
-                draw_w=draws[sensor.id],
-            )
+        states = self._trajectories()
         metrics = SimMetrics(
             horizon_s=self.horizon_s,
             num_sensors=len(self.network),
-            dead_time_s={sid: 0.0 for sid in states},
+            dead_time_s={sid: 0.0 for sid in states.alive_ids()},
         )
 
         t = 0.0
         rounds = 0
         while t < self.horizon_s:
-            below = [
-                sid
-                for sid, st in states.items()
-                if st.level_at(t) < self.threshold * st.capacity_j
-            ]
+            below = states.below(t, self.threshold)
             if not below:
                 # Jump to the next threshold crossing.
-                next_cross = min(
-                    (
-                        st.crossing_time(self.threshold * st.capacity_j)
-                        for st in states.values()
-                    ),
-                    default=math.inf,
-                )
+                next_cross = states.next_crossing(self.threshold)
                 if not math.isfinite(next_cross) or next_cross >= self.horizon_s:
                     break
                 # Step just past the crossing: landing exactly on it
@@ -259,7 +364,6 @@ class MonitoringSimulation:
                     f"exceeded max_rounds={self.max_rounds}; "
                     "the configuration appears pathological"
                 )
-            below.sort()
 
             faults = None
             if self.fault_plan is not None:
@@ -267,26 +371,32 @@ class MonitoringSimulation:
                     self.fault_plan,
                     rounds - 1,
                     self.num_chargers,
-                    sensor_ids=sorted(states),
+                    sensor_ids=states.alive_ids(),
                 )
                 # Hardware failures: the sensor permanently leaves the
                 # monitored population (no further dead-time accrual).
                 for sid in sorted(faults.failed_sensors):
                     if sid in states:
-                        del states[sid]
+                        states.fail(sid)
                         metrics.sensors_failed.append(sid)
                 below = [sid for sid in below if sid in states]
                 # Request surge: a slice of the healthy population
                 # drains to just below the threshold and joins the
                 # round — same schedulers, much bigger instance.
+                requested = set(below)
                 surged = surge_victims(
                     faults,
-                    [sid for sid in states if sid not in set(below)],
+                    [
+                        sid
+                        for sid in states.alive_ids()
+                        if sid not in requested
+                    ],
                 )
                 for sid in surged:
-                    st = states[sid]
-                    st.recharge_to(
-                        0.99 * self.threshold * st.capacity_j, t
+                    states.recharge_to(
+                        sid,
+                        0.99 * self.threshold * states.capacity_j(sid),
+                        t,
                     )
                 if surged:
                     below.extend(surged)
@@ -298,16 +408,14 @@ class MonitoringSimulation:
                     continue
 
             # Stage the scheduling instance: freeze residuals at t.
-            residuals = {sid: states[sid].level_at(t) for sid in below}
+            residuals = {sid: states.level_at(sid, t) for sid in below}
             self.network.set_residuals(residuals)
-            lifetimes = {
-                sid: (
-                    residuals[sid] / states[sid].draw_w
-                    if states[sid].draw_w > 0
-                    else math.inf
+            lifetimes = {}
+            for sid in below:
+                draw_w = states.draw_w(sid)
+                lifetimes[sid] = (
+                    residuals[sid] / draw_w if draw_w > 0 else math.inf
                 )
-                for sid in below
-            }
             result = self.algorithm(
                 self.network,
                 below,
@@ -347,8 +455,7 @@ class MonitoringSimulation:
                     # accrues in that round's ordinary accounting.
                     continue
                 charge_at = t + finishes.get(sid, round_delay)
-                state = states[sid]
-                death = state.death_time()
+                death = states.death_time(sid)
                 if death < charge_at:
                     start = min(death, self.horizon_s)
                     end = min(charge_at, self.horizon_s)
@@ -364,7 +471,8 @@ class MonitoringSimulation:
                             metrics.fault_extra_dead_time_s += max(
                                 0.0, end - planned_end
                             )
-                state.recharge_to(
+                states.recharge_to(
+                    sid,
                     self.policy.target_level_j(self._true_capacity[sid]),
                     charge_at,
                 )
@@ -375,8 +483,8 @@ class MonitoringSimulation:
 
         # Sensors still dead (or dying before the horizon) after the
         # final round contribute until the horizon.
-        for sid, state in states.items():
-            death = state.death_time()
+        for sid in states.alive_ids():
+            death = states.death_time(sid)
             if death < self.horizon_s:
                 metrics.dead_time_s[sid] += self.horizon_s - death
         return metrics

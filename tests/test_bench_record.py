@@ -75,8 +75,8 @@ class TestWriteBenchRecord:
 
 class TestCommittedArtifacts:
     """The committed records stay valid: ``BENCH_eval.json`` (written
-    by ``repro eval --bench``) and the eval-matrix speed record
-    ``BENCH_perf_eval-matrix.json`` (written by
+    by ``repro eval --bench``) and the eval-matrix and sim-year speed
+    records ``BENCH_perf_<workload>.json`` (written by
     ``tools/perf_record.py``)."""
 
     def test_eval_record_is_valid(self):
@@ -90,25 +90,35 @@ class TestCommittedArtifacts:
         assert record["derived"]["wins_vs_appro[Appro]"] == 0
 
     def test_perf_record_is_valid(self):
-        from pathlib import Path
+        assert_valid_perf_record("eval-matrix")
 
-        root = Path(__file__).resolve().parent.parent
-        path = root / "BENCH_perf_eval-matrix.json"
-        record = json.loads(path.read_text())
-        spec = json.loads((root / "BENCHMARK.json").read_text())
-        assert record["format"] == BENCH_FORMAT
-        assert record["benchmark"] == "perfbench-eval-matrix"
-        params = record["params"]
-        assert params["workload"] == "eval-matrix"
-        assert record["repeats"] == len(set(params["seeds"])) >= 5
-        assert params["seconds"] == spec["run_seconds"]
-        assert set(record["metrics"]) == {
-            metric["name"] for metric in spec["end_to_end"]
-        }
-        assert {"commit", "cpu", "nproc", "python", "numpy"} <= set(
-            params["environment"]
-        )
-        for summary in record["metrics"].values():
-            assert summary["min"] <= summary["median"] <= summary["max"]
-        assert record["metrics"]["ok_ratio"]["min"] == 1.0
-        assert record["derived"]["failed"] == 0
+    def test_sim_year_perf_record_is_valid(self):
+        assert_valid_perf_record("sim-year")
+
+
+def assert_valid_perf_record(workload):
+    """``BENCH_perf_<workload>.json`` is a complete speed record: five
+    or more seeds at the benchmark's run length, every end-to-end
+    metric, an environment block and no failed operation."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    path = root / f"BENCH_perf_{workload}.json"
+    record = json.loads(path.read_text())
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    assert record["format"] == BENCH_FORMAT
+    assert record["benchmark"] == f"perfbench-{workload}"
+    params = record["params"]
+    assert params["workload"] == workload
+    assert record["repeats"] == len(set(params["seeds"])) >= 5
+    assert params["seconds"] == spec["run_seconds"]
+    assert set(record["metrics"]) == {
+        metric["name"] for metric in spec["end_to_end"]
+    }
+    assert {"commit", "cpu", "nproc", "python", "numpy"} <= set(
+        params["environment"]
+    )
+    for summary in record["metrics"].values():
+        assert summary["min"] <= summary["median"] <= summary["max"]
+    assert record["metrics"]["ok_ratio"]["min"] == 1.0
+    assert record["derived"]["failed"] == 0

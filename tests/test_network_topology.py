@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.network.topology`."""
 
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -112,6 +114,33 @@ class TestWRSN:
         clone = net.copy()
         clone.set_residuals({0: 5.0})
         assert net.sensor(0).residual_j != 5.0
+
+    def test_positions_built_once_and_read_only(self):
+        net = tiny_wrsn()
+        positions = net.positions()
+        assert net.positions() is positions
+        assert dict(positions) == {
+            s.id: s.position for s in net.sensors()
+        }
+        with pytest.raises(TypeError):
+            positions[0] = Point(1.0, 1.0)
+
+    def test_copy_gets_its_own_positions_map(self):
+        net = tiny_wrsn()
+        clone = net.copy()
+        assert clone.positions() is not net.positions()
+        assert clone.positions() == net.positions()
+        # The points themselves are immutable and shared.
+        assert all(
+            clone.positions()[sid] is net.positions()[sid]
+            for sid in net.all_sensor_ids()
+        )
+
+    def test_pickles_after_positions_built(self):
+        net = tiny_wrsn()
+        net.positions()
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone.positions() == net.positions()
 
 
 class TestRandomWrsn:

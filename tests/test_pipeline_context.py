@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.appro import appro_schedule
 from repro.energy.charging import ChargerSpec, full_charge_time
 from repro.geometry.deployment import Field
 from repro.geometry.disk_index import DiskIndex
@@ -381,3 +382,22 @@ class TestSharedDistances:
         assert shared_distance_cache(depleted_net) is not (
             shared_distance_cache(small_net)
         )
+
+    def test_context_and_appro_share_the_networks_positions(
+        self, depleted_net
+    ):
+        ctx = PlanningContext(depleted_net, [0, 1, 2])
+        assert ctx.positions is depleted_net.positions()
+        schedule = appro_schedule(depleted_net, [0, 1, 2], 1, context=ctx)
+        assert schedule.positions is ctx.positions
+
+    def test_a_copy_starts_cold(self, depleted_net):
+        """Nothing geometric but the points crosses a copy: a plan on
+        ``network.copy()`` starts with an empty distance cache."""
+        warm = PlanningContext(depleted_net, [0, 1, 2])
+        warm.distance(0, 1)
+        clone = depleted_net.copy()
+        cold = PlanningContext(clone, [0, 1, 2])
+        assert cold.distance is not warm.distance
+        assert len(cold.distance) == 0
+        assert cold.positions is not warm.positions

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.appro import appro_schedule
 from repro.sim.robustness import (
+    RobustnessReport,
     minimum_pairwise_slack,
     perturbed_execution,
     robustness_report,
@@ -90,6 +91,28 @@ class TestSlackAndReport:
     def test_invalid_trials(self, schedule):
         with pytest.raises(ValueError):
             robustness_report(schedule, trials=0)
+
+    def test_str_without_shared_disk_pairs_reads_none(self):
+        report = RobustnessReport(
+            trials=3,
+            violation_probability=0.0,
+            mean_longest_delay_s=7200.0,
+            planned_longest_delay_s=3600.0,
+            min_pairwise_slack_s=math.inf,
+        )
+        text = str(report)
+        assert "min_slack=none" in text
+        assert "inf" not in text
+
+    def test_str_prints_finite_slack_in_seconds(self):
+        report = RobustnessReport(
+            trials=3,
+            violation_probability=0.0,
+            mean_longest_delay_s=7200.0,
+            planned_longest_delay_s=3600.0,
+            min_pairwise_slack_s=12.34,
+        )
+        assert str(report).endswith("min_slack=12.3s")
 
 
 def _brute_force_slack(schedule):

@@ -2,53 +2,163 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.energy.consumption import RadioModel
 from repro.network.topology import random_wrsn
 from repro.sim.simulator import (
     SECONDS_PER_YEAR,
+    BatteryTrajectories,
     MonitoringSimulation,
-    _SensorState,
 )
 
 
+def one_sensor(capacity_j, level_j, draw_w):
+    """A one-sensor population; the sensor's id is 0."""
+    return BatteryTrajectories([0], [capacity_j], [level_j], [draw_w])
+
+
 class TestSensorState:
+    """One sensor's trajectory through the per-sensor accessors."""
+
     def test_level_at_linear(self):
-        state = _SensorState(capacity_j=100.0, level_j=100.0, draw_w=2.0)
-        assert state.level_at(10.0) == pytest.approx(80.0)
+        state = one_sensor(capacity_j=100.0, level_j=100.0, draw_w=2.0)
+        assert state.level_at(0, 10.0) == pytest.approx(80.0)
 
     def test_level_clamps_at_zero(self):
-        state = _SensorState(capacity_j=100.0, level_j=10.0, draw_w=2.0)
-        assert state.level_at(100.0) == 0.0
+        state = one_sensor(capacity_j=100.0, level_j=10.0, draw_w=2.0)
+        assert state.level_at(0, 100.0) == 0.0
 
     def test_death_time(self):
-        state = _SensorState(capacity_j=100.0, level_j=50.0, draw_w=2.0)
-        assert state.death_time() == pytest.approx(25.0)
+        state = one_sensor(capacity_j=100.0, level_j=50.0, draw_w=2.0)
+        assert state.death_time(0) == pytest.approx(25.0)
 
     def test_death_time_zero_draw(self):
-        state = _SensorState(capacity_j=100.0, level_j=50.0, draw_w=0.0)
-        assert state.death_time() == math.inf
+        state = one_sensor(capacity_j=100.0, level_j=50.0, draw_w=0.0)
+        assert state.death_time(0) == math.inf
 
     def test_crossing_time(self):
-        state = _SensorState(capacity_j=100.0, level_j=100.0, draw_w=2.0)
-        assert state.crossing_time(20.0) == pytest.approx(40.0)
+        state = one_sensor(capacity_j=100.0, level_j=100.0, draw_w=2.0)
+        assert state.crossing_time(0, 20.0) == pytest.approx(40.0)
 
     def test_crossing_time_already_below(self):
-        state = _SensorState(capacity_j=100.0, level_j=10.0, draw_w=2.0)
-        assert state.crossing_time(20.0) == -math.inf
+        state = one_sensor(capacity_j=100.0, level_j=10.0, draw_w=2.0)
+        assert state.crossing_time(0, 20.0) == -math.inf
 
     def test_recharge(self):
-        state = _SensorState(capacity_j=100.0, level_j=10.0, draw_w=1.0)
-        state.recharge_full_at(50.0)
-        assert state.level_at(50.0) == 100.0
-        assert state.level_at(60.0) == pytest.approx(90.0)
+        state = one_sensor(capacity_j=100.0, level_j=10.0, draw_w=1.0)
+        state.recharge_full_at(0, 50.0)
+        assert state.level_at(0, 50.0) == 100.0
+        assert state.level_at(0, 60.0) == pytest.approx(90.0)
 
     def test_advance_to(self):
-        state = _SensorState(capacity_j=100.0, level_j=100.0, draw_w=1.0)
-        state.advance_to(30.0)
-        assert state.t_ref == 30.0
-        assert state.level_j == pytest.approx(70.0)
+        """Re-anchoring at the current level keeps the trajectory."""
+        state = one_sensor(capacity_j=100.0, level_j=100.0, draw_w=1.0)
+        state.recharge_to(0, state.level_at(0, 30.0), 30.0)
+        assert state.level_at(0, 30.0) == pytest.approx(70.0)
+        assert state.level_at(0, 40.0) == pytest.approx(60.0)
+        assert state.death_time(0) == pytest.approx(100.0)
+
+
+def random_population(seed, n=200):
+    """Random trajectories with the boundary cases planted: levels
+    exactly at the threshold, zero draws, empty batteries, and some
+    failed sensors."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(10 * n, size=n, replace=False)).tolist()
+    capacity = rng.uniform(50.0, 150.0, n)
+    level = capacity * rng.uniform(0.0, 1.0, n)
+    at_threshold = rng.random(n) < 0.1
+    level[at_threshold] = THRESHOLD * capacity[at_threshold]
+    level[rng.random(n) < 0.05] = 0.0
+    draw = rng.uniform(0.0, 2.0, n)
+    draw[rng.random(n) < 0.1] = 0.0
+    traj = BatteryTrajectories(ids, capacity.tolist(), level.tolist(), draw)
+    for sid in rng.choice(ids, size=n // 10, replace=False).tolist():
+        traj.fail(sid)
+    return traj, ids
+
+
+THRESHOLD = 0.2
+
+
+class TestPopulationQueries:
+    """The vectorized queries equal a loop over the scalar accessors."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_below_matches_scalar_scan(self, seed):
+        traj, ids = random_population(seed)
+        for t in (0.0, 1.0, 17.5, 60.0, 1e4):
+            want = [
+                sid
+                for sid in ids
+                if sid in traj
+                and traj.level_at(sid, t) < THRESHOLD * traj.capacity_j(sid)
+            ]
+            assert traj.below(t, THRESHOLD) == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_next_crossing_matches_scalar_min(self, seed):
+        traj, _ = random_population(seed)
+        alive = traj.alive_ids()
+
+        def scalar_min():
+            return min(
+                traj.crossing_time(sid, THRESHOLD * traj.capacity_j(sid))
+                for sid in alive
+            )
+
+        assert traj.next_crossing(THRESHOLD) == scalar_min() == -math.inf
+        # Recharge every sensor at or below the threshold: the minimum
+        # is then a finite crossing.
+        for sid in alive:
+            if traj.level_at(sid, 0.0) <= THRESHOLD * traj.capacity_j(sid):
+                traj.recharge_full_at(sid, 5.0)
+        assert traj.next_crossing(THRESHOLD) == scalar_min()
+        assert math.isfinite(scalar_min())
+
+    def test_failed_sensors_leave_every_query(self):
+        traj = BatteryTrajectories(
+            [1, 4], [100.0, 100.0], [10.0, 100.0], [1.0, 1.0]
+        )
+        assert traj.below(0.0, THRESHOLD) == [1]
+        traj.fail(1)
+        assert 1 not in traj and 4 in traj
+        assert traj.alive_ids() == [4]
+        assert traj.below(0.0, THRESHOLD) == []
+        assert traj.next_crossing(THRESHOLD) == pytest.approx(80.0)
+        traj.fail(4)
+        assert traj.next_crossing(THRESHOLD) == math.inf
+
+    def test_accessors_return_python_floats(self):
+        traj = one_sensor(capacity_j=100.0, level_j=50.0, draw_w=2.0)
+        values = [
+            traj.level_at(0, 3.0),
+            traj.death_time(0),
+            traj.crossing_time(0, 20.0),
+            traj.capacity_j(0),
+            traj.draw_w(0),
+            traj.next_crossing(THRESHOLD),
+        ]
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize(
+        "ids,capacity,level,draw",
+        [
+            ([0, 1], [100.0], [50.0], [1.0]),
+            ([1, 0], [100.0, 100.0], [50.0, 50.0], [1.0, 1.0]),
+            ([0, 0], [100.0, 100.0], [50.0, 50.0], [1.0, 1.0]),
+            ([0], [0.0], [0.0], [1.0]),
+            ([0], [100.0], [150.0], [1.0]),
+            ([0], [100.0], [-1.0], [1.0]),
+            ([0], [100.0], [50.0], [-1.0]),
+            ([0], [100.0], [50.0], [math.nan]),
+        ],
+    )
+    def test_invalid_input_raises_value_error(self, ids, capacity, level, draw):
+        with pytest.raises(ValueError):
+            BatteryTrajectories(ids, capacity, level, draw)
 
 
 class TestMonitoringSimulation:
