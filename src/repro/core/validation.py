@@ -136,12 +136,20 @@ def resolve_conflicts(
     retired O(waits · n²) — with byte-identical results (same pair
     chosen each round, same wait lengths).
 
+    A conflict-free schedule, the usual case, costs one
+    :func:`~repro.core.conflicts.conflicting_pairs` sweep: the resolver,
+    whose construction builds per-sensor interval lists that only a
+    wait would use, is built only when that sweep finds a conflict (its
+    own first conflict set is the same sweep's).
+
     Returns:
         The number of waits inserted.
 
     Raises:
         RuntimeError: if conflicts remain after ``max_rounds`` rounds.
     """
+    if not conflicting_pairs(schedule):
+        return 0
     resolver = ConflictResolver(schedule)
     inserted = 0
     for _ in range(max_rounds):

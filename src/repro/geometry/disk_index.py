@@ -121,6 +121,17 @@ class DiskIndex:
         _, coords, tree = self._bulk_view()
         return self._pairs(coords, tree, radius_m)
 
+    def pair_distances(
+        self, first: np.ndarray, second: np.ndarray
+    ) -> List[float]:
+        """The distance from label index ``first[k]`` to ``second[k]``
+        for every ``k``: ``math.hypot`` of the coordinate differences,
+        the float :meth:`Point.distance_to` gives from the first point
+        (numpy float64 subtraction rounds as Python's does)."""
+        _, coords, _ = self._bulk_view()
+        diff = coords[first] - coords[second]
+        return list(map(math.hypot, diff[:, 0].tolist(), diff[:, 1].tolist()))
+
     def _pairs(
         self, centers_arr: np.ndarray, center_tree: cKDTree, radius_m: float
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,11 +14,16 @@ station, so every sensor always has a defined load and power draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
+from repro.geometry.disk_index import DiskIndex
+from repro.geometry.point import PointLike
 from repro.network.topology import WRSN
 
 #: Virtual graph node representing the base station.
@@ -48,6 +53,24 @@ class RoutingTree:
         return children
 
 
+def _data_graph_rows(
+    positions: Mapping[int, PointLike], comm_range_m: float
+) -> Tuple[List[int], List[int], List[float]]:
+    """The data graph as neighbour rows over node-order indices: row
+    ``i`` is ``cols[starts[i]:starts[i + 1]]``, ascending, with the
+    matching ``weights``, each the ``distance_to`` from the edge's
+    earlier endpoint, as ``WRSN.comm_graph`` stores it."""
+    index = DiskIndex(positions)
+    rows, cols = index.self_pairs_within(comm_range_m)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    weights = index.pair_distances(
+        np.minimum(rows, cols), np.maximum(rows, cols)
+    )
+    starts = np.searchsorted(rows, np.arange(len(positions) + 1))
+    return starts.tolist(), cols.tolist(), weights
+
+
 def build_routing_tree(network: WRSN) -> RoutingTree:
     """Shortest-path tree from every sensor to the base station.
 
@@ -56,65 +79,84 @@ def build_routing_tree(network: WRSN) -> RoutingTree:
     from the base station then yields each sensor's parent. Unreachable
     sensors get a direct link to the base station.
 
-    The search walks the cached data graph's adjacency plus the base
-    station's neighbour list, without copying the graph. It is
-    networkx's ``single_source_dijkstra``: a ``(distance, counter)``
-    heap and a strict ``<`` relaxation, over the neighbour order a copy
-    of the graph with the base station added would give (the data
-    graph is built in that order; the base station's own edges, last
-    in every list, never relax), so ties break as networkx breaks them.
+    The data graph's neighbour rows come straight from
+    :meth:`~repro.geometry.disk_index.DiskIndex.self_pairs_within`, in
+    the order :meth:`~repro.network.topology.WRSN.comm_graph` lists
+    them (each sensor's neighbours in node order), each edge weighted
+    by ``distance_to`` from its endpoint earlier in node order, as the
+    graph stores it; no graph is built. The search is networkx's
+    ``single_source_dijkstra`` over a copy of that graph with the base
+    station added: a ``(distance, counter)`` heap and a strict ``<``
+    relaxation. The base station's edges come last in every sensor's
+    list there and never relax (it is settled first), so the rows leave
+    them out, and ties break as networkx breaks them.
     """
-    adjacency: Dict[object, Dict] = dict(network.comm_graph().adjacency())
+    positions = network.positions()
+    labels = list(positions)
     bs_pos = network.base_station.position
     sensors = network.sensors()
-    bs_edges: Dict[int, Dict[str, float]] = {}
+    size = len(labels)
+    starts, cols, weights = _data_graph_rows(positions, network.comm_range_m)
+    index_of = {sid: i for i, sid in enumerate(labels)}
+    bs_row: List[Tuple[int, float]] = []
     for sensor in sensors:
         dist = bs_pos.distance_to(sensor.position)
         if dist <= network.comm_range_m:
-            bs_edges[sensor.id] = {"weight": dist}
-    adjacency[BS_NODE] = bs_edges
+            bs_row.append((index_of[sensor.id], dist))
 
-    parent: Dict[int, object] = {}
-    depth: Dict[object, int] = {BS_NODE: 0}
-    settled: Set[object] = set()
-    seen: Dict[object, float] = {BS_NODE: 0}
+    # Sensors are indices in node order; index ``size`` is the base
+    # station, and -1 "no parent yet".
+    bs = size
+    parent = [-1] * size
+    depth = [0] * (size + 1)
+    settled = [False] * (size + 1)
+    seen = [math.inf] * (size + 1)
+    seen[bs] = 0
     counter = count()
-    fringe: List[Tuple[float, int, object]] = [(0, next(counter), BS_NODE)]
+    fringe: List[Tuple[float, int, int]] = [(0, next(counter), bs)]
     while fringe:
         d, _, v = heappop(fringe)
-        if v in settled:
+        if settled[v]:
             continue
-        settled.add(v)
-        if v != BS_NODE:
+        settled[v] = True
+        if v == bs:
+            neighbours = bs_row
+        else:
             depth[v] = depth[parent[v]] + 1
-        for u, data in adjacency[v].items():
-            if u in settled:
+            span = slice(starts[v], starts[v + 1])
+            neighbours = zip(cols[span], weights[span])
+        for u, weight in neighbours:
+            if settled[u]:
                 continue
-            vu_dist = d + data["weight"]
-            if u not in seen or vu_dist < seen[u]:
+            vu_dist = d + weight
+            if vu_dist < seen[u]:
                 seen[u] = vu_dist
                 heappush(fringe, (vu_dist, next(counter), u))
                 parent[u] = v
 
+    tree_parent: Dict[int, object] = {}
     next_hop: Dict[int, float] = {}
+    hops: Dict[int, int] = {}
     for sensor in sensors:
         sid = sensor.id
-        par = parent.get(sid)
-        if par is None:
+        par = parent[index_of[sid]]
+        if par < 0:
             # Disconnected from the sink: direct uplink fallback.
-            parent[sid] = BS_NODE
+            tree_parent[sid] = BS_NODE
             next_hop[sid] = bs_pos.distance_to(sensor.position)
-            depth[sid] = 1
-        elif par == BS_NODE:
+            hops[sid] = 1
+            continue
+        if par == bs:
+            tree_parent[sid] = BS_NODE
             next_hop[sid] = bs_pos.distance_to(sensor.position)
         else:
+            tree_parent[sid] = labels[par]
             next_hop[sid] = sensor.position.distance_to(
-                network.position_of(par)
+                network.position_of(labels[par])
             )
+        hops[sid] = depth[index_of[sid]]
     return RoutingTree(
-        parent={sensor.id: parent[sensor.id] for sensor in sensors},
-        next_hop_distance_m=next_hop,
-        depth={sensor.id: depth[sensor.id] for sensor in sensors},
+        parent=tree_parent, next_hop_distance_m=next_hop, depth=hops
     )
 
 

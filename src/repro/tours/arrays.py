@@ -19,7 +19,11 @@ call a kernel here and decode the result.
 * kernels — :func:`two_opt_indices`, :func:`or_opt_indices`,
   :func:`greedy_split_cuts`, :func:`split_min_max_ranges`,
   :func:`split_dual_ranges`, :func:`nearest_neighbor_indices`,
-  :func:`greedy_edge_indices`.
+  :func:`greedy_edge_indices`. The two local searches have a list path
+  for short tours (:data:`_TWO_OPT_LIST_MAX`, :data:`_OR_OPT_LIST_MAX`):
+  the same float expressions in the same scan order, on
+  ``matrix.tolist()`` rows, where numpy's per-call set-up would cost
+  more than the vector work saves.
 
 Byte-parity contract
 --------------------
@@ -81,6 +85,11 @@ _BINARY_SEARCH_REL_TOL = 1e-9
 _BINARY_SEARCH_MAX_ITER = 100
 #: Segment positions :func:`or_opt_indices` scores per numpy gather.
 _OR_OPT_BLOCK = 64
+#: Longest tours the local searches scan on Python lists rather than
+#: numpy rows. Both paths make the same moves; each is faster on its
+#: side of the size (DESIGN §16 has the measurement).
+_TWO_OPT_LIST_MAX = 128
+_OR_OPT_LIST_MAX = 16
 
 
 def canonical_labels(labels: Sequence[Hashable]) -> Tuple[Hashable, ...]:
@@ -193,16 +202,69 @@ def two_opt_indices(
     """First-improvement 2-opt over index space; parity with the scalar
     oracle ``legacy_two_opt``.
 
-    For each pivot ``i`` the whole row of candidate reversals
-    ``order[i..j]`` is scored in one vector expression
-    ``(D[b,c_i] + D[c_j,a_j]) - (D[b,c_j] + D[c_i,a_j])`` and the first
-    ``delta > min_gain`` is applied — exactly the legacy scan order,
-    including rescanning the tail with the mutated order after a move.
+    For each pivot ``i`` the candidate reversals ``order[i..j]`` are
+    scored as ``(D[b,c_i] + D[c_j,a_j]) - (D[b,c_j] + D[c_i,a_j])`` and
+    the first ``delta > min_gain`` is applied — exactly the legacy scan
+    order, including rescanning the tail with the mutated order after a
+    move. Tours of up to :data:`_TWO_OPT_LIST_MAX` nodes are scanned on
+    Python lists, longer ones a numpy row per pivot; both make the same
+    moves.
     """
     current = np.array(order, dtype=np.int32)
-    n = current.size
-    if n < 3:
+    if current.size < 3:
         return current
+    if current.size <= _TWO_OPT_LIST_MAX:
+        moved = _two_opt_lists(
+            matrix.tolist(), depot_index, current.tolist(),
+            max_rounds, min_gain,
+        )
+        return np.asarray(moved, dtype=np.int32)
+    return _two_opt_rows(matrix, depot_index, current, max_rounds, min_gain)
+
+
+def _two_opt_lists(
+    rows: List[List[float]],
+    depot_index: int,
+    current: List[int],
+    max_rounds: int,
+    min_gain: float,
+) -> List[int]:
+    """:func:`two_opt_indices` on ``matrix.tolist()``, one ``j`` at a
+    time; ``current`` is reversed in place and returned."""
+    n = len(current)
+    for _ in range(max_rounds):
+        improved = False
+        for i in range(n - 1):
+            row_b = rows[depot_index if i == 0 else current[i - 1]]
+            row_i = rows[current[i]]
+            b_i = row_b[current[i]]
+            for j in range(i + 1, n):
+                node_j = current[j]
+                after_j = current[j + 1] if j + 1 < n else depot_index
+                delta = (b_i + rows[node_j][after_j]) - (
+                    row_b[node_j] + row_i[after_j]
+                )
+                if delta > min_gain:
+                    current[i : j + 1] = current[i : j + 1][::-1]
+                    row_i = rows[current[i]]
+                    b_i = row_b[current[i]]
+                    improved = True
+        if not improved:
+            break
+    return current
+
+
+def _two_opt_rows(
+    matrix: np.ndarray,
+    depot_index: int,
+    current: np.ndarray,
+    max_rounds: int,
+    min_gain: float,
+) -> np.ndarray:
+    """:func:`two_opt_indices` with each pivot's whole row of
+    candidate reversals scored in one vector expression; ``current``
+    is reversed in place and returned."""
+    n = current.size
     for _ in range(max_rounds):
         improved = False
         for i in range(n - 1):
@@ -240,9 +302,90 @@ def or_opt_indices(
     """Or-opt segment relocation; parity with the scalar oracle
     ``legacy_or_opt``.
 
-    Up to :data:`_OR_OPT_BLOCK` segment positions are scored at once:
-    row ``r`` holds, for every edge ``(pred, succ)`` of the current
-    tour, ``(D[pred, first] + D[last, succ] - D[pred, succ]) -
+    For each segment position in turn, every reinsertion edge
+    ``(pred, succ)`` of the remaining tour is scored as
+    ``(D[pred, first] + D[last, succ] - D[pred, succ]) - removal_gain``
+    in insertion-position order, and the first strict minimum below
+    ``-min_gain`` is applied; the same position is then examined again.
+    Tours of up to :data:`_OR_OPT_LIST_MAX` nodes are scanned on Python
+    lists, longer ones in numpy blocks; both make the same moves.
+    """
+    current = [int(x) for x in np.asarray(order).tolist()]
+    if len(current) <= _OR_OPT_LIST_MAX:
+        moved = _or_opt_lists(
+            matrix.tolist(), depot_index, current,
+            segment_lengths, max_rounds, min_gain,
+        )
+    else:
+        moved = _or_opt_blocks(
+            matrix, depot_index, current,
+            segment_lengths, max_rounds, min_gain,
+        )
+    return np.asarray(moved, dtype=np.int32)
+
+
+def _or_opt_lists(
+    rows: List[List[float]],
+    depot_index: int,
+    current: List[int],
+    segment_lengths: Sequence[int],
+    max_rounds: int,
+    min_gain: float,
+) -> List[int]:
+    """:func:`or_opt_indices` on ``matrix.tolist()``, one segment
+    position and one reinsertion edge at a time."""
+    n = len(current)
+    for _ in range(max_rounds):
+        improved = False
+        for seg_len in segment_lengths:
+            if n <= seg_len:
+                continue
+            i = 0
+            while i + seg_len <= n:
+                first = current[i]
+                row_last = rows[current[i + seg_len - 1]]
+                row_before = rows[current[i - 1] if i else depot_index]
+                after = current[i + seg_len] if i + seg_len < n else depot_index
+                removal_gain = (
+                    row_before[first] + row_last[after]
+                ) - row_before[after]
+                rest = current[:i] + current[i + seg_len :]
+                best_delta = -min_gain
+                best_pos = -1
+                pred = depot_index
+                for pos, succ in enumerate([*rest, depot_index]):
+                    row_pred = rows[pred]
+                    delta = (
+                        row_pred[first] + row_last[succ] - row_pred[succ]
+                    ) - removal_gain
+                    if delta < best_delta:
+                        best_delta = delta
+                        best_pos = pos
+                    pred = succ
+                if best_pos < 0:
+                    i += 1
+                    continue
+                segment = current[i : i + seg_len]
+                current = rest[:best_pos] + segment + rest[best_pos:]
+                improved = True
+        if not improved:
+            break
+    return current
+
+
+def _or_opt_blocks(
+    matrix: np.ndarray,
+    depot_index: int,
+    current: List[int],
+    segment_lengths: Sequence[int],
+    max_rounds: int,
+    min_gain: float,
+) -> List[int]:
+    """:func:`or_opt_indices` scoring up to :data:`_OR_OPT_BLOCK`
+    segment positions at once.
+
+    Row ``r`` of a block holds, for every edge ``(pred, succ)`` of the
+    current tour, ``(D[pred, first] + D[last, succ] - D[pred, succ]) -
     removal_gain`` — the legacy expression in the legacy order. The
     edges touching the segment are masked to ``inf`` except the first,
     which becomes the bridge ``(before, after)`` the removal leaves; its
@@ -253,7 +396,6 @@ def or_opt_indices(
     move, so that row's move is the one the sequential scan makes; it is
     applied and the next block starts at that row.
     """
-    current = [int(x) for x in np.asarray(order).tolist()]
     n = len(current)
     block = np.arange(_OR_OPT_BLOCK)
     # Per row of a block: the columns of the edges inside the segment
@@ -306,7 +448,7 @@ def or_opt_indices(
                 improved = True
         if not improved:
             break
-    return np.asarray(current, dtype=np.int32)
+    return current
 
 
 # ---------------------------------------------------------------------------

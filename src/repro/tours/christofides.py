@@ -18,6 +18,7 @@ tour depends on how ties are broken:
 3. **Blossom** (:func:`_max_weight_matching`): vertices in ascending
    order, live blossoms in creation order after them, neighbour scans
    in ascending id, and the first ``delta`` to reach the minimum wins.
+   Two odd vertices skip it: their one perfect matching is the pair.
 4. **Euler circuit.** The multigraph holds the tree edges in
    ``tree.edges`` order, then the matched pairs; ``eulerian_circuit``
    copies it (node order, adjacency order, key order) and runs
@@ -30,6 +31,7 @@ for node.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -75,6 +77,10 @@ import numpy as np
 
 Edge = Tuple[int, int]
 
+#: Matrix sizes whose Kruskal candidate pairs are kept for reuse (all
+#: of them together hold under 1 MB); larger matrices build their own.
+_CACHED_PAIRS_MAX = 64
+
 
 def christofides_indices(matrix: np.ndarray) -> List[int]:
     """Christofides' tour over a symmetric distance matrix whose last
@@ -99,7 +105,10 @@ def _kruskal_adjacency(matrix: np.ndarray) -> List[List[int]]:
     """The minimum spanning tree NetworkX's Kruskal picks, as adjacency
     lists in edge-acceptance order."""
     size = len(matrix)
-    rows, cols = np.triu_indices(size, k=1)
+    if size <= _CACHED_PAIRS_MAX:
+        rows, cols = _upper_pairs(size)
+    else:
+        rows, cols = np.triu_indices(size, k=1)
     by_weight = np.argsort(matrix[rows, cols], kind="stable")
     parent = list(range(size))
     adjacency: List[List[int]] = [[] for _ in range(size)]
@@ -122,11 +131,27 @@ def _kruskal_adjacency(matrix: np.ndarray) -> List[List[int]]:
     return adjacency
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size, k=1)``, built once per size and read-only."""
+    rows, cols = np.triu_indices(size, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _min_weight_perfect_matching(
     dist: List[List[float]], odd: List[int]
 ) -> List[Edge]:
     """NetworkX's ``min_weight_matching`` over the complete graph on
-    ``odd``, as pairs of positions in ``odd``."""
+    ``odd``, as pairs of positions in ``odd``.
+
+    Two vertices have one perfect matching, the pair itself, which is
+    what the blossom returns for them; four or more go through the
+    blossom, whose float tie-breaks pick among equal-weight matchings.
+    """
+    if len(odd) == 2:
+        return [(0, 1)]
     maxw = 1 + max(
         dist[u][v] for i, u in enumerate(odd) for v in odd[i + 1:]
     )

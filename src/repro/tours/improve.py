@@ -31,6 +31,26 @@ def _cycle_length(order: Sequence[Hashable], dist) -> float:
     return total
 
 
+def _dense_over(
+    order: List[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    dist: Optional[DistanceCache],
+    dense: Optional[ArrayDistance],
+) -> ArrayDistance:
+    """The matrix the moves read: ``dense`` when given, else one built
+    over ``order`` from ``dist`` (or a fresh cache).
+
+    The moves compare matrix entries only, so any codec that holds the
+    order's nodes, in any order, makes the same moves.
+    """
+    if dense is not None:
+        return dense
+    if dist is None:
+        dist = DistanceCache(positions, depot)
+    return ArrayDistance.from_cache(dist, order)
+
+
 def two_opt(
     order: Sequence[Hashable],
     positions: Mapping[Hashable, PointLike],
@@ -38,22 +58,23 @@ def two_opt(
     max_rounds: int = 30,
     min_gain: float = 1e-9,
     dist: Optional[DistanceCache] = None,
+    dense: Optional[ArrayDistance] = None,
 ) -> List[Hashable]:
     """First-improvement 2-opt on a depot-rooted cycle.
 
     Repeatedly reverses segments ``order[i..j]`` while that shortens
     travel, up to ``max_rounds`` full passes. ``dist`` is a
     depot-carrying cache, built from ``positions`` and ``depot`` when
-    omitted.
+    omitted. ``dense`` is a matrix whose codec holds the order's nodes
+    in any order (the moves read only its entries), built from
+    ``dist`` when omitted.
 
     Returns a new order; the input is not mutated.
     """
     current = list(order)
     if len(current) < 3:
         return current
-    if dist is None:
-        dist = DistanceCache(positions, depot)
-    dense = ArrayDistance.from_cache(dist, current)
+    dense = _dense_over(current, positions, depot, dist, dense)
     improved = two_opt_indices(
         dense.matrix,
         dense.codec.depot_index,
@@ -72,20 +93,21 @@ def or_opt(
     max_rounds: int = 10,
     min_gain: float = 1e-9,
     dist: Optional[DistanceCache] = None,
+    dense: Optional[ArrayDistance] = None,
 ) -> List[Hashable]:
     """Or-opt: relocate short segments to better positions in the cycle.
 
     Complements 2-opt (which cannot move a node without reversing).
     ``dist`` is a depot-carrying cache, built from ``positions`` and
-    ``depot`` when omitted. Returns a new order; the input is not
-    mutated.
+    ``depot`` when omitted. ``dense`` is a matrix whose codec holds the
+    order's nodes in any order (the moves read only its entries),
+    built from ``dist`` when omitted. Returns a new order; the input is
+    not mutated.
     """
     current = list(order)
     if len(current) < 2:
         return current
-    if dist is None:
-        dist = DistanceCache(positions, depot)
-    dense = ArrayDistance.from_cache(dist, current)
+    dense = _dense_over(current, positions, depot, dist, dense)
     moved = or_opt_indices(
         dense.matrix,
         dense.codec.depot_index,

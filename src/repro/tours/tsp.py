@@ -87,6 +87,7 @@ def build_tsp_order(
     depot: PointLike,
     method: str = "christofides",
     dist: Optional[DistanceCache] = None,
+    dense: Optional[ArrayDistance] = None,
 ) -> List[Hashable]:
     """Build a closed tour through ``nodes`` rooted at the depot.
 
@@ -94,11 +95,13 @@ def build_tsp_order(
     starting with the first node after leaving the depot.
 
     ``dist`` is a depot-carrying cache (``None`` label = depot), built
-    from ``positions`` and ``depot`` when omitted.
+    from ``positions`` and ``depot`` when omitted. ``dense`` is the
+    matrix over ``nodes`` in the given order, built from ``dist`` when
+    omitted.
 
     Raises:
-        ValueError: on an unknown method, a depot-less ``dist`` or
-            duplicate nodes.
+        ValueError: on an unknown method, a depot-less ``dist``,
+            duplicate nodes, or a ``dense`` over other labels.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -109,12 +112,15 @@ def build_tsp_order(
         return []
     if len(node_list) == 1:
         return node_list
-    if dist is None:
-        dist = DistanceCache(positions, depot)
     # The codec indexes the nodes in positional order, depot last;
     # greedy-edge, Kruskal and the matching break distance ties by that
     # (i, j) order.
-    dense = ArrayDistance.from_cache(dist, node_list)
+    if dense is None:
+        if dist is None:
+            dist = DistanceCache(positions, depot)
+        dense = ArrayDistance.from_cache(dist, node_list)
+    elif dense.codec.labels != tuple(node_list):
+        raise ValueError("dense must index the nodes in their given order")
     if method == "christofides" and len(node_list) >= 3:
         return dense.codec.decode(christofides_indices(dense.matrix))
     if method in ("double_mst", "christofides"):

@@ -34,6 +34,7 @@ from repro.core.conflicts import (
     stop_groups,
 )
 from repro.core.schedule import ChargingSchedule
+from repro.core import validation
 from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
 from repro.geometry.point import Point
@@ -338,6 +339,52 @@ class TestResolutionParity:
             resolver.delay(later, float(rng.uniform(1.0, 300.0)))
         # One more cross-check after the loop.
         assert resolver.conflicts() == conflicting_pairs(schedule)
+
+
+class TestResolverOnlyOnConflict:
+    """``resolve_conflicts`` sweeps once and builds the incremental
+    resolver only when that sweep finds a conflict."""
+
+    @staticmethod
+    def count_resolvers(monkeypatch):
+        built = []
+
+        class Counted(ConflictResolver):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(validation, "ConflictResolver", Counted)
+        return built
+
+    def test_conflict_free_schedules_never_build_it(self, monkeypatch):
+        built = self.count_resolvers(monkeypatch)
+        for seed in range(0, NUM_SEEDS, 4):
+            single_tour = random_schedule(seed, num_tours=1)
+            assert resolve_conflicts(single_tour) == 0
+            resolved = random_schedule(seed)
+            legacy_resolve_conflicts(resolved)
+            before = schedule_fingerprint(resolved)
+            assert resolve_conflicts(resolved) == 0
+            assert schedule_fingerprint(resolved) == before
+        assert built == []
+
+    def test_conflicting_schedules_get_the_same_waits(self, monkeypatch):
+        built = self.count_resolvers(monkeypatch)
+        conflicted = 0
+        for seed in range(NUM_SEEDS):
+            legacy = random_schedule(seed)
+            engine = legacy.copy()
+            has_conflict = bool(conflicting_pairs(engine))
+            conflicted += has_conflict
+            legacy_waits = legacy_resolve_conflicts(legacy)
+            built.clear()
+            assert resolve_conflicts(engine) == legacy_waits, f"seed {seed}"
+            assert built == ([engine] if has_conflict else []), f"seed {seed}"
+            assert schedule_fingerprint(engine) == schedule_fingerprint(
+                legacy
+            ), f"seed {seed}"
+        assert conflicted > NUM_SEEDS // 2
 
 
 class TestPlannerParity:

@@ -202,3 +202,22 @@ def test_self_pairs_equal_pairs_within_on_the_same_points():
             assert np.array_equal(cols, ref_cols)
     empty = DiskIndex({})
     assert [a.tolist() for a in empty.self_pairs_within(1.0)] == [[], []]
+
+
+def test_pair_distances_are_distance_to():
+    """``DiskIndex.pair_distances`` gives ``Point.distance_to``'s float
+    from the first point of each pair, on the disagreeing pair, huge,
+    tiny and coincident coordinates and a random field."""
+    rng = np.random.default_rng(5)
+    points = [ORIGIN, EDGE, Point(1e300, -1e300), Point(-1e300, 1e300),
+              Point(5e-324, 0.0), Point(0.0, 0.0)]
+    points += [Point(*map(float, xy)) for xy in rng.uniform(-50, 50, (40, 2))]
+    index = DiskIndex(dict(enumerate(points)))
+    first, second = np.meshgrid(np.arange(len(points)), np.arange(len(points)))
+    first, second = first.ravel(), second.ravel()
+    got = index.pair_distances(first, second)
+    want = [
+        points[i].distance_to(points[j])
+        for i, j in zip(first.tolist(), second.tolist())
+    ]
+    assert [d.hex() for d in got] == [d.hex() for d in want]

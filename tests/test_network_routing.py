@@ -82,6 +82,20 @@ class TestBuildRoutingTree:
         assert set(tree.parent) == set(net.all_sensor_ids())
         assert all(d >= 1 for d in tree.depth.values())
 
+    def test_builds_no_data_graph(self):
+        net = random_wrsn(num_sensors=150, seed=3)
+        build_routing_tree(net)
+        assert net._comm_graph is None
+
+    def test_network_without_sensors(self):
+        net = WRSN(
+            sensors=[],
+            base_station=BaseStation(position=Point(0, 0)),
+            depot=Depot(position=Point(0, 0)),
+        )
+        tree = build_routing_tree(net)
+        assert tree.parent == tree.next_hop_distance_m == tree.depth == {}
+
 
 class TestRelayLoads:
     def test_chain_accumulation(self):
