@@ -129,8 +129,9 @@ class WRSN:
         its endpoint earlier in node order, in ascending (earlier,
         later) order, so every adjacency list holds the earlier
         neighbours then the later ones, each in node order: the order
-        ``Graph.copy()`` rebuilds, which makes walking the cached graph
-        and walking a copy of it relax edges in the same order.
+        ``Graph.copy()`` rebuilds, and the order in which
+        :func:`repro.network.routing.build_routing_tree` reads its own
+        neighbour rows (it builds no graph).
         """
         if self._comm_graph is None:
             graph = nx.Graph()
