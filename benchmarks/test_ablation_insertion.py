@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core.appro import appro_schedule_with_artifacts
-from repro.core.conflicts import conflicting_pairs
+from repro.core.conflicts import conflicting_pairs, resolve_conflicts
 from repro.core.schedule import ChargingSchedule
-from repro.core.validation import resolve_conflicts
 from repro.core.appro import appro_schedule
 from repro.energy.charging import ChargerSpec, full_charge_time
 from repro.graphs.auxiliary import build_auxiliary_graph

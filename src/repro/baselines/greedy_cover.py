@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence, Set
 
+from repro.core.conflicts import resolve_conflicts
 from repro.core.context import PlanningContext
 from repro.core.schedule import ChargingSchedule
-from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
 from repro.network.topology import WRSN
 

@@ -13,8 +13,9 @@
 * :mod:`repro.core.appro` — Algorithm 1 (``Appro``) end to end.
 * :mod:`repro.core.conflicts` — the conflict engine: per-sensor
   stop-group sweeps for the no-simultaneous-charging constraint, one
-  project-wide touching-epsilon rule, and the incremental
-  ``ConflictResolver`` behind every wait-insertion repair loop.
+  project-wide touching-epsilon rule, and ``resolve_conflicts``, the
+  one wait-insertion loop (over the incremental ``ConflictResolver``)
+  that planning, breakdown repair and the online frames all call.
 * :mod:`repro.core.validation` — feasibility validator for coverage,
   node-disjointness and the no-simultaneous-charging constraint.
 * :mod:`repro.core.metaheuristic` — the anytime GA planner tier:
@@ -50,7 +51,6 @@ from repro.core.repair import (
     RepairConfig,
     RepairOutcome,
     repair_schedule,
-    resolve_conflicts_after,
 )
 from repro.core.schedule import ChargingSchedule, Stop
 from repro.core.validation import ScheduleViolation, validate_schedule
@@ -73,7 +73,6 @@ __all__ = [
     "metaheuristic_schedule",
     "minimum_pairwise_slack",
     "repair_schedule",
-    "resolve_conflicts_after",
     "stop_groups",
     "validate_schedule",
 ]

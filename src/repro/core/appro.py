@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.core.conflicts import resolve_conflicts
 from repro.core.context import PlanningContext
 from repro.core.insertion import extend_schedule
 from repro.core.schedule import ChargingSchedule
-from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
 from repro.graphs.adjacency import NeighborRows
 from repro.graphs.auxiliary import auxiliary_max_degree

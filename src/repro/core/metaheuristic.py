@@ -34,9 +34,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.appro import appro_schedule
+from repro.core.conflicts import resolve_conflicts
 from repro.core.context import PlanningContext
 from repro.core.schedule import ChargingSchedule
-from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
 from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN

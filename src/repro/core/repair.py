@@ -19,8 +19,10 @@ failure time, it
    setting: anchor after the latest-finishing already-scheduled stop
    whose disk intersects the orphan's), falling back to the
    least-loaded tour when no disk neighbour is scheduled;
-4. restores the constraint by inserting waits, delaying only stops
-   that have not yet started — so realized cross-tour disk intervals
+4. restores the constraint with the one wait-insertion loop,
+   :func:`repro.core.conflicts.resolve_conflicts`, frozen at the
+   failure time and skipping the failed tour: only stops that have not
+   yet started are delayed — so realized cross-tour disk intervals
    stay disjoint *by construction*;
 5. retries with a relaxed delay budget (bounded retry/backoff), and
    when no repair fits the final budget enters an explicit **degraded
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
-from repro.core.conflicts import OVERLAP_EPS, ConflictResolver
+from repro.core.conflicts import OVERLAP_EPS, resolve_conflicts
 from repro.core.schedule import ChargingSchedule
 
 
@@ -124,81 +126,6 @@ class RepairOutcome:
     def fully_repaired(self) -> bool:
         """Every orphan found a new tour and the budget held."""
         return not self.degraded
-
-
-def resolve_conflicts_after(
-    schedule: ChargingSchedule,
-    frozen_before_s: float,
-    skip_tour: int = -1,
-    max_rounds: int = 10_000,
-) -> int:
-    """Wait-insertion conflict resolution that never touches the past.
-
-    Like :func:`repro.core.validation.resolve_conflicts` but respecting
-    a realized prefix: a stop whose charging started *at or before*
-    ``frozen_before_s`` is *frozen* — under the project-wide
-    closed-interval rule (:data:`repro.core.conflicts.OVERLAP_EPS`) a
-    stop with ``start == frozen_before_s`` is already active at the
-    frozen instant, so it physically happened (or is happening) and
-    cannot be delayed. Of each conflicting pair, the delayable stop is
-    pushed past the other's finish. Two frozen stops can never conflict
-    (the pre-fault plan was feasible and waits only push intervals
-    later), so progress is always possible.
-
-    Returns:
-        The number of waits inserted.
-
-    Raises:
-        RuntimeError: if conflicts remain after ``max_rounds`` rounds
-            (cannot happen for repair-generated conflicts; the cap is a
-            livelock guard).
-    """
-    resolver = ConflictResolver(schedule, skip_tour=skip_tour)
-    inserted = 0
-    for _ in range(max_rounds):
-        conflicts = resolver.conflicts()
-        if not conflicts:
-            return inserted
-
-        def sort_key(pair: Tuple[int, int, float]):
-            u, v, _ = pair
-            su = schedule.stop_interval(u)[0]
-            sv = schedule.stop_interval(v)[0]
-            return (max(su, sv), min(u, v))
-
-        u, v, _ = min(conflicts, key=sort_key)
-        su, fu = schedule.stop_interval(u)
-        sv, fv = schedule.stop_interval(v)
-        # The engine orients pairs by scheduled position; this module's
-        # retired sweep oriented them by (start, node). Reorient so the
-        # frozen-pair error message and the su == sv tie-break are
-        # unchanged.
-        if (sv, v) < (su, u):
-            u, v = v, u
-            su, fu, sv, fv = sv, fv, su, fu
-        # Closed-interval boundary: ``start == frozen_before_s`` means
-        # the stop is active at the frozen instant and must not move.
-        u_frozen = su <= frozen_before_s
-        v_frozen = sv <= frozen_before_s
-        if u_frozen and v_frozen:
-            raise RuntimeError(
-                f"stops {u} and {v} both started at or before "
-                f"{frozen_before_s:.1f}s and overlap; the pre-fault "
-                f"plan was not feasible"
-            )
-        if u_frozen:
-            later, needed = v, fu - sv
-        elif v_frozen:
-            later, needed = u, fv - su
-        elif su <= sv:
-            later, needed = v, fu - sv
-        else:
-            later, needed = u, fv - su
-        resolver.delay(later, needed + OVERLAP_EPS)
-        inserted += 1
-    raise RuntimeError(
-        f"conflict resolution did not converge in {max_rounds} rounds"
-    )
 
 
 def _default_urgency(schedule: ChargingSchedule, node: int) -> float:
@@ -365,7 +292,7 @@ def repair_schedule(
     budget = cfg.max_delay_stretch * max(pre_fault_longest, effective_time)
     for attempt in range(1, cfg.max_attempts + 1):
         outcome.attempts = attempt
-        outcome.waits_inserted += resolve_conflicts_after(
+        outcome.waits_inserted += resolve_conflicts(
             schedule,
             frozen_before_s=failure_time_s,
             skip_tour=failed_tour,
@@ -393,7 +320,7 @@ def repair_schedule(
             start = schedule.stop_interval(node)[0]
             if start < effective_time:
                 schedule.add_wait(node, effective_time - start)
-        outcome.waits_inserted += resolve_conflicts_after(
+        outcome.waits_inserted += resolve_conflicts(
             schedule,
             frozen_before_s=failure_time_s,
             skip_tour=failed_tour,
@@ -414,5 +341,4 @@ __all__ = [
     "RepairConfig",
     "RepairOutcome",
     "repair_schedule",
-    "resolve_conflicts_after",
 ]

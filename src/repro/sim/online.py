@@ -22,15 +22,13 @@ different times. Each dispatch assembles a *frame*: a synthetic
 unfinished in-flight stop plus the new tour on one absolute realized
 timeline (a table-backed distance function encodes the realized travel
 legs and depot offsets), with each stop's full charging disk as its
-coverage set. The frame is then handed to the repair engine's
-:func:`~repro.core.repair.resolve_conflicts_after` with the current
+coverage set. The frame is then handed to the one wait-insertion
+loop, :func:`~repro.core.conflicts.resolve_conflicts`, with the current
 time as the frozen boundary: stops already charging are never moved,
 while any not-yet-started stop — on the new tour *or* an in-flight one
-— may absorb a bounded wait. This is the same frozen-past bounded-edit
-machinery (and the same incremental
-:class:`~repro.core.conflicts.ConflictResolver`) that mid-round
-breakdown repair uses, so online feasibility is restored by exactly
-one engine.
+— may absorb a bounded wait. Mid-round breakdown repair and plan-time
+resolution call the same loop, so online feasibility is restored by
+exactly one engine.
 
 A :class:`~repro.sim.deadline.DeadlinePolicy` can sit on top: each
 request gets ``arrival + deadline_s`` as its absolute deadline, a
@@ -59,8 +57,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.appro import appro_schedule
-from repro.core.conflicts import interval_conflicts
-from repro.core.repair import resolve_conflicts_after
+from repro.core.conflicts import interval_conflicts, resolve_conflicts
 from repro.core.schedule import ChargingSchedule
 from repro.energy.battery import DEFAULT_REQUEST_THRESHOLD
 from repro.energy.charging import ChargerSpec
@@ -299,11 +296,10 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
         Builds a synthetic :class:`ChargingSchedule` whose travel legs
         are a lookup table of realized gaps (so absolute times and
         fault-stretched legs survive the schedule's own timing
-        recursion) and runs the repair engine's
-        :func:`resolve_conflicts_after` with ``now_s`` as the frozen
-        boundary. Already-charging stops never move; any later stop on
-        any tour may absorb a wait. Mutates the records in place and
-        returns the number of waits inserted.
+        recursion) and runs :func:`resolve_conflicts` with ``now_s`` as
+        the frozen boundary. Already-charging stops never move; any
+        later stop on any tour may absorb a wait. Mutates the records
+        in place and returns the number of waits inserted.
         """
         frame_tours: List[List[_StopRecord]] = [
             [rec for rec in d.records if rec.finish_s > now_s]
@@ -352,7 +348,7 @@ class OnlineMonitoringSimulation(MonitoringSimulation):
                 index[rec.node] = rec
             frame.recompute_finish_times(k)
 
-        waits = resolve_conflicts_after(frame, frozen_before_s=now_s)
+        waits = resolve_conflicts(frame, frozen_before_s=now_s)
         if waits:
             for node, rec in index.items():
                 rec.start_s, rec.finish_s = frame.stop_interval(node)

@@ -1,7 +1,5 @@
 """Closed-tour construction for mobile chargers.
 
-* :mod:`repro.tours.tour` — the :class:`Tour` value type (an ordered
-  visit sequence rooted at the depot) and its delay arithmetic.
 * :mod:`repro.tours.tsp` — TSP tour constructions (nearest-neighbour,
   greedy-edge, double-MST, Christofides) behind ``build_tsp_order``.
 * :mod:`repro.tours.christofides` — Christofides' construction over a
@@ -34,7 +32,6 @@ from repro.tours.minchargers import (
     minimum_chargers_for_bound,
 )
 from repro.tours.splitting import greedy_split_with_bound, split_tour_min_max
-from repro.tours.tour import Tour, tour_delay
 from repro.tours.tsp import build_tsp_order
 
 __all__ = [
@@ -42,7 +39,6 @@ __all__ = [
     "MCVEnergyModel",
     "MinChargersResult",
     "NodeIndexCodec",
-    "Tour",
     "build_tsp_order",
     "exact_k_minmax",
     "greedy_split_with_bound",
@@ -54,7 +50,6 @@ __all__ = [
     "solve_k_minmax_tours",
     "split_tour_energy_constrained",
     "split_tour_min_max",
-    "tour_delay",
     "tour_energy",
     "two_opt",
 ]

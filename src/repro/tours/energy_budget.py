@@ -27,7 +27,7 @@ from typing import Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
-from repro.tours.arrays import split_dual_ranges, tour_legs
+from repro.tours.arrays import ArrayDistance, split_dual_ranges, tour_legs
 from repro.tours.kminmax import backbone_order
 from repro.tours.splitting import segment_cost
 
@@ -171,7 +171,12 @@ def solve_k_minmax_energy_constrained(
     if dist is None:
         dist = DistanceCache(positions, depot)
     order = backbone_order(
-        node_list, positions, depot, tsp_method, True, dist
+        node_list,
+        positions,
+        depot,
+        tsp_method,
+        True,
+        ArrayDistance.from_cache(dist, node_list),
     )
     return split_tour_energy_constrained(
         order, num_tours, positions, depot, speed_mps, service, model, dist

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.appro import appro_schedule
-from repro.core.conflicts import conflicting_pairs, interval_conflicts
-from repro.core.repair import (
-    RepairConfig,
-    repair_schedule,
-    resolve_conflicts_after,
+from repro.core.conflicts import (
+    conflicting_pairs,
+    interval_conflicts,
+    resolve_conflicts,
 )
+from repro.core.repair import RepairConfig, repair_schedule
 from repro.core.schedule import ChargingSchedule
 from repro.core.validation import validate_schedule
 from repro.energy.charging import ChargerSpec
@@ -188,7 +188,7 @@ class TestRepairSchedule:
             for n in working.scheduled_stops()
             if working.stop_interval(n)[0] < frozen
         }
-        resolve_conflicts_after(working, frozen)
+        resolve_conflicts(working, frozen_before_s=frozen)
         for node, start in started_before.items():
             assert working.stop_interval(node)[0] == pytest.approx(start)
 
@@ -236,7 +236,7 @@ class TestFrozenBoundaryClosed:
         # and overlaps it. The boundary stop must stay put and the
         # future stop must yield.
         sched = _two_stop_frame({1: (100.0, 300.0), 2: (150.0, 350.0)})
-        waits = resolve_conflicts_after(sched, frozen_before_s=100.0)
+        waits = resolve_conflicts(sched, frozen_before_s=100.0)
         assert waits >= 1
         assert sched.stop_interval(1) == (100.0, 300.0)
         assert sched.stop_interval(2)[0] >= 300.0
@@ -250,17 +250,7 @@ class TestFrozenBoundaryClosed:
         # the old strict-< rule would have done.
         sched = _two_stop_frame({1: (50.0, 300.0), 2: (100.0, 350.0)})
         with pytest.raises(RuntimeError, match="at or before"):
-            resolve_conflicts_after(sched, frozen_before_s=100.0)
-
-    def test_frozen_filter_drops_boundary_pair(self):
-        # conflicting_pairs agrees: a pair in which both stops started
-        # at or before the boundary is not actionable.
-        sched = _two_stop_frame({1: (50.0, 300.0), 2: (100.0, 350.0)})
-        assert conflicting_pairs(sched) != []
-        assert conflicting_pairs(sched, frozen_before_s=100.0) == []
-        # ...but a pair with one strictly-future stop is kept.
-        future = _two_stop_frame({1: (100.0, 300.0), 2: (150.0, 350.0)})
-        assert conflicting_pairs(future, frozen_before_s=100.0) != []
+            resolve_conflicts(sched, frozen_before_s=100.0)
 
     def test_repair_at_exact_stop_start_stays_feasible(self, schedule):
         # Failure time chosen as the exact start of a surviving-tour

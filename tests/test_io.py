@@ -109,7 +109,7 @@ class TestWaitField:
         assert SCHEDULE_FORMAT == "repro-schedule/2"
 
     def _conflicted_schedule(self, depleted_net):
-        from repro.core.validation import resolve_conflicts
+        from repro.core.conflicts import resolve_conflicts
 
         requests = depleted_net.all_sensor_ids()
         schedule = appro_schedule(

@@ -23,9 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.conflicts import conflicting_pairs
+from repro.core.conflicts import conflicting_pairs, resolve_conflicts
 from repro.core.schedule import ChargingSchedule
-from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec
 from repro.geometry.point import Point
 from repro.tours.exact import exact_k_minmax

@@ -196,6 +196,13 @@ class TestKernelParity:
             order, k, positions, depot, speed, service, dist=dist
         )
         assert fast == legacy
+        # Legs gathered from a matrix over the nodes in another order
+        # (as the backbone's is) give the same split, bound included.
+        gathered = split_tour_min_max(
+            order, k, positions, depot, speed, service,
+            dense=ArrayDistance.from_cache(dist, order[::-1]),
+        )
+        assert gathered == legacy
 
     @pytest.mark.parametrize("seed", range(PARITY_SEEDS))
     def test_greedy_split_with_bound(self, seed):

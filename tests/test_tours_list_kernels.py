@@ -47,6 +47,7 @@ from repro.tours.kminmax import (
     _IMPROVE_MAX_NODES,
     backbone_order,
     backbone_policy,
+    solve_k_minmax_tours,
 )
 from repro.tours.tsp import build_tsp_order
 from tests._legacy_tours import (
@@ -325,13 +326,17 @@ class TestOneMatrixBackbone:
             random.Random(n).shuffle(nodes)
             got = backbone_order(
                 nodes, positions, depot, method, improve,
-                DistanceCache(positions, depot),
+                ArrayDistance.from_cache(
+                    DistanceCache(positions, depot), nodes
+                ),
             )
             assert got == three_call_backbone(
                 nodes, positions, depot, method, improve
             ), n
 
     def test_builds_one_matrix_per_backbone(self, monkeypatch):
+        """The backbone's three stages and the split's legs read one
+        matrix."""
         built = []
         original = ArrayDistance.from_cache.__func__
 
@@ -341,9 +346,8 @@ class TestOneMatrixBackbone:
 
         monkeypatch.setattr(ArrayDistance, "from_cache", classmethod(counting))
         positions, depot = field("uniform", 0, 12)
-        backbone_order(
-            list(positions), positions, depot, "christofides", True,
-            DistanceCache(positions, depot),
+        solve_k_minmax_tours(
+            list(positions), positions, depot, 2, 1.0, lambda v: 10.0,
         )
         assert built == [12]
 
